@@ -519,7 +519,6 @@ bool mapping_determinism_gate() {
     const mapping::ArcTable arcs(ring.geometry.tour, traffic);
     mapping::MappingOptions mo;
     mo.max_wavelengths = n / 4;  // tight cap: relocation batches engage
-    mo.use_shortcuts = false;
     const shortcut::ShortcutPlan plan;
 
     struct Outcome {

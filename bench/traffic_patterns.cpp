@@ -51,7 +51,6 @@ int main() {
     d.params = phys::Parameters::oring();
     mapping::MappingOptions mo;
     mo.max_wavelengths = n;
-    mo.use_shortcuts = false;
     d.mapping = mapping::assign_wavelengths(d.ring.tour, d.traffic, {}, mo);
     d.pdn = pdn::comb_pdn(d.ring.tour, d.mapping, d.params);
     d.has_pdn = true;

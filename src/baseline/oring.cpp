@@ -1,7 +1,5 @@
 #include "baseline/oring.hpp"
 
-#include <chrono>
-
 #include "obs/obs.hpp"
 
 namespace xring::baseline {
@@ -10,42 +8,16 @@ SynthesisResult synthesize_oring(const netlist::Floorplan& floorplan,
                                  const ring::RingBuildResult& ring,
                                  const OringOptions& options) {
   obs::Span span("baseline.synth");
-  const auto start = std::chrono::steady_clock::now();
-
-  SynthesisResult out;
-  out.ring_stats = ring;
-
-  analysis::RouterDesign& d = out.design;
-  d.floorplan = &floorplan;
-  d.traffic = netlist::Traffic::all_to_all(floorplan.size());
-  d.ring = ring.geometry;
-  d.params = options.params;
-
-  // ORing's assignment == XRing's Step 3 without shortcuts; the empty
-  // shortcut plan routes everything over the rings.
-  mapping::MappingOptions mo;
-  mo.max_wavelengths = options.max_wavelengths;
-  mo.use_shortcuts = false;
-  {
-    obs::Span map_span("baseline.mapping");
-    d.mapping = mapping::assign_wavelengths(d.ring.tour, d.traffic,
-                                            d.shortcuts, mo);
-  }
-
-  if (options.with_pdn) {
-    obs::Span pdn_span("baseline.pdn");
-    d.pdn = pdn::comb_pdn(d.ring.tour, d.mapping, d.params);
-    d.has_pdn = true;
-  }
-
-  {
-    obs::Span eval_span("baseline.evaluate");
-    out.metrics = analysis::evaluate(d);
-  }
-  out.seconds = ring.seconds + std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-  return out;
+  // ORing is XRing's own pipeline with the shortcuts and the openings off
+  // and the comb PDN of [17] in place of the tree PDN.
+  SynthesisOptions so;
+  so.shortcuts.enable = false;
+  so.openings.enable = false;
+  so.pdn_style = SynthesisOptions::PdnStyle::kComb;
+  so.build_pdn = options.with_pdn;
+  so.mapping.max_wavelengths = options.max_wavelengths;
+  so.params = options.params;
+  return Synthesizer(floorplan).run_with_ring(so, ring);
 }
 
 }  // namespace xring::baseline

@@ -1,7 +1,5 @@
 #include "baseline/ornoc.hpp"
 
-#include <chrono>
-
 #include "mapping/ornoc_assignment.hpp"
 #include "obs/obs.hpp"
 
@@ -11,7 +9,6 @@ SynthesisResult synthesize_ornoc(const netlist::Floorplan& floorplan,
                                  const ring::RingBuildResult& ring,
                                  const OrnocOptions& options) {
   obs::Span span("baseline.synth");
-  const auto start = std::chrono::steady_clock::now();
 
   SynthesisResult out;
   out.ring_stats = ring;
@@ -35,9 +32,7 @@ SynthesisResult synthesize_ornoc(const netlist::Floorplan& floorplan,
     obs::Span eval_span("baseline.evaluate");
     out.metrics = analysis::evaluate(d);
   }
-  out.seconds = ring.seconds + std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
+  out.seconds = ring.seconds + span.elapsed_seconds();
   return out;
 }
 

@@ -60,8 +60,7 @@ std::vector<std::pair<int, NodeId>> opening_candidate_order(
 
 /// Number of signals on waveguide `w` whose arc passes *through* `node`.
 /// Brute-force REFERENCE implementation (see OccupancyIndex::passing_count
-/// for the maintained version); kept for the DRC, tests, and the
-/// differential test.
+/// for the maintained version); only the tests call it.
 int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
                     const Mapping& mapping, int w, NodeId node);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mapping/occupancy.hpp"
 #include "obs/obs.hpp"
 
 namespace xring::mapping {
@@ -12,6 +13,8 @@ Mapping ornoc_assignment(const ring::Tour& tour,
   obs::Span span("baseline.mapping");
   Mapping m;
   m.routes.assign(traffic.size(), SignalRoute{});
+  const ArcTable arcs(tour, traffic);
+  OccupancyIndex index(arcs, m);
 
   for (const auto& sig : traffic.signals()) {
     const geom::Coord cw = tour.arc_length_cw(sig.src, sig.dst);
@@ -24,37 +27,13 @@ Mapping ornoc_assignment(const ring::Tour& tour,
     // accepting the long way around the ring — before it ever adds a
     // waveguide. This is what keeps its resource count low and its
     // worst-case path close to the full perimeter.
-    int chosen_w = -1, chosen_wl = -1;
-    Direction chosen_dir = shorter;
-    for (const Direction dir : {shorter, longer}) {
-      for (int w = 0; w < static_cast<int>(m.waveguides.size()) && chosen_w < 0;
-           ++w) {
-        if (m.waveguides[w].dir != dir) continue;
-        // `fits` checks overlap for the direction of waveguide w, so the
-        // signal's occupied arc follows that waveguide's direction.
-        for (int wl = 0; wl < max_wavelengths; ++wl) {
-          if (fits(tour, traffic, m, w, wl, sig.id)) {
-            chosen_w = w;
-            chosen_wl = wl;
-            chosen_dir = dir;
-            break;
-          }
-        }
-      }
-      if (chosen_w >= 0) break;
+    OccupancyIndex::Slot slot =
+        index.find_first_fit(shorter, sig.id, -1, max_wavelengths);
+    if (slot.waveguide < 0) {
+      slot = index.find_first_fit(longer, sig.id, -1, max_wavelengths);
     }
-    if (chosen_w < 0) {
-      chosen_w = m.add_waveguide(shorter);
-      chosen_wl = 0;
-      chosen_dir = shorter;
-    }
-
-    SignalRoute& r = m.routes[sig.id];
-    r.kind = chosen_dir == Direction::kCw ? RouteKind::kRingCw
-                                          : RouteKind::kRingCcw;
-    r.waveguide = chosen_w;
-    r.wavelength = chosen_wl;
-    m.waveguides[chosen_w].signals.push_back(sig.id);
+    if (slot.waveguide < 0) slot = {index.add_waveguide(shorter), 0};
+    index.place(sig.id, slot.waveguide, slot.wavelength);
   }
 
   int max_wl = -1;

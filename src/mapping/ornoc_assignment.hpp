@@ -10,7 +10,9 @@ namespace xring::mapping {
 /// adopts, but ORNoC knows no shortcuts and no openings: every signal rides
 /// a full circular waveguide in its shorter direction, signals are scanned
 /// in source-major order (the serpentine scan of the original paper), and
-/// new waveguides are opened when the #wl cap is hit.
+/// new waveguides are opened when the #wl cap is hit. The first fit runs on
+/// the Step-3 OccupancyIndex: shorter direction first, then the longer one,
+/// waveguides ascending, λ ascending within each.
 Mapping ornoc_assignment(const ring::Tour& tour,
                          const netlist::Traffic& traffic,
                          int max_wavelengths);

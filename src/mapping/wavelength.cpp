@@ -122,57 +122,55 @@ Mapping assign_wavelengths(const ring::Tour& tour,
   // nothing share λ0; a crossed pair uses λ0 and λ1 so the crossing's leak
   // never matches the other shortcut's receivers; CSE-routed signals use λ2
   // upward, distinct from both.
-  if (options.use_shortcuts) {
-    for (const auto& sig : traffic.signals()) {
-      const int sc = shortcuts.shortcuts.empty()
-                         ? -1
-                         : shortcuts.find(sig.src, sig.dst);
-      if (sc < 0) continue;
-      SignalRoute& r = m.routes[sig.id];
-      r.kind = RouteKind::kShortcut;
-      r.shortcut = sc;
-      const shortcut::Shortcut& s = shortcuts.shortcuts[sc];
-      if (s.crossing_partner < 0) {
-        r.wavelength = 0;
-      } else {
-        // The lower-indexed shortcut of the pair takes λ0, its partner λ1.
-        r.wavelength = sc < s.crossing_partner ? 0 : 1;
-      }
+  for (const auto& sig : traffic.signals()) {
+    const int sc = shortcuts.shortcuts.empty()
+                       ? -1
+                       : shortcuts.find(sig.src, sig.dst);
+    if (sc < 0) continue;
+    SignalRoute& r = m.routes[sig.id];
+    r.kind = RouteKind::kShortcut;
+    r.shortcut = sc;
+    const shortcut::Shortcut& s = shortcuts.shortcuts[sc];
+    if (s.crossing_partner < 0) {
+      r.wavelength = 0;
+    } else {
+      // The lower-indexed shortcut of the pair takes λ0, its partner λ1.
+      r.wavelength = sc < s.crossing_partner ? 0 : 1;
     }
+  }
 
-    // CSE-routed signals: only mapped when the CSE path is strictly shorter
-    // than the best ring arc (shortcuts must benefit the network). The
-    // (src, dst) → signal lookup is built once; like the linear scan it
-    // replaces, the first signal with the pair wins.
-    if (!shortcuts.cse_routes.empty()) {
-      std::unordered_map<std::uint64_t, SignalId> signal_by_pair;
-      signal_by_pair.reserve(traffic.signals().size());
-      for (const auto& sig : traffic.signals()) {
-        signal_by_pair.emplace(pair_key(sig.src, sig.dst), sig.id);
-      }
-      for (std::size_t c = 0; c < shortcuts.cse_routes.size(); ++c) {
-        const shortcut::CseRoute& route = shortcuts.cse_routes[c];
-        const auto it = signal_by_pair.find(pair_key(route.src, route.dst));
-        if (it == signal_by_pair.end()) continue;
-        const auto& sig = traffic.signal(it->second);
-        SignalRoute& r = m.routes[sig.id];
-        if (r.kind == RouteKind::kShortcut) continue;  // direct shortcut wins
-        const geom::Coord ring_len =
-            std::min(tour.arc_length_cw(sig.src, sig.dst),
-                     tour.arc_length_ccw(sig.src, sig.dst));
-        const bool better_than_current =
-            r.kind != RouteKind::kCse ||
-            route.length < shortcuts.cse_routes[r.cse].length;
-        if (route.length < ring_len && better_than_current) {
-          r.kind = RouteKind::kCse;
-          r.cse = static_cast<int>(c);
-          // Fig. 7(b) uses two distinct CSE wavelengths (λ3/λ4 there): CSE
-          // routes entering from the pair's lower-indexed shortcut take λ2,
-          // those entering from its partner take λ3. This keeps every CSE
-          // drop residue off the other CSE route's receiver, which shares
-          // the residue's waveguide span.
-          r.wavelength = route.shortcut_in < route.shortcut_out ? 2 : 3;
-        }
+  // CSE-routed signals: only mapped when the CSE path is strictly shorter
+  // than the best ring arc (shortcuts must benefit the network). The
+  // (src, dst) → signal lookup is built once; like the linear scan it
+  // replaces, the first signal with the pair wins.
+  if (!shortcuts.cse_routes.empty()) {
+    std::unordered_map<std::uint64_t, SignalId> signal_by_pair;
+    signal_by_pair.reserve(traffic.signals().size());
+    for (const auto& sig : traffic.signals()) {
+      signal_by_pair.emplace(pair_key(sig.src, sig.dst), sig.id);
+    }
+    for (std::size_t c = 0; c < shortcuts.cse_routes.size(); ++c) {
+      const shortcut::CseRoute& route = shortcuts.cse_routes[c];
+      const auto it = signal_by_pair.find(pair_key(route.src, route.dst));
+      if (it == signal_by_pair.end()) continue;
+      const auto& sig = traffic.signal(it->second);
+      SignalRoute& r = m.routes[sig.id];
+      if (r.kind == RouteKind::kShortcut) continue;  // direct shortcut wins
+      const geom::Coord ring_len =
+          std::min(tour.arc_length_cw(sig.src, sig.dst),
+                   tour.arc_length_ccw(sig.src, sig.dst));
+      const bool better_than_current =
+          r.kind != RouteKind::kCse ||
+          route.length < shortcuts.cse_routes[r.cse].length;
+      if (route.length < ring_len && better_than_current) {
+        r.kind = RouteKind::kCse;
+        r.cse = static_cast<int>(c);
+        // Fig. 7(b) uses two distinct CSE wavelengths (λ3/λ4 there): CSE
+        // routes entering from the pair's lower-indexed shortcut take λ2,
+        // those entering from its partner take λ3. This keeps every CSE
+        // drop residue off the other CSE route's receiver, which shares
+        // the residue's waveguide span.
+        r.wavelength = route.shortcut_in < route.shortcut_out ? 2 : 3;
       }
     }
   }

@@ -45,7 +45,6 @@ struct MappingOptions {
   /// Maximum number of wavelengths usable on one ring waveguide (#wl). The
   /// sweep layer varies this to find min-power / max-SNR settings.
   int max_wavelengths = 16;
-  bool use_shortcuts = true;
 };
 
 /// The complete Step 3 result.
@@ -106,9 +105,9 @@ Mapping assign_wavelengths(const ring::Tour& tour,
 /// True if the signal can be added to (waveguide, wavelength) without arc
 /// overlap with same-wavelength signals and without passing the waveguide's
 /// opening (when already fixed). Brute-force REFERENCE implementation:
-/// the synthesis hot paths use OccupancyIndex::fits (bit-identical, O(n/64)
-/// instead of O(co-resident signals × path)); this version is kept for the
-/// differential test (tests/test_mapping_index.cpp), the DRC, and reports.
+/// every synthesis path, the ORNoC baseline included, uses
+/// OccupancyIndex::fits (bit-identical, O(n/64) instead of O(co-resident
+/// signals × path)); only the differential tests call this version.
 bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
           const Mapping& mapping, int waveguide, int wavelength,
           SignalId signal);

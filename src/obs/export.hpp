@@ -33,7 +33,7 @@ std::map<std::string, double> metrics_from_csv(const std::string& csv);
 
 /// Inverse of metrics_json: parses a flat `{"name": value, ...}` object
 /// (string keys, numeric or null values; null becomes NaN). This is the
-/// reader side of the BENCH_*.json reports — tools/bench_compare diffs two
+/// reader side of the BENCH_*.json reports — `xring_runs diff` diffs two
 /// of them. Throws std::invalid_argument on anything that is not a flat
 /// one-level object of numbers.
 std::map<std::string, double> metrics_from_json(const std::string& json);

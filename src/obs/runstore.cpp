@@ -277,10 +277,12 @@ RunRecord parse_run_record(const std::string& json) {
     throw std::invalid_argument("run record: root is not an object");
   }
   RunRecord rec;
-  if (const JsonValue* v = doc.find("schema");
-      v != nullptr && v->kind == JsonValue::Kind::kString) {
-    rec.schema = v->string;
+  const JsonValue* schema = doc.find("schema");
+  if (schema == nullptr) {  // a flat BENCH_*.json metrics object
+    rec.metrics = metrics_from_json(json);
+    return rec;
   }
+  if (schema->kind == JsonValue::Kind::kString) rec.schema = schema->string;
   if (rec.schema.compare(0, 10, "xring.run/") != 0) {
     throw std::invalid_argument("run record: unknown schema \"" + rec.schema +
                                 "\"");
@@ -449,6 +451,7 @@ RunRecord RunStore::load(const std::string& id_or_path) const {
   }
   RunRecord rec = parse_run_record(read_file(path.string()));
   rec.dir = path.parent_path().string();
+  if (rec.id.empty()) rec.id = id_or_path;
   return rec;
 }
 

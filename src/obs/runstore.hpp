@@ -10,9 +10,8 @@
 namespace xring::obs {
 
 // ---------------------------------------------------------------------------
-// Metric gate classes — the single source of truth shared by
-// tools/bench_compare (the CI regression gate) and the cross-run diff
-// below, so `xring_runs diff` reproduces the gate's classification exactly.
+// Metric gate classes — the single source of truth of the regression gate
+// `xring_runs diff` applies, to run records and BENCH_*.json reports alike.
 
 enum class MetricClass {
   kQuality,         ///< gated tight in both directions (losses, powers, counts)
@@ -25,7 +24,7 @@ enum class MetricClass {
 const char* to_string(MetricClass c);
 
 /// Classifies one flat metric name. The rules (documented at length in
-/// tools/bench_compare.cpp) in precedence order: `*.iterations`/`*.t_us`
+/// tools/xring_runs.cpp) in precedence order: `*.iterations`/`*.t_us`
 /// are ignored; the solver-internal trajectory counters (`lp.pivots`,
 /// `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
 /// `lp.ftran_density.*`, `milp.warm_pivots`, `milp.cold_solves`) float;
@@ -84,7 +83,9 @@ struct RunRecord {
 std::string run_record_json(const RunRecord& rec);
 
 /// Parses a run.json document (throws std::invalid_argument on anything
-/// that does not match the schema).
+/// that does not match the schema). A document without a `schema` member is
+/// read as a flat BENCH_*.json metrics object (metrics_from_json) into a
+/// record that carries only `metrics`.
 RunRecord parse_run_record(const std::string& json);
 
 /// Aggregates a registry's recorded spans into per-path totals, parenting
@@ -131,7 +132,9 @@ class RunStore {
   /// Index entries in append order (empty when no index exists yet).
   std::vector<IndexEntry> list() const;
 
-  /// Loads a record by store id, run-directory path, or run.json path.
+  /// Loads a record by store id, run-directory path, run.json path, or the
+  /// path of a flat metrics JSON file; a record without an id is named by
+  /// `id_or_path`.
   RunRecord load(const std::string& id_or_path) const;
 
  private:
@@ -161,7 +164,7 @@ struct RunDiff {
   int one_sided = 0;    ///< keys present in only one run
 };
 
-/// Diffs two records under the bench_compare gate. `only_prefix` restricts
+/// Diffs two records under the regression gate. `only_prefix` restricts
 /// the comparison (and the one-sided accounting) to names with that prefix.
 RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
                   const GateOptions& gate = {},
@@ -171,7 +174,7 @@ RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
 std::string run_diff_json(const RunDiff& d);
 
 /// One self-contained HTML page: environment side-by-side, gated metric
-/// deltas classed like bench_compare, the span-tree time diff, and the
+/// deltas classed by the gate, the span-tree time diff, and the
 /// memory-by-phase diff. Inline CSS only, archivable as-is.
 std::string run_diff_html(const RunDiff& d);
 

@@ -130,9 +130,9 @@ void check_openings(const RouterDesign& d, const mapping::ArcTable* arcs,
           "waveguide " + std::to_string(w) + " has no opening");
       continue;
     }
-    // mapping::passing_signals counts the waveguide's signals whose
-    // interior_nodes contain the opening; interior_contains evaluates the
-    // same strict-interior predicate per signal in O(1).
+    // A signal passes the opening when the opening is one of its interior
+    // nodes; interior_contains evaluates that strict-interior predicate per
+    // signal in O(1).
     int passing = 0;
     if (!wg.signals.empty()) {
       const int pos = arcs->position(wg.opening);

@@ -22,7 +22,8 @@ struct SynthesisOptions {
   bool build_pdn = true;
   /// Step 4 variant: kTree is XRing's crossing-free design; kComb is the
   /// baseline design of [17] whose radials cross the ring waveguides —
-  /// used by the ablation benches to quantify what the openings buy.
+  /// the ORing baseline's PDN, and used by the ablation benches to quantify
+  /// what the openings buy.
   enum class PdnStyle { kTree, kComb };
   PdnStyle pdn_style = PdnStyle::kTree;
   phys::Parameters params = phys::Parameters::oring();

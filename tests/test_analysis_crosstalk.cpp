@@ -114,7 +114,6 @@ TEST(Crosstalk, OpeningsBlockNoisePropagation) {
     d.params = params;
     mapping::MappingOptions mo;
     mo.max_wavelengths = 8;
-    mo.use_shortcuts = false;
     d.mapping = mapping::assign_wavelengths(d.ring.tour, d.traffic, {}, mo);
     if (with_openings) {
       mapping::create_openings(d.ring.tour, d.traffic, d.mapping, mo);

@@ -84,6 +84,84 @@ TEST(Oring, ShorterDirectionOnly) {
   }
 }
 
+/// ORing assembled by hand from the Step-3 mapping and the comb PDN, as the
+/// traffic-pattern study does.
+analysis::RouterMetrics assembled_oring(const Fixture& f, int max_wavelengths) {
+  analysis::RouterDesign d;
+  d.floorplan = &f.fp;
+  d.traffic = netlist::Traffic::all_to_all(f.fp.size());
+  d.ring = f.ring.geometry;
+  d.params = phys::Parameters::oring();
+  mapping::MappingOptions mo;
+  mo.max_wavelengths = max_wavelengths;
+  d.mapping = mapping::assign_wavelengths(d.ring.tour, d.traffic, {}, mo);
+  d.pdn = pdn::comb_pdn(d.ring.tour, d.mapping, d.params);
+  d.has_pdn = true;
+  return analysis::evaluate(d);
+}
+
+TEST(Oring, PresetMatchesAssembledDesign) {
+  for (const int n : {8, 16}) {
+    SCOPED_TRACE(n);
+    const Fixture f(n);
+    OringOptions opt;
+    opt.max_wavelengths = n / 2;
+    const analysis::RouterMetrics a = synthesize_oring(f.fp, f.ring, opt).metrics;
+    const analysis::RouterMetrics b = assembled_oring(f, n / 2);
+    EXPECT_EQ(a.wavelengths, b.wavelengths);
+    EXPECT_EQ(a.waveguides, b.waveguides);
+    EXPECT_EQ(a.il_worst_db, b.il_worst_db);
+    EXPECT_EQ(a.il_star_worst_db, b.il_star_worst_db);
+    EXPECT_EQ(a.worst_path_mm, b.worst_path_mm);
+    EXPECT_EQ(a.worst_crossings, b.worst_crossings);
+    EXPECT_EQ(a.total_power_w, b.total_power_w);
+    EXPECT_EQ(a.noisy_signals, b.noisy_signals);
+    EXPECT_EQ(a.snr_worst_db, b.snr_worst_db);
+    EXPECT_EQ(a.laser_mw, b.laser_mw);
+    ASSERT_EQ(a.signals.size(), b.signals.size());
+    for (std::size_t i = 0; i < a.signals.size(); ++i) {
+      const analysis::SignalReport& x = a.signals[i];
+      const analysis::SignalReport& y = b.signals[i];
+      EXPECT_EQ(x.il_db, y.il_db) << "signal " << i;
+      EXPECT_EQ(x.il_star_db, y.il_star_db) << "signal " << i;
+      EXPECT_EQ(x.path_mm, y.path_mm) << "signal " << i;
+      EXPECT_EQ(x.crossings, y.crossings) << "signal " << i;
+      EXPECT_EQ(x.through_mrrs, y.through_mrrs) << "signal " << i;
+      EXPECT_EQ(x.noise_mw, y.noise_mw) << "signal " << i;
+      EXPECT_EQ(x.signal_mw, y.signal_mw) << "signal " << i;
+      EXPECT_EQ(x.snr_db, y.snr_db) << "signal " << i;
+    }
+    ASSERT_EQ(a.loss_ledger.size(), b.loss_ledger.size());
+    for (std::size_t i = 0; i < a.loss_ledger.size(); ++i) {
+      const analysis::LossBreakdown& x = a.loss_ledger[i];
+      const analysis::LossBreakdown& y = b.loss_ledger[i];
+      EXPECT_EQ(x.propagation_db, y.propagation_db) << "signal " << i;
+      EXPECT_EQ(x.modulator_db, y.modulator_db) << "signal " << i;
+      EXPECT_EQ(x.drop_db, y.drop_db) << "signal " << i;
+      EXPECT_EQ(x.through_db, y.through_db) << "signal " << i;
+      EXPECT_EQ(x.crossing_db, y.crossing_db) << "signal " << i;
+      EXPECT_EQ(x.bend_db, y.bend_db) << "signal " << i;
+      EXPECT_EQ(x.photodetector_db, y.photodetector_db) << "signal " << i;
+      EXPECT_EQ(x.pdn_db, y.pdn_db) << "signal " << i;
+      EXPECT_EQ(x.coupler_db, y.coupler_db) << "signal " << i;
+      EXPECT_EQ(x.path_mm, y.path_mm) << "signal " << i;
+      EXPECT_EQ(x.crossings, y.crossings) << "signal " << i;
+      EXPECT_EQ(x.through_mrrs, y.through_mrrs) << "signal " << i;
+      EXPECT_EQ(x.bends, y.bends) << "signal " << i;
+    }
+    ASSERT_EQ(a.xtalk_ledger.size(), b.xtalk_ledger.size());
+    for (std::size_t i = 0; i < a.xtalk_ledger.size(); ++i) {
+      const analysis::XtalkContribution& x = a.xtalk_ledger[i];
+      const analysis::XtalkContribution& y = b.xtalk_ledger[i];
+      EXPECT_EQ(x.victim, y.victim) << "row " << i;
+      EXPECT_EQ(x.aggressor, y.aggressor) << "row " << i;
+      EXPECT_EQ(x.source, y.source) << "row " << i;
+      EXPECT_EQ(x.node, y.node) << "row " << i;
+      EXPECT_EQ(x.noise_mw, y.noise_mw) << "row " << i;
+    }
+  }
+}
+
 TEST(Baselines, OrnocLongWayRoutingCostsCapacity) {
   // ORNoC fills existing slots even via the long direction; those long arcs
   // consume more (waveguide, λ) capacity overall, so it never needs fewer

@@ -8,8 +8,9 @@
 // test here therefore asserts exact equality of complete mappings, not just
 // metric-level agreement. Coverage includes all-to-all n ∈ {8, 16, 32},
 // seeded randomized traffic patterns, post-relocation states (a fresh index
-// over the opening phase's output still agrees with brute force), and the
-// undo-journal rollback path.
+// over the opening phase's output still agrees with brute force), the
+// undo-journal rollback path, and the ORNoC baseline's two-direction first
+// fit at tight #wl caps.
 
 #include "mapping/occupancy.hpp"
 
@@ -20,6 +21,7 @@
 #include <set>
 
 #include "mapping/opening.hpp"
+#include "mapping/ornoc_assignment.hpp"
 #include "ring/builder.hpp"
 #include "shortcut/shortcut.hpp"
 
@@ -53,42 +55,40 @@ Mapping ref_assign_wavelengths(const ring::Tour& tour, const Traffic& traffic,
   Mapping m;
   m.routes.assign(traffic.size(), SignalRoute{});
 
-  if (options.use_shortcuts) {
-    for (const auto& sig : traffic.signals()) {
-      const int sc = shortcuts.shortcuts.empty()
-                         ? -1
-                         : shortcuts.find(sig.src, sig.dst);
-      if (sc < 0) continue;
-      SignalRoute& r = m.routes[sig.id];
-      r.kind = RouteKind::kShortcut;
-      r.shortcut = sc;
-      const shortcut::Shortcut& s = shortcuts.shortcuts[sc];
-      if (s.crossing_partner < 0) {
-        r.wavelength = 0;
-      } else {
-        r.wavelength = sc < s.crossing_partner ? 0 : 1;
-      }
+  for (const auto& sig : traffic.signals()) {
+    const int sc = shortcuts.shortcuts.empty()
+                       ? -1
+                       : shortcuts.find(sig.src, sig.dst);
+    if (sc < 0) continue;
+    SignalRoute& r = m.routes[sig.id];
+    r.kind = RouteKind::kShortcut;
+    r.shortcut = sc;
+    const shortcut::Shortcut& s = shortcuts.shortcuts[sc];
+    if (s.crossing_partner < 0) {
+      r.wavelength = 0;
+    } else {
+      r.wavelength = sc < s.crossing_partner ? 0 : 1;
     }
-    for (std::size_t c = 0; c < shortcuts.cse_routes.size(); ++c) {
-      const shortcut::CseRoute& route = shortcuts.cse_routes[c];
-      // The pre-index linear rescan: first traffic signal with the pair.
-      for (const auto& sig : traffic.signals()) {
-        if (sig.src != route.src || sig.dst != route.dst) continue;
-        SignalRoute& r = m.routes[sig.id];
-        if (r.kind == RouteKind::kShortcut) break;
-        const geom::Coord ring_len =
-            std::min(tour.arc_length_cw(sig.src, sig.dst),
-                     tour.arc_length_ccw(sig.src, sig.dst));
-        const bool better_than_current =
-            r.kind != RouteKind::kCse ||
-            route.length < shortcuts.cse_routes[r.cse].length;
-        if (route.length < ring_len && better_than_current) {
-          r.kind = RouteKind::kCse;
-          r.cse = static_cast<int>(c);
-          r.wavelength = route.shortcut_in < route.shortcut_out ? 2 : 3;
-        }
-        break;
+  }
+  for (std::size_t c = 0; c < shortcuts.cse_routes.size(); ++c) {
+    const shortcut::CseRoute& route = shortcuts.cse_routes[c];
+    // The pre-index linear rescan: first traffic signal with the pair.
+    for (const auto& sig : traffic.signals()) {
+      if (sig.src != route.src || sig.dst != route.dst) continue;
+      SignalRoute& r = m.routes[sig.id];
+      if (r.kind == RouteKind::kShortcut) break;
+      const geom::Coord ring_len =
+          std::min(tour.arc_length_cw(sig.src, sig.dst),
+                   tour.arc_length_ccw(sig.src, sig.dst));
+      const bool better_than_current =
+          r.kind != RouteKind::kCse ||
+          route.length < shortcuts.cse_routes[r.cse].length;
+      if (route.length < ring_len && better_than_current) {
+        r.kind = RouteKind::kCse;
+        r.cse = static_cast<int>(c);
+        r.wavelength = route.shortcut_in < route.shortcut_out ? 2 : 3;
       }
+      break;
     }
   }
 
@@ -240,6 +240,70 @@ OpeningStats ref_create_openings(const ring::Tour& tour,
   return stats;
 }
 
+/// The pre-index ORNoC first fit, verbatim: shorter direction first, then
+/// the longer one, waveguides ascending, λ ascending, brute-force `fits`.
+Mapping ref_ornoc_assignment(const ring::Tour& tour, const Traffic& traffic,
+                             int max_wavelengths) {
+  Mapping m;
+  m.routes.assign(traffic.size(), SignalRoute{});
+
+  for (const auto& sig : traffic.signals()) {
+    const geom::Coord cw = tour.arc_length_cw(sig.src, sig.dst);
+    const geom::Coord ccw = tour.arc_length_ccw(sig.src, sig.dst);
+    const Direction shorter = cw <= ccw ? Direction::kCw : Direction::kCcw;
+    const Direction longer =
+        shorter == Direction::kCw ? Direction::kCcw : Direction::kCw;
+
+    int chosen_w = -1, chosen_wl = -1;
+    Direction chosen_dir = shorter;
+    for (const Direction dir : {shorter, longer}) {
+      for (int w = 0; w < static_cast<int>(m.waveguides.size()) && chosen_w < 0;
+           ++w) {
+        if (m.waveguides[w].dir != dir) continue;
+        for (int wl = 0; wl < max_wavelengths; ++wl) {
+          if (fits(tour, traffic, m, w, wl, sig.id)) {
+            chosen_w = w;
+            chosen_wl = wl;
+            chosen_dir = dir;
+            break;
+          }
+        }
+      }
+      if (chosen_w >= 0) break;
+    }
+    if (chosen_w < 0) {
+      chosen_w = m.add_waveguide(shorter);
+      chosen_wl = 0;
+      chosen_dir = shorter;
+    }
+
+    SignalRoute& r = m.routes[sig.id];
+    r.kind = chosen_dir == Direction::kCw ? RouteKind::kRingCw
+                                          : RouteKind::kRingCcw;
+    r.waveguide = chosen_w;
+    r.wavelength = chosen_wl;
+    m.waveguides[chosen_w].signals.push_back(sig.id);
+  }
+
+  int max_wl = -1;
+  for (const SignalRoute& r : m.routes) max_wl = std::max(max_wl, r.wavelength);
+  m.wavelengths_used = max_wl + 1;
+  return m;
+}
+
+/// Signals an ORNoC mapping routes the long way around the ring.
+int longer_direction_signals(const ring::Tour& tour, const Traffic& traffic,
+                             const Mapping& m) {
+  int count = 0;
+  for (const auto& sig : traffic.signals()) {
+    const bool shorter_cw = tour.arc_length_cw(sig.src, sig.dst) <=
+                            tour.arc_length_ccw(sig.src, sig.dst);
+    const bool cw = m.routes[sig.id].kind == RouteKind::kRingCw;
+    if (cw != shorter_cw) ++count;
+  }
+  return count;
+}
+
 // --------------------------------------------------------------------------
 
 void expect_mappings_identical(const Mapping& a, const Mapping& b) {
@@ -360,7 +424,6 @@ TEST_P(MappingIndexAllToAll, AssignAndOpeningsMatchReference) {
         make_instance(n, Traffic::all_to_all(n), with_shortcuts);
     MappingOptions mo;
     mo.max_wavelengths = n / 2;  // tight cap: exercises overflow + conflicts
-    mo.use_shortcuts = with_shortcuts;
 
     Mapping indexed = assign_wavelengths(inst.ring.tour, inst.traffic,
                                          inst.plan, mo);
@@ -382,6 +445,24 @@ TEST_P(MappingIndexAllToAll, AssignAndOpeningsMatchReference) {
     expect_index_agrees(inst.ring.tour, inst.traffic, indexed,
                         mo.max_wavelengths);
   }
+}
+
+TEST_P(MappingIndexAllToAll, OrnocMatchesReference) {
+  const int n = GetParam();
+  const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
+  const ring::Tour& tour = inst.ring.tour;
+  // Tight caps fill the shorter direction's slots, so signals fall back to
+  // the longer direction and then overflow into new waveguides.
+  int longer = 0;
+  for (const int cap : {n / 4, n / 2}) {
+    const Mapping indexed = ornoc_assignment(tour, inst.traffic, cap);
+    const Mapping reference = ref_ornoc_assignment(tour, inst.traffic, cap);
+    expect_mappings_identical(indexed, reference);
+    EXPECT_GT(indexed.ring_waveguides(Direction::kCw), 1) << "cap " << cap;
+    EXPECT_GT(indexed.ring_waveguides(Direction::kCcw), 1) << "cap " << cap;
+    longer += longer_direction_signals(tour, inst.traffic, indexed);
+  }
+  EXPECT_GT(longer, 0) << "the longer-direction fallback never engaged";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MappingIndexAllToAll,
@@ -409,6 +490,20 @@ TEST(MappingIndexRandom, AssignAndOpeningsMatchReferenceSeeded) {
     expect_mappings_identical(indexed, reference);
     expect_index_agrees(inst.ring.tour, inst.traffic, indexed,
                         mo.max_wavelengths);
+  }
+}
+
+TEST(MappingIndexRandom, OrnocMatchesReferenceSeeded) {
+  const int n = 16;
+  for (const unsigned seed : {1u, 7u, 42u, 1337u}) {
+    const Traffic traffic = random_traffic(n, 80, seed);
+    const Instance inst = make_instance(n, traffic, false);
+    for (const int cap : {n / 4, n / 2}) {
+      const Mapping indexed = ornoc_assignment(inst.ring.tour, traffic, cap);
+      const Mapping reference =
+          ref_ornoc_assignment(inst.ring.tour, traffic, cap);
+      expect_mappings_identical(indexed, reference);
+    }
   }
 }
 

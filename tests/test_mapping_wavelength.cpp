@@ -15,7 +15,6 @@ struct Fixture {
                        : shortcut::ShortcutPlan{}) {
     MappingOptions opt;
     opt.max_wavelengths = max_wl;
-    opt.use_shortcuts = shortcuts;
     mapping = assign_wavelengths(ring.tour, traffic, plan, opt);
   }
   netlist::Floorplan fp;

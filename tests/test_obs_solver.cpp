@@ -128,7 +128,10 @@ TEST_F(ObsSolverTest, SynthesisSpanTreeCoversTheFourSteps) {
     EXPECT_TRUE(names.count(required)) << "missing span: " << required;
   }
 
-  // The root span closes last and encloses every other span.
+  // The root span closes last and encloses every other span in time. Span
+  // depth is per thread: speculative B&B LP solves run on pool workers,
+  // where they open at depth 0, so only spans on the root's thread must
+  // nest below it.
   const obs::SpanEvent& root = spans.back();
   EXPECT_EQ(root.name, "synth");
   EXPECT_EQ(root.depth, 0);
@@ -137,7 +140,9 @@ TEST_F(ObsSolverTest, SynthesisSpanTreeCoversTheFourSteps) {
     EXPECT_GE(ev.start_us, root.start_us - 1.0) << ev.name;
     EXPECT_LE(ev.start_us + ev.dur_us, root.start_us + root.dur_us + 1.0)
         << ev.name;
-    EXPECT_GT(ev.depth, 0) << ev.name;
+    if (ev.thread_id == root.thread_id) {
+      EXPECT_GT(ev.depth, 0) << ev.name;
+    }
   }
 
   // `seconds` is derived from the root span.

@@ -1,5 +1,5 @@
-// The cross-run layer: metric gate classification shared with
-// bench_compare, run.json round trips, the store's record/list/load
+// The cross-run layer: metric gate classification, run.json and flat
+// BENCH_*.json parsing, the store's record/list/load
 // lifecycle, span-tree aggregation, A/B diffs under the gate, and
 // aggregation across runs.
 
@@ -193,6 +193,27 @@ TEST_F(RunStoreFixture, RecordListLoadLifecycle) {
   RunRecordOptions fresh;
   for (int i = 0; i < 5; ++i) ids.insert(store.record(reg, fresh));
   EXPECT_EQ(ids.size(), 5u);
+}
+
+TEST_F(RunStoreFixture, LoadsFlatMetricsJsonReports) {
+  // A BENCH_*.json report has no schema: the same reader as
+  // metrics_from_json fills the record's metrics and nothing else.
+  const RunRecord flat =
+      parse_run_record("{\"table1.n8.XRing.P\": 1.5, \"ring.snr\": null}");
+  ASSERT_EQ(flat.metrics.size(), 2u);
+  EXPECT_DOUBLE_EQ(flat.metrics.at("table1.n8.XRing.P"), 1.5);
+  EXPECT_TRUE(std::isnan(flat.metrics.at("ring.snr")));
+  EXPECT_TRUE(flat.span_tree.empty());
+  EXPECT_THROW(parse_run_record("{\"nested\": {\"a\": 1}}"),
+               std::invalid_argument);
+
+  // Loaded by path, the report is named after that path.
+  fs::create_directories(root_);
+  const std::string path = (fs::path(root_) / "BENCH_table1.json").string();
+  std::ofstream(path) << "{\"table1.n8.XRing.P\": 1.5}";
+  const RunRecord rec = RunStore(root_).load(path);
+  EXPECT_EQ(rec.id, path);
+  EXPECT_DOUBLE_EQ(rec.metrics.at("table1.n8.XRing.P"), 1.5);
 }
 
 RunRecord make_record(const std::string& id,

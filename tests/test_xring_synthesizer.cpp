@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "xring/sweep.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -135,7 +137,7 @@ TEST(Sweep, FindsBestSettingForEachGoal) {
 }
 
 TEST(Sweep, GenericSweepDrivesAnyCallable) {
-  int calls = 0;
+  std::atomic<int> calls{0};  // settings run concurrently on the pool
   const SweepResult r = sweep(
       [&](int wl) {
         ++calls;

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full check pass: a sanitizer build (ASan + UBSan) of the whole tree, the
-# complete test suite run under it, and the bench regression gate (a fresh
-# Table I run diffed against bench/baselines/ with tools/bench_compare).
+# complete test suite run under it, and the bench regression gate (fresh
+# Table I-III runs diffed against bench/baselines/ with `xring_runs diff`).
 # Usage:
 #
 #   tools/run_checks.sh [build-dir]       # default: build-sanitize
@@ -18,46 +18,51 @@ cmake --build "$build_dir" -j
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 # Bench regression gate: quality metrics (losses, powers, solver counts)
-# must match the committed baseline exactly; wall times get a wide berth
+# must match the committed baselines exactly; wall times get a wide berth
 # (sanitizers and CI machines are slow — only order-of-magnitude growth
-# fails). Update the baseline intentionally via docs/OBSERVABILITY.md's
+# fails). Update the baselines intentionally via docs/OBSERVABILITY.md's
 # "updating bench baselines" workflow.
 echo "== bench regression gate =="
-(cd "$build_dir/bench" && ./table1_routers_no_pdn > /dev/null)
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --time-tolerance 25 --quiet
+# One pool job, as the baselines were recorded: the mapping.* gauges keep
+# the value of whichever synthesis wrote them last, and a wider pool
+# finishes the #wl sweep settings in any order.
+(cd "$build_dir/bench" && export XRING_JOBS=1 &&
+  ./table1_routers_no_pdn > /dev/null &&
+  ./table2_ornoc_vs_xring > /dev/null &&
+  ./table3_oring_vs_xring > /dev/null)
+gate() {  # gate TABLE [xring_runs diff options...]
+  table=$1
+  shift
+  "$build_dir/tools/xring_runs" diff \
+    "$repo/bench/baselines/BENCH_$table.json" \
+    "$build_dir/bench/BENCH_$table.json" --quiet "$@"
+}
+gate table1 --time-tolerance 25
 # The mapping.* counters (waveguides, wavelengths, relocations, openings)
 # are the occupancy index's bit-identical contract with the brute-force
 # Step 3: they must match the committed baseline EXACTLY, with no time
 # escape hatch.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --only-prefix mapping. \
-  --rel-tolerance 0 --quiet
+gate table1 --only-prefix mapping. --rel-tolerance 0
 # Solver quality gate: the MILP's answers (milp.incumbent.last, node and
 # lazy-cut counts) and the realized ring (ring.crossings, ring.length_um)
 # must be byte-identical to the baseline. Pivot-path counters (lp.pivots,
 # lp.iterations, lp.refactorizations, milp.warm_pivots, ...) float — they
-# are classified solver-internal inside bench_compare — so an LP-kernel
-# change passes here exactly when it changes how the answer is reached but
-# never the answer.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --only-prefix milp. \
-  --rel-tolerance 0 --quiet
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --only-prefix ring. \
-  --rel-tolerance 0 --quiet
-# table1.*.T wall times ride along under this prefix; give them the same
-# wide sanitizer berth as the whole-file gate (a Release-recorded baseline
-# vs an ASan run exceeds the default 3x on sub-0.1 s entries).
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --only-prefix table1. \
-  --rel-tolerance 0 --time-tolerance 25 --quiet
+# are classified solver-internal by the gate — so an LP-kernel change
+# passes here exactly when it changes how the answer is reached but never
+# the answer.
+gate table1 --only-prefix milp. --rel-tolerance 0
+gate table1 --only-prefix ring. --rel-tolerance 0
 # Evaluation determinism gate: the indexed analysis engine's counters
 # (analysis.signals, analysis.xtalk_rows) are its bit-identical contract
 # with the pre-index reference — exact match, like mapping.* above.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
-  "$build_dir/bench/BENCH_table1.json" --only-prefix analysis. \
-  --rel-tolerance 0 --quiet
+gate table1 --only-prefix analysis. --rel-tolerance 0
+# Table cells, XRing's and the ORNoC/ORing baselines' alike, exactly.
+# The tables' .T wall times ride along under these prefixes; give them the
+# same wide sanitizer berth as the whole-file gate (a Release-recorded
+# baseline vs an ASan run exceeds the default 3x on sub-0.1 s entries).
+for table in table1 table2 table3; do
+  gate "$table" --only-prefix "$table." --rel-tolerance 0 --time-tolerance 25
+done
 echo "bench gate OK"
 
 # ThreadSanitizer pass over the concurrent substrate (its own build tree —

@@ -1,6 +1,7 @@
 // xring_runs — list, diff, and aggregate the per-run records a store
 // directory accumulates (one `<store>/<id>/run.json` per run plus an
-// append-only `<store>/index.jsonl`; `xring synth --run-dir` writes them).
+// append-only `<store>/index.jsonl`; `xring synth --run-dir` writes them),
+// and gate flat BENCH_*.json metrics reports against committed baselines.
 //
 //   xring_runs list [--store DIR]
 //   xring_runs diff A B [--store DIR] [--html OUT.html] [--json OUT.json]
@@ -8,12 +9,49 @@
 //                       [--only-prefix P] [--quiet]
 //   xring_runs aggregate [--store DIR] [--prefix P] [--json]
 //
-// `A` and `B` are store ids, run-directory paths, or run.json paths.
-// `diff` applies the same metric classification and gate formulas as
-// tools/bench_compare (shared via obs/runstore.hpp): quality metrics are
-// gated tight in both directions, time-like metrics only on growth beyond
-// the tolerance over the noise floor, and solver-internal / resource /
-// ignored metrics ride along unjudged.
+// `A` and `B` are store ids, run-directory paths, run.json paths, or flat
+// metrics JSON files (the BENCH_*.json reports of the table benches and
+// bench_micro). `diff` options:
+//   --time-tolerance R   time-like metrics may grow up to R× the baseline
+//                        before counting as a regression (default: 3.0 —
+//                        wall times are machine- and load-dependent)
+//   --rel-tolerance R    quality metrics (losses, powers, counts) may drift
+//                        relatively by R (default: 1e-6 — the pipeline is
+//                        deterministic, so anything beyond rounding noise
+//                        is a real behavior change)
+//   --only-prefix P      compare only metrics whose name starts with P
+//                        (e.g. `--only-prefix mapping.` gates the Step-3
+//                        counters alone); one-sided keys are filtered the
+//                        same way
+//   --quiet              print regressions and the summary line only when
+//                        something regressed or a key is one-sided
+//
+// The classification and gate formulas live in obs/runstore.hpp
+// (classify_metric / time_noise_floor / metric_regressed). Classification
+// by metric name:
+//   time-like  `span.*`, `*.real_time_ns`, `*.cpu_time_ns`, `*.total_s`,
+//              `*.seconds`, or a last dot-component of `T` (the tables'
+//              wall-clock column). Only growth is flagged; getting faster
+//              never fails, and sub-noise-floor baselines are not gated.
+//   ignored    `*.iterations` (google-benchmark picks the repeat count
+//              from the machine's speed) and `*.t_us` timestamps.
+//   solver     solver-internal trajectory counters (`lp.pivots`,
+//              `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
+//              `lp.ftran_density.*`, `milp.warm_pivots`,
+//              `milp.cold_solves`, the Step-3 probe counters): deterministic
+//              per build but expected to move whenever the search path
+//              changes, so they float free of the gate. The quality metrics
+//              they feed (`milp.incumbent.last`, `ring.*`, table cells) stay
+//              gated exactly — the answer may not move even when the path
+//              to it does.
+//   resource   sampled resource and scheduling telemetry (`mem.*`,
+//              `events.*`, `par.*`, `milp.spec_*`): two identical runs
+//              differ. Never gated; they ride along for the human reading
+//              the report.
+//   quality    everything else; compared tight in both directions.
+// Keys present in only one input are not compared; their count is reported
+// in the summary line even under --quiet (renaming a metric should not
+// silently drop it from the gate).
 //
 // Exit status: 0 ok (diff: no regressions), 1 diff found regressions,
 // 2 usage or I/O error.
