@@ -55,14 +55,19 @@ void BM_LpAssignmentRelaxation(benchmark::State& state) {
 }
 BENCHMARK(BM_LpAssignmentRelaxation)->Arg(8)->Arg(16)->Arg(24);
 
+/// The dense conflict-table build: the paper's 8/16/32-node rings, then
+/// 8-row grids at n = 64/96/128 (up to kDenseNodeLimit).
 void BM_ConflictOracle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto fp = netlist::Floorplan::standard(n);
+  const auto fp = n <= 32 ? netlist::Floorplan::standard(n)
+                          : netlist::Floorplan::grid(8, n / 8, 2000);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ring::ConflictOracle(fp));
   }
 }
-BENCHMARK(BM_ConflictOracle)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_ConflictOracle)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RingConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -60,9 +60,30 @@ int crossing_count(const LRoute& a, const LRoute& b);
 /// configuration for two distinct waveguides).
 bool routes_overlap(const LRoute& a, const LRoute& b);
 
+/// The legs of both L-route options of one edge, in the flat form the
+/// conflict test reads. Option o (0 = vertical-first, 1 = horizontal-first)
+/// has one horizontal leg at y = h_y[o] and one vertical leg at x = v_x[o];
+/// both legs of both options span the edge's bounding box [x_lo, x_hi] x
+/// [y_lo, y_hi] in their own direction. A leg is degenerate when its span is
+/// empty; it then has no interior and crosses nothing.
+struct EdgeLegs {
+  EdgeLegs(Point from, Point to);
+
+  Point from;
+  Point to;
+  Coord x_lo, x_hi, y_lo, y_hi;
+  std::array<Coord, 2> h_y;
+  std::array<Coord, 2> v_x;
+};
+
 /// The paper's conflict test (Sec. III-A): two edges are *conflicting* iff
-/// none of the four combinations of their L-route options avoids a crossing
-/// or an overlap. Conflict-free edges can always be co-selected.
+/// every one of the four combinations of their L-route options forms a
+/// transversal crossing. Collinear overlap is legal, and edges sharing an
+/// endpoint position never conflict. Conflict-free edges can always be
+/// co-selected. Allocates nothing.
+bool edges_conflict(const EdgeLegs& a, const EdgeLegs& b);
+
+/// Convenience form on the edges' endpoints.
 bool edges_conflict(Point a_from, Point a_to, Point b_from, Point b_to);
 
 }  // namespace xring::geom

@@ -306,7 +306,7 @@ OpeningStats create_openings(const ring::Tour& tour,
         .add(static_cast<long long>(mapping.waveguides.size()));
     reg.counter("mapping.relocated_signals").add(stats.relocated_signals);
     reg.counter("mapping.extra_waveguides").add(stats.extra_waveguides);
-    reg.gauge("mapping.wavelengths_used").set(mapping.wavelengths_used);
+    reg.gauge("mapping.wavelengths_used").max(mapping.wavelengths_used);
     const OccupancyIndex::SearchStats& ss = index.search_stats();
     reg.counter("mapping.fits_probes").add(ss.fits_probes);
     reg.counter("mapping.fits_summary_hits").add(ss.fits_summary_hits);

@@ -216,9 +216,11 @@ Mapping assign_wavelengths(const ring::Tour& tour,
   m.wavelengths_used = max_wl + 1;
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
+    // Per-run maxima: a #wl sweep maps its settings concurrently, and a
+    // last-writer value would depend on which setting finished last.
     reg.gauge("mapping.ring_waveguides")
-        .set(static_cast<double>(m.waveguides.size()));
-    reg.gauge("mapping.wavelengths_used").set(m.wavelengths_used);
+        .max(static_cast<double>(m.waveguides.size()));
+    reg.gauge("mapping.wavelengths_used").max(m.wavelengths_used);
     long long shortcut_routes = 0;
     for (const SignalRoute& r : m.routes) {
       if (r.kind == RouteKind::kShortcut || r.kind == RouteKind::kCse) {
@@ -226,7 +228,7 @@ Mapping assign_wavelengths(const ring::Tour& tour,
       }
     }
     reg.gauge("mapping.shortcut_routes")
-        .set(static_cast<double>(shortcut_routes));
+        .max(static_cast<double>(shortcut_routes));
     const OccupancyIndex::SearchStats& ss = index.search_stats();
     reg.counter("mapping.fits_probes").add(ss.fits_probes);
     reg.counter("mapping.fits_summary_hits").add(ss.fits_summary_hits);

@@ -31,6 +31,15 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Raises the value to `v` if `v` is larger: a running maximum that does
+  /// not depend on the order concurrent writers finish in. A fresh gauge
+  /// reads 0, so this suits non-negative quantities.
+  void max(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0.0, std::memory_order_relaxed); }
 

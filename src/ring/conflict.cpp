@@ -16,22 +16,20 @@ ConflictOracle::ConflictOracle(const netlist::Floorplan& floorplan)
   }
   table_.assign(static_cast<std::size_t>(pairs_) * pairs_, false);
 
-  // Materialize every unordered node pair once.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(pairs_);
+  // The leg record of every unordered node pair, in pair_index order.
+  std::vector<geom::EdgeLegs> legs;
+  legs.reserve(pairs_);
   for (NodeId i = 0; i < n_; ++i) {
-    for (NodeId j = i + 1; j < n_; ++j) pairs.emplace_back(i, j);
+    for (NodeId j = i + 1; j < n_; ++j) {
+      legs.emplace_back(floorplan.position(i), floorplan.position(j));
+    }
   }
 
   for (int p = 0; p < pairs_; ++p) {
     for (int q = p + 1; q < pairs_; ++q) {
-      const auto [a1, a2] = pairs[p];
-      const auto [b1, b2] = pairs[q];
-      const bool c = geom::edges_conflict(
-          floorplan.position(a1), floorplan.position(a2),
-          floorplan.position(b1), floorplan.position(b2));
-      table_[static_cast<std::size_t>(p) * pairs_ + q] = c;
-      table_[static_cast<std::size_t>(q) * pairs_ + p] = c;
+      if (!geom::edges_conflict(legs[p], legs[q])) continue;
+      table_[static_cast<std::size_t>(p) * pairs_ + q] = true;
+      table_[static_cast<std::size_t>(q) * pairs_ + p] = true;
     }
   }
 }

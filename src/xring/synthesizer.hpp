@@ -94,10 +94,10 @@ class Synthesizer {
 
   const netlist::Floorplan& floorplan() const { return *floorplan_; }
 
-  /// Step-1 conflict oracle, built on first use. The oracle's all-pairs
-  /// conflict table is Θ(n⁴) predicate evaluations and Θ(n⁴) bits — at
-  /// n = 512 that is minutes of work and gigabytes of memory — but only
-  /// ring *construction* reads it. Callers entering through
+  /// Step-1 conflict oracle, built on first use. Up to
+  /// `ConflictOracle::kDenseNodeLimit` nodes its all-pairs conflict table
+  /// is Θ(n⁴) predicate evaluations and Θ(n⁴) bits — ~0.2 s and ~8 MB at
+  /// n = 128 — but only ring *construction* reads it. Callers entering through
   /// `run_with_ring` (prebuilt or fixed rings: sweeps, the scaling
   /// profile, ablations) never pay for it.
   const ring::ConflictOracle& oracle() const {

@@ -17,7 +17,10 @@
 #include "obs/obs.hpp"
 #include "obs/runstore.hpp"
 #include "obs/sampler.hpp"
+#include "baseline/ornoc.hpp"
 #include "par/pool.hpp"
+#include "ring/builder.hpp"
+#include "xring/sweep.hpp"
 #include "xring/synthesizer.hpp"
 
 namespace xring::obs {
@@ -335,6 +338,54 @@ TEST(ObsContextSynthesis, PerContextCountersAreThreadCountInvariant) {
     if (name.compare(0, 3, "lp.") == 0) has_lp = true;
   }
   EXPECT_TRUE(has_lp);
+}
+
+/// The mapping-shape gauges of Table II's n = 16 min-power sweeps (ORNoC and
+/// XRing, #wl 8..16). The settings run concurrently at jobs > 1 and finish
+/// in any order, so these must be order-free aggregates.
+std::map<std::string, double> table2_sweep_gauges() {
+  Context ctx;
+  ScopedContext scope(ctx);
+  const int n = 16;
+  const auto params = phys::Parameters::oring();
+  const auto fp = netlist::Floorplan::standard(n);
+  const Synthesizer synth(fp);
+  const auto ring = ring::build_ring(fp, synth.oracle(), {});
+  (void)sweep(
+      [&](int wl) {
+        baseline::OrnocOptions o;
+        o.max_wavelengths = wl;
+        o.params = params;
+        return baseline::synthesize_ornoc(fp, ring, o);
+      },
+      SweepGoal::kMinPower, n / 2, n);
+  SynthesisOptions base;
+  base.params = params;
+  const SweepCache cache = synth.make_sweep_cache(base, ring);
+  (void)sweep(
+      [&](int wl) {
+        SynthesisOptions o = base;
+        o.mapping.max_wavelengths = wl;
+        return synth.run_with_ring(o, ring, &cache);
+      },
+      SweepGoal::kMinPower, n / 2, n);
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : ctx.registry().gauges()) {
+    if (name.compare(0, 8, "mapping.") == 0) out[name] = value;
+  }
+  return out;
+}
+
+TEST(ObsContextSynthesis, SweepMappingGaugesAreJobCountInvariant) {
+  par::set_jobs(1);
+  const auto serial = table2_sweep_gauges();
+  par::set_jobs(8);
+  const auto wide = table2_sweep_gauges();
+  par::set_jobs(0);
+  ASSERT_EQ(serial.count("mapping.ring_waveguides"), 1u);
+  ASSERT_EQ(serial.count("mapping.wavelengths_used"), 1u);
+  ASSERT_EQ(serial.count("mapping.shortcut_routes"), 1u);
+  EXPECT_EQ(serial, wide);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "lshape_reference.hpp"
 #include "ring/builder.hpp"
 
 namespace xring::ring {
@@ -41,14 +44,38 @@ TEST(ConflictOracle, MatchesDirectGeometryTest) {
           const bool direct =
               a == c || a == d || b == c || b == d
                   ? false
-                  : geom::edges_conflict(fp.position(a), fp.position(b),
-                                         fp.position(c), fp.position(d));
+                  : geom::reference_edges_conflict(
+                        fp.position(a), fp.position(b), fp.position(c),
+                        fp.position(d));
           EXPECT_EQ(oracle.conflict(a, b, c, d), direct)
               << a << "," << b << " vs " << c << "," << d;
         }
       }
     }
   }
+}
+
+TEST(ConflictOracle, OnDemandMatchesReference) {
+  const auto fp = netlist::Floorplan::grid(12, 12, 10);
+  const ConflictOracle oracle(fp);
+  ASSERT_FALSE(oracle.dense());
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<netlist::NodeId> node(0, fp.size() - 1);
+  int conflicts = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const netlist::NodeId a = node(rng), b = node(rng), c = node(rng),
+                          d = node(rng);
+    if (a == b || c == d || (std::min(a, b) == std::min(c, d) &&
+                             std::max(a, b) == std::max(c, d))) {
+      continue;
+    }
+    const bool want = geom::reference_edges_conflict(
+        fp.position(a), fp.position(b), fp.position(c), fp.position(d));
+    conflicts += want;
+    EXPECT_EQ(oracle.conflict(a, b, c, d), want)
+        << a << "," << b << " vs " << c << "," << d;
+  }
+  EXPECT_GT(conflicts, 0);
 }
 
 TEST(Tour, ArcLengthsAndHops) {

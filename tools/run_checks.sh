@@ -23,10 +23,9 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # fails). Update the baselines intentionally via docs/OBSERVABILITY.md's
 # "updating bench baselines" workflow.
 echo "== bench regression gate =="
-# One pool job, as the baselines were recorded: the mapping.* gauges keep
-# the value of whichever synthesis wrote them last, and a wider pool
-# finishes the #wl sweep settings in any order.
-(cd "$build_dir/bench" && export XRING_JOBS=1 &&
+# Any pool size: every gated key, the mapping.* gauges (per-run maxima)
+# included, is the same at every job count.
+(cd "$build_dir/bench" &&
   ./table1_routers_no_pdn > /dev/null &&
   ./table2_ornoc_vs_xring > /dev/null &&
   ./table3_oring_vs_xring > /dev/null)
