@@ -327,20 +327,9 @@ void BM_ParallelReduceSum(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelReduceSum)->Arg(1)->Arg(2)->Arg(4);
 
-/// Raw submit/drain cost of the pool's queues and wakeups.
-void BM_PoolSubmitDrain(benchmark::State& state) {
-  par::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    par::TaskGroup group(pool);
-    for (int i = 0; i < 256; ++i) group.run([] {});
-    group.wait();
-  }
-}
-BENCHMARK(BM_PoolSubmitDrain)->Arg(2)->Arg(4);
-
-/// The speculative B&B against the serial search on a cycle-cover MILP:
-/// same answer by construction, differing only in wall time.
-void BM_BnbCycleCoverThreads(benchmark::State& state) {
+/// Branch & bound on a cycle-cover MILP: branching, warm-started child
+/// solves and incumbent pruning.
+void BM_BnbCycleCover(benchmark::State& state) {
   const int n = 13;
   milp::Model m;
   std::vector<int> x;
@@ -349,13 +338,11 @@ void BM_BnbCycleCoverThreads(benchmark::State& state) {
     m.add_constraint({{x[i], 1.0}, {x[(i + 1) % n], 1.0}},
                      milp::Sense::kGe, 1.0);
   }
-  milp::BnbOptions opt;
-  opt.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(milp::solve(m, opt));
+    benchmark::DoNotOptimize(milp::solve(m));
   }
 }
-BENCHMARK(BM_BnbCycleCoverThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BnbCycleCover)->Unit(benchmark::kMillisecond);
 
 void BM_OffsetClosedRing(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -28,10 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/events.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
@@ -224,9 +226,9 @@ int ring_smoke_budgeted(int n, const char* events_file) {
 }
 
 /// Ring-construction MILP scaling table: n = 32..256 (capped by
-/// `max_ring`), serial vs full-pool solve (speculation only helps
-/// multi-node searches, so the columns also document where the search is
-/// single-node). The dense-inverse kernel is O(m^2) memory — at n=128 that
+/// `max_ring`), solved at pool 1 and at the full pool (the search is
+/// serial, so the two columns time the same work and the answers must
+/// agree exactly). The dense-inverse kernel is O(m^2) memory — at n=128 that
 /// basis alone would be ~560 MB — which is why this table only exists with
 /// the sparse LU kernel; the separated formulation (root LP = degree rows
 /// only, Eq. 2/3 as cuts) is what carries it past n=128.
@@ -504,11 +506,11 @@ bool profile_table(int max_n) {
   return identical;
 }
 
-/// Exact-equality determinism gate over the Step-3 speculative candidate
-/// evaluation: the full mapping + opening phase at 1, 2, and 8 pool jobs
-/// must produce byte-identical routes, waveguide signal lists, openings,
-/// and opening statistics (the speculation only reorders *evaluation*, the
-/// consume order is serial). Sizes straddle the speculation size gate.
+/// Exact-equality determinism gate over Step 3: the full mapping + opening
+/// phase at 1, 2, and 8 pool jobs must produce byte-identical routes,
+/// waveguide signal lists, openings, opening statistics, and probe counters
+/// (`mapping.fits_probes`, `mapping.fits_summary_hits`,
+/// `mapping.reloc_attempts`, which the bench gate compares exactly).
 bool mapping_determinism_gate() {
   bool identical = true;
   for (const int n : {48, 96}) {
@@ -518,20 +520,26 @@ bool mapping_determinism_gate() {
         netlist::Traffic::all_to_all(fp.nodes().size());
     const mapping::ArcTable arcs(ring.geometry.tour, traffic);
     mapping::MappingOptions mo;
-    mo.max_wavelengths = n / 4;  // tight cap: relocation batches engage
+    mo.max_wavelengths = n / 4;  // tight cap: relocations engage
     const shortcut::ShortcutPlan plan;
 
     struct Outcome {
       mapping::Mapping m;
       mapping::OpeningStats stats;
+      std::map<std::string, long long> counters;
     };
     const auto run = [&](int jobs) {
       par::set_jobs(jobs);
       Outcome out;
-      out.m = mapping::assign_wavelengths(ring.geometry.tour, traffic, plan,
-                                          mo, &arcs);
-      out.stats = mapping::create_openings(ring.geometry.tour, traffic,
-                                           out.m, mo, {}, &arcs);
+      obs::Context ctx;
+      {
+        obs::ScopedContext scope(ctx);
+        out.m = mapping::assign_wavelengths(ring.geometry.tour, traffic, plan,
+                                            mo, &arcs);
+        out.stats = mapping::create_openings(ring.geometry.tour, traffic,
+                                             out.m, mo, {}, &arcs);
+      }
+      out.counters = ctx.registry().counters();
       par::set_jobs(0);
       return out;
     };
@@ -542,6 +550,11 @@ bool mapping_determinism_gate() {
                   got.stats.extra_waveguides == ref.stats.extra_waveguides &&
                   got.m.wavelengths_used == ref.m.wavelengths_used &&
                   got.m.waveguides.size() == ref.m.waveguides.size();
+      for (const char* key : {"mapping.fits_probes",
+                              "mapping.fits_summary_hits",
+                              "mapping.reloc_attempts"}) {
+        same = same && got.counters.at(key) == ref.counters.at(key);
+      }
       for (std::size_t i = 0; same && i < ref.m.routes.size(); ++i) {
         same = got.m.routes[i].waveguide == ref.m.routes[i].waveguide &&
                got.m.routes[i].wavelength == ref.m.routes[i].wavelength;
@@ -553,7 +566,7 @@ bool mapping_determinism_gate() {
       if (!same) {
         std::fprintf(stderr,
                      "mapping determinism violation at %d nodes: jobs=1 and "
-                     "jobs=%d disagree on the speculative opening search\n",
+                     "jobs=%d disagree on the mapping/opening search\n",
                      n, jobs);
         identical = false;
       }

@@ -88,7 +88,6 @@ struct State {
   std::vector<int> basis;          // basis[i] = column basic in slot i
   std::unique_ptr<BasisRep> rep;   // factorized representation of B
   bool need_phase1 = false;        // an artificial ended up basic in the crash
-  bool emit_events = false;        // per-refactorization telemetry (see solve)
 
   double tol = 1e-8;
 
@@ -137,9 +136,8 @@ bool refactorize(State& s) {
   // Eta-growth telemetry: each mid-solve refactorization reports the
   // kernel's cumulative factorization count and eta-file fill, so the event
   // stream shows how fast the product-form representation grows between
-  // rebuilds. Gated the same way the lp.* metrics are (record_metrics), so
-  // speculative MILP pre-solves stay silent.
-  if (s.emit_events && obs::events::enabled()) {
+  // rebuilds.
+  if (obs::events::enabled()) {
     obs::events::emit("lp.refactorize",
                       {{"rows", static_cast<double>(s.m)},
                        {"factorizations",
@@ -531,7 +529,6 @@ void build_state(const Problem& p, const SolveOptions& options, State& s) {
   }
 
   s.rep = make_rep(options.kernel, s.m);
-  s.emit_events = options.record_metrics;
 }
 
 /// Fixes every artificial at zero (phase-2 semantics).
@@ -743,18 +740,8 @@ Solution solve_impl(const Problem& p, const SolveOptions& options) {
   return solve_cold(p, options, {});
 }
 
-}  // namespace
-
-Solution solve(const Problem& p, const SolveOptions& options) {
-  obs::Span span("lp.solve");
-  Solution out = solve_impl(p, options);
-  out.stats.rows = p.num_constraints();
-  if (obs::enabled() && options.record_metrics) record_solve_metrics(out);
-  return out;
-}
-
-void record_solve_metrics(const Solution& out) {
-  if (!obs::enabled()) return;
+/// Records the `lp.*` obs metrics and the `lp.solve` event of one solve.
+void observe_solve(const Solution& out) {
   obs::Registry& reg = obs::registry();
   reg.counter("lp.solves").add();
   reg.counter("lp.pivots").add(out.iterations);
@@ -766,9 +753,7 @@ void record_solve_metrics(const Solution& out) {
         .observe(static_cast<double>(out.stats.ftran_nnz) /
                  (static_cast<double>(out.stats.ftran_calls) * out.stats.rows));
   }
-  // Per-solve summary into the event stream. The MILP calls this at
-  // speculation-consumption time, so the events replay the serial search
-  // order at every thread count, like the counters above.
+  // Per-solve summary into the event stream.
   if (obs::events::enabled()) {
     obs::events::emit("lp.solve",
                       {{"rows", static_cast<double>(out.stats.rows)},
@@ -779,6 +764,16 @@ void record_solve_metrics(const Solution& out) {
                        {"eta_nnz", static_cast<double>(out.stats.eta_nnz)},
                        {"warm", out.stats.warm ? 1.0 : 0.0}});
   }
+}
+
+}  // namespace
+
+Solution solve(const Problem& p, const SolveOptions& options) {
+  obs::Span span("lp.solve");
+  Solution out = solve_impl(p, options);
+  out.stats.rows = p.num_constraints();
+  if (obs::enabled()) observe_solve(out);
+  return out;
 }
 
 }  // namespace xring::lp

@@ -96,9 +96,7 @@ struct WarmBasis {
   bool valid() const { return !basis.empty(); }
 };
 
-/// Per-solve kernel statistics, surfaced as obs metrics by `solve` (and by
-/// the MILP when it consumes a speculative solve, so the counters replay the
-/// serial search at every thread count).
+/// Per-solve kernel statistics, surfaced as obs metrics by `solve`.
 struct SolveStats {
   int refactorizations = 0;  ///< basis factorizations beyond the initial one
   long long eta_nnz = 0;     ///< nonzeros appended to the eta file
@@ -112,11 +110,6 @@ struct SolveStats {
 struct SolveOptions {
   int max_iterations = 200000;
   double tolerance = 1e-8;
-  /// When false, the solve skips the `lp.solves`/`lp.pivots`/`lp.iterations`
-  /// obs counters (the tracing span still fires). Used by the MILP's
-  /// speculative solves so those counters stay identical at every thread
-  /// count: the search records a speculated solve only when it consumes it.
-  bool record_metrics = true;
   Kernel kernel = Kernel::kSparseLu;
   /// Optional basis to warm-start from (see WarmBasis). Ignored when its
   /// dimensions do not match the problem. A warm solve skips phase 1
@@ -148,13 +141,8 @@ struct Solution {
 
 /// Solves the LP with a revised bounded-variable simplex: two-phase primal
 /// from a slack/artificial crash basis, or dual simplex from
-/// SolveOptions::warm_start when one is supplied.
+/// SolveOptions::warm_start when one is supplied. With obs enabled, every
+/// solve records the `lp.*` metrics and an `lp.solve` event.
 Solution solve(const Problem& problem, const SolveOptions& options = {});
-
-/// Records the `lp.*` obs metrics for one completed solve. `solve` calls
-/// this when options.record_metrics is set; the MILP calls it when it
-/// consumes a speculatively pre-solved node so the counters are identical
-/// at every thread count.
-void record_solve_metrics(const Solution& solution);
 
 }  // namespace xring::lp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace xring::mapping {
 
@@ -104,22 +105,6 @@ OccupancyIndex::OccupancyIndex(const ArcTable& arcs, Mapping& mapping)
       add_to_slots(static_cast<int>(w), mapping.routes[id].wavelength, id, +1);
     }
   }
-}
-
-OccupancyIndex::OccupancyIndex(const OccupancyIndex& other, Mapping& mapping)
-    : arcs_(other.arcs_),
-      mapping_(&mapping),
-      slots_(other.slots_),
-      track_passing_(false),
-      stats_(other.stats_),
-      cursors_(other.cursors_),
-      epoch_(other.epoch_),
-      removal_log_(other.removal_log_),
-      stride_(other.stride_),
-      gap_(other.gap_),
-      gap_built_(other.gap_built_) {
-  assert(!other.in_transaction_ &&
-         "snapshot must be taken between transactions");
 }
 
 void OccupancyIndex::GapTree::reset(int count, int stride) {
@@ -355,12 +340,10 @@ void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
     gap_[dir == Direction::kCw ? 0 : 1].set(
         waveguide * stride_ + wavelength, max_free_run(slot), slot.buckets);
   }
-  if (track_passing_) {
-    const int n = arcs_->nodes();
-    std::vector<int>& pass = passing_[waveguide];
-    for (int h = 1; h < a.len; ++h) {
-      pass[(a.start + h) % n] += sign;
-    }
+  const int n = arcs_->nodes();
+  std::vector<int>& pass = passing_[waveguide];
+  for (int h = 1; h < a.len; ++h) {
+    pass[(a.start + h) % n] += sign;
   }
 }
 
@@ -485,7 +468,16 @@ OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
                                                     int max_wavelengths) {
   if (from_waveguide >= 0) ++stats_.reloc_attempts;
   const int L = max_wavelengths;
-  if (stride_ == 0) stride_ = L;
+  if (stride_ == 0) {
+    // The first search fixes the cap this index serves. Every Step-3 entry
+    // point (assign_wavelengths, create_openings, ornoc_assignment) reaches
+    // here before touching a slot, so this one check guards them all.
+    if (L < 1) {
+      throw std::invalid_argument("max_wavelengths (#wl) must be >= 1, got " +
+                                  std::to_string(L));
+    }
+    stride_ = L;
+  }
   assert(stride_ == L && "one OccupancyIndex instance serves one #wl cap");
   if (!gap_built_) build_gap_trees();
   const int W = static_cast<int>(mapping_->waveguides.size());
@@ -669,7 +661,6 @@ void OccupancyIndex::relocate(SignalId id, int to_waveguide,
 
 int OccupancyIndex::add_waveguide(Direction dir) {
   assert(!in_transaction_ && "add_waveguide inside a transaction");
-  assert(track_passing_ && "snapshots must not add waveguides");
   const int w = mapping_->add_waveguide(dir);
   slots_.emplace_back();
   passing_.emplace_back(arcs_->nodes(), 0);
@@ -712,12 +703,6 @@ void OccupancyIndex::rollback() {
   }
   in_transaction_ = false;
   journal_.clear();
-}
-
-void OccupancyIndex::book_stats(const SearchStats& delta) {
-  stats_.fits_probes += delta.fits_probes;
-  stats_.fits_summary_hits += delta.fits_summary_hits;
-  stats_.reloc_attempts += delta.reloc_attempts;
 }
 
 }  // namespace xring::mapping

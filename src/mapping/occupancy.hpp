@@ -138,13 +138,6 @@ class OccupancyIndex {
   /// Builds the index over the mapping's current ring placements.
   OccupancyIndex(const ArcTable& arcs, Mapping& mapping);
 
-  /// Speculation snapshot: a deep copy of `other` rebound to `mapping`,
-  /// which must be a copy of other's mapping (the opening phase snapshots
-  /// both together to evaluate candidates in parallel). Snapshots skip the
-  /// passing-count mirror — they only probe and relocate, never score
-  /// candidates — and must not add waveguides.
-  OccupancyIndex(const OccupancyIndex& other, Mapping& mapping);
-
   /// Indexed equivalent of mapping::fits(tour, traffic, m, w, wl, id).
   /// Summary fast path first, word scan only when the summary is
   /// inconclusive; always returns exactly what `fits_scan` would.
@@ -168,7 +161,8 @@ class OccupancyIndex {
   /// `place_on_ring` / the opening relocation find. Resumes from the
   /// signal's cursor when it is still sound (see class comment). Every
   /// `find_first_fit` call on one index instance must use the same
-  /// `max_wavelengths` (one index serves one #wl setting).
+  /// `max_wavelengths` (one index serves one #wl setting); the first call
+  /// throws std::invalid_argument when it is below 1.
   Slot find_first_fit(Direction dir, SignalId id, int from_waveguide,
                       int max_wavelengths);
 
@@ -207,10 +201,10 @@ class OccupancyIndex {
 
   /// Search-path instrumentation, accumulated locally (the hot loops never
   /// touch the obs registry) and flushed by the phase drivers into the
-  /// solver-internal `mapping.fits_probes` / `mapping.fits_summary_hits` /
-  /// `mapping.reloc_attempts` counters. Probe counts are NOT part of the
-  /// bit-identical contract: cursors and speculation change how often the
-  /// same predicates are evaluated, never their answers.
+  /// `mapping.fits_probes` / `mapping.fits_summary_hits` /
+  /// `mapping.reloc_attempts` counters. The searches are serial, so the
+  /// counts are a deterministic function of the input, identical at every
+  /// pool size.
   struct SearchStats {
     long long fits_probes = 0;       ///< fits() evaluations
     long long fits_summary_hits = 0; ///< probes answered without a word read
@@ -218,11 +212,6 @@ class OccupancyIndex {
   };
 
   const SearchStats& search_stats() const { return stats_; }
-
-  /// Books a consumed speculative attempt's probe counts (the opening
-  /// phase's serial consume loop charges exactly the attempts a serial run
-  /// would have evaluated).
-  void book_stats(const SearchStats& delta);
 
   const ArcTable& arcs() const { return *arcs_; }
 
@@ -327,9 +316,7 @@ class OccupancyIndex {
   /// slots_[w][wl] (grown lazily; an absent slot is all-zero).
   std::vector<std::vector<SlotBits>> slots_;
   /// passing_[w][pos]: # signals on w whose arc interior covers position pos.
-  /// Empty (not maintained) on speculation snapshots.
   std::vector<std::vector<int>> passing_;
-  bool track_passing_ = true;
   bool in_transaction_ = false;
   std::vector<Relocation> journal_;
 

@@ -7,7 +7,6 @@
 
 #include "mapping/occupancy.hpp"
 #include "obs/obs.hpp"
-#include "par/pool.hpp"
 
 namespace xring::mapping {
 
@@ -55,51 +54,24 @@ std::vector<std::pair<int, NodeId>> opening_candidate_order(
 
 namespace {
 
-/// Outcome of one candidate's relocation attempt, evaluated either inline
-/// on the live index or speculatively on a snapshot. `moves` records the
-/// found slot per moving signal in relocation order; `stats` is the probe
-/// delta the attempt cost (booked only when the attempt is consumed).
-struct AttemptResult {
-  bool ok = false;
-  std::vector<std::pair<SignalId, OccupancyIndex::Slot>> moves;
-  OccupancyIndex::SearchStats stats;
-};
-
 /// Tries to move every signal of `moving` off waveguide `w` onto other
-/// same-direction waveguides (first-fit, same probe order and predicate as
-/// the brute-force reference). On success commits unless `rollback_after`
-/// (speculation always rolls back so one snapshot serves a whole chunk of
-/// candidates); on failure always rolls back, restoring the exact
-/// pre-attempt state.
-AttemptResult evaluate_candidate(const Mapping& mapping, OccupancyIndex& index,
-                                 int w, const std::vector<SignalId>& moving,
-                                 int max_wavelengths, bool rollback_after) {
-  AttemptResult res;
-  const OccupancyIndex::SearchStats before = index.search_stats();
-  const Direction dir = mapping.waveguides[w].dir;
+/// waveguides of direction `dir` (first fit, same probe order and predicate
+/// as the brute-force reference). Commits when all of them fit; otherwise
+/// rolls back, restoring the exact pre-attempt state.
+bool relocate_all(OccupancyIndex& index, Direction dir, int w,
+                  const std::vector<SignalId>& moving, int max_wavelengths) {
   index.begin_transaction();
-  res.ok = true;
-  res.moves.reserve(moving.size());
   for (const SignalId id : moving) {
     const OccupancyIndex::Slot slot =
         index.find_first_fit(dir, id, w, max_wavelengths);
     if (slot.waveguide < 0) {
-      res.ok = false;
-      break;
+      index.rollback();
+      return false;
     }
     index.relocate(id, slot.waveguide, slot.wavelength);
-    res.moves.emplace_back(id, slot);
   }
-  if (res.ok && !rollback_after) {
-    index.commit();
-  } else {
-    index.rollback();
-  }
-  const OccupancyIndex::SearchStats after = index.search_stats();
-  res.stats = {after.fits_probes - before.fits_probes,
-               after.fits_summary_hits - before.fits_summary_hits,
-               after.reloc_attempts - before.reloc_attempts};
-  return res;
+  index.commit();
+  return true;
 }
 
 std::uint64_t hash_signal_set(const std::vector<SignalId>& set) {
@@ -154,17 +126,6 @@ OpeningStats create_openings(const ring::Tour& tour,
 
   long long memoized = 0;
   const int max_wl = mapping_options.max_wavelengths;
-  // Speculation pays for a Mapping + index snapshot per chunk; on small
-  // instances the serial loop wins outright and the outcome is identical
-  // either way, so gate on pool width and ring size.
-  const bool speculate =
-      options.speculate && par::effective_jobs() > 1 && tour.size() >= 64;
-  // Candidates are tried in ascending-passing-count order, so the serial
-  // loop usually succeeds within the first few; a batch speculates just
-  // far enough ahead to keep the pool busy without wasting evaluations.
-  const int jobs = speculate ? par::effective_jobs() : 1;
-  const int chunk_size = 2;
-  const std::size_t batch_size = static_cast<std::size_t>(jobs) * chunk_size;
 
   // Index loop, not range-for: relocation may append waveguides, which must
   // then get their own openings too.
@@ -175,6 +136,7 @@ OpeningStats create_openings(const ring::Tour& tour,
     // the index and bucketed by a counting sort, so ordering costs O(n).
     const std::vector<std::pair<int, NodeId>> candidates =
         opening_candidate_order(index, tour, w);
+    const Direction dir = mapping.waveguides[w].dir;
 
     // Try candidates in order, committing the first whose passing signals
     // can all be relocated within the *existing* waveguides (moving a
@@ -191,93 +153,28 @@ OpeningStats create_openings(const ring::Tour& tour,
     }
 
     FailedSetMemo memo;
-    if (!placed && !speculate) {
+    if (!placed) {
       for (const auto& [count, node] : candidates) {
-        const std::vector<SignalId> moving = index.signals_passing(w, node);
+        std::vector<SignalId> moving = index.signals_passing(w, node);
         const std::uint64_t h = hash_signal_set(moving);
         if (memo.contains(h, moving)) {
           ++memoized;
           continue;
         }
-        const AttemptResult res = evaluate_candidate(
-            mapping, index, w, moving, max_wl, /*rollback_after=*/false);
-        if (res.ok) {
+        if (relocate_all(index, dir, w, moving, max_wl)) {
           mapping.waveguides[w].opening = node;
-          stats.relocated_signals += static_cast<int>(res.moves.size());
+          stats.relocated_signals += static_cast<int>(moving.size());
           placed = true;
           break;
         }
-        memo.add(h, moving);
+        memo.add(h, std::move(moving));
       }
-    }
-
-    std::size_t next = 0;
-    while (speculate && !placed && next < candidates.size()) {
-      // One batch: evaluate the next `batch_size` candidates in parallel,
-      // each chunk of candidates against its own snapshot of the live
-      // state. No candidate commits between snapshot and consume, so every
-      // snapshot sees exactly the state a serial attempt would — outcomes
-      // and relocation targets are the serial ones, and consuming them in
-      // candidate order keeps the result byte-identical at any thread
-      // count. Probe counters are booked only for consumed attempts
-      // (discarded speculation leaves no counter trace); they still differ
-      // from a serial run's via cursor warm-up, which is why the probe
-      // counters are classified solver-internal, never quality-gated.
-      const std::size_t batch_end =
-          std::min(candidates.size(), next + batch_size);
-      const std::size_t count = batch_end - next;
-      std::vector<std::vector<SignalId>> moving(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        moving[i] = index.signals_passing(w, candidates[next + i].second);
-      }
-      std::vector<AttemptResult> results(count);
-      {
-        par::TaskGroup group(par::global_pool());
-        for (std::size_t chunk = 0; chunk < count;
-             chunk += static_cast<std::size_t>(chunk_size)) {
-          const std::size_t chunk_end =
-              std::min(count, chunk + static_cast<std::size_t>(chunk_size));
-          group.run([&, chunk, chunk_end] {
-            Mapping snap_mapping = mapping;
-            OccupancyIndex snap(index, snap_mapping);
-            for (std::size_t i = chunk; i < chunk_end; ++i) {
-              results[i] = evaluate_candidate(snap_mapping, snap, w,
-                                              moving[i], max_wl,
-                                              /*rollback_after=*/true);
-            }
-          });
-        }
-        group.wait();
-      }
-      for (std::size_t i = 0; i < count && !placed; ++i) {
-        const std::uint64_t h = hash_signal_set(moving[i]);
-        if (memo.contains(h, moving[i])) {
-          ++memoized;
-          continue;
-        }
-        index.book_stats(results[i].stats);
-        if (!results[i].ok) {
-          memo.add(h, std::move(moving[i]));
-          continue;
-        }
-        // Serial-order first success: the recorded targets were found
-        // against exactly the live state, so they are applied directly.
-        for (const auto& [id, slot] : results[i].moves) {
-          index.relocate(id, slot.waveguide, slot.wavelength);
-        }
-        mapping.waveguides[w].opening = candidates[next + i].second;
-        stats.relocated_signals +=
-            static_cast<int>(results[i].moves.size());
-        placed = true;
-      }
-      next = batch_end;
     }
 
     // Last resort: the least-passed candidate, overflowing onto a fresh
     // waveguide (which then gets its own opening later in this loop).
     if (!placed) {
       const NodeId node = candidates.front().second;
-      const Direction dir = mapping.waveguides[w].dir;
       for (const SignalId id : index.signals_passing(w, node)) {
         const OccupancyIndex::Slot slot =
             index.find_first_fit(dir, id, w, max_wl);

@@ -13,15 +13,6 @@ struct OpeningOptions {
   /// When false, waveguides stay unbroken (models routers whose PDN must
   /// cross the rings instead — the baseline configuration).
   bool enable = true;
-
-  /// Evaluate a waveguide's opening candidates speculatively in parallel on
-  /// index snapshots (PR-3 deterministic-speculation pattern), consuming
-  /// outcomes in serial candidate order so the committed opening, the
-  /// relocation targets, and all diagnostics are byte-identical at any
-  /// thread count. Only engages when the pool has more than one job and the
-  /// instance is large enough to amortize the snapshot copies; the serial
-  /// path is always the reference.
-  bool speculate = true;
 };
 
 /// Statistics of the opening phase (exposed for tests and benches).

@@ -12,7 +12,8 @@ namespace xring::mapping {
 /// in source-major order (the serpentine scan of the original paper), and
 /// new waveguides are opened when the #wl cap is hit. The first fit runs on
 /// the Step-3 OccupancyIndex: shorter direction first, then the longer one,
-/// waveguides ascending, λ ascending within each.
+/// waveguides ascending, λ ascending within each. Throws
+/// std::invalid_argument when `max_wavelengths` < 1.
 Mapping ornoc_assignment(const ring::Tour& tour,
                          const netlist::Traffic& traffic,
                          int max_wavelengths);

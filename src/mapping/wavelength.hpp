@@ -43,7 +43,8 @@ struct RingWaveguide {
 
 struct MappingOptions {
   /// Maximum number of wavelengths usable on one ring waveguide (#wl). The
-  /// sweep layer varies this to find min-power / max-SNR settings.
+  /// sweep layer varies this to find min-power / max-SNR settings. Must be
+  /// at least 1; Step 3 throws std::invalid_argument otherwise.
   int max_wavelengths = 16;
 };
 

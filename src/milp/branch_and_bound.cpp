@@ -1,19 +1,14 @@
 #include "milp/branch_and_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 
 #include "milp/presolve.hpp"
 #include "obs/events.hpp"
 #include "obs/obs.hpp"
-#include "par/pool.hpp"
 
 namespace xring::milp {
 
@@ -38,35 +33,23 @@ struct Node {
   std::vector<std::pair<int, double>> fixings;  // (var, value in {0,1})
   double bound;  // parent's LP objective, in minimization sense
   int depth = 0;
-  long seq = 0;  // creation order; total-order tie-breaker and cache key
+  long seq = 0;  // creation order; total-order tie-breaker
   int cut_rounds = 0;  // separation rounds already spent on this node
   /// The parent's optimal basis: the child's relaxation differs by one bound
   /// change, so the LP warm-starts from it with a few dual pivots. Shared
-  /// (immutable) between siblings and any speculative pre-solve of this
-  /// node, which keeps speculated and inline solves bit-identical.
+  /// (immutable) between siblings.
   std::shared_ptr<const lp::WarmBasis> warm;
 };
 
 /// Best-first order: lowest bound, then deepest (dive), then creation order.
 /// The `seq` tie-break makes the order *total*, so the pop sequence — and
-/// with it the whole search — is identical at every thread count.
+/// with it the whole search — is fully determined by the model.
 struct NodeBetter {
   bool operator()(const Node& a, const Node& b) const {
     if (a.bound != b.bound) return a.bound < b.bound;
     if (a.depth != b.depth) return a.depth > b.depth;
     return a.seq < b.seq;
   }
-};
-
-/// A speculatively pre-solved node relaxation. `rows` pins the constraint
-/// count the LP snapshot had when the task launched: a lazy-constraint round
-/// grows the live problem and silently invalidates every entry solved
-/// against fewer rows.
-struct SpecEntry {
-  int rows = 0;
-  bool ready = false;
-  lp::Solution sol;
-  std::shared_ptr<const lp::WarmBasis> basis;  // exported optimal basis
 };
 
 /// A node relaxation plus the optimal basis it exported (empty unless the
@@ -163,10 +146,9 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   lp::Problem relaxation = build_lp(model);
 
   // Progress telemetry into the JSONL event stream (obs/events.hpp):
-  // timestamped incumbent/bound/gap/open-node records, emitted only from
-  // this deterministic integration loop (never from speculative tasks) so
-  // the stream replays the serial search at every thread count. Values are
-  // reported in the caller's objective sense; the gap is sign-invariant.
+  // timestamped incumbent/bound/gap/open-node records from the search loop.
+  // Values are reported in the caller's objective sense; the gap is
+  // sign-invariant.
   auto emit_event = [&](const char* kind, std::size_t open_count,
                         double incumbent_min, double bound_min) {
     if (!obs::events::enabled()) return;
@@ -229,129 +211,9 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     saved_hi[v] = model.upper(v);
   }
 
-  // --- Speculative parallel mode ----------------------------------------
-  // The integration loop below replays the exact serial search order; the
-  // only thing other threads ever do is *pre-solve* the LP relaxations of
-  // the best open nodes against an immutable snapshot of the live problem.
-  // A speculated solution is bit-identical to what the serial code would
-  // have computed (same LP, same deterministic simplex), so consuming it is
-  // indistinguishable from solving inline — the search stays deterministic
-  // at every thread count, and wall-clock shrinks because node k+1..k+T are
-  // usually already solved when the loop reaches them.
-  const int threads = options.threads > 0
-                          ? std::min(options.threads, 512)
-                          : par::effective_jobs();
-  const bool speculative = threads > 1;
-
-  std::mutex spec_mu;
-  std::condition_variable spec_cv;
-  std::map<long, SpecEntry> cache;                 // keyed by Node::seq
-  std::shared_ptr<const lp::Problem> snapshot;     // immutable for tasks
-  std::atomic<double> shared_incumbent{incumbent_obj};
-  par::TaskGroup spec_group(par::global_pool());
-
-  auto refresh_snapshot = [&] {
-    if (!speculative) return;
-    auto snap = std::make_shared<const lp::Problem>(relaxation);
-    std::lock_guard<std::mutex> lk(spec_mu);
-    snapshot = std::move(snap);
-  };
-  refresh_snapshot();
-
-  // Launches pre-solves for the best open nodes that are neither cached,
-  // in flight, nor certain to be pruned. Capped at `threads` in flight.
-  auto speculate = [&] {
-    if (!speculative || open.empty()) return;
-    const int rows_now = relaxation.num_constraints();
-    const double inc = shared_incumbent.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(spec_mu);
-    int in_flight = 0;
-    for (const auto& [seq, e] : cache) {
-      if (!e.ready) ++in_flight;
-    }
-    int budget = threads - in_flight;
-    for (auto it = open.begin(); it != open.end() && budget > 0; ++it) {
-      if (inc < lp::kInfinity &&
-          it->bound >= inc - std::abs(inc) * options.gap - 1e-9) {
-        break;  // this and every later node will be pruned (bound order)
-      }
-      auto ce = cache.find(it->seq);
-      if (ce != cache.end() && (ce->second.rows == rows_now || !ce->second.ready)) {
-        continue;  // fresh, or still in flight (it will re-check on finish)
-      }
-      cache[it->seq] = SpecEntry{rows_now, false, {}, {}};
-      --budget;
-      spec_group.run([&spec_mu, &spec_cv, &cache, snap = snapshot,
-                      node = *it, rows_now] {
-        lp::Problem local = *snap;
-        for (const auto& [var, val] : node.fixings) {
-          local.set_bounds(var, val, val);
-        }
-        // No metric recording here: the integration loop records consumed
-        // speculative solves itself, so lp.* counters replay the serial
-        // search exactly (discarded speculation leaves no counter trace).
-        // The warm basis is the same one the inline path would use, so the
-        // speculated solution is bit-identical to an inline solve.
-        lp::SolveOptions quiet;
-        quiet.record_metrics = false;
-        quiet.warm_start = node.warm.get();
-        auto basis = std::make_shared<lp::WarmBasis>();
-        quiet.export_basis = basis.get();
-        lp::Solution sol = lp::solve(local, quiet);
-        std::lock_guard<std::mutex> lk2(spec_mu);
-        auto e = cache.find(node.seq);
-        if (e != cache.end() && e->second.rows == rows_now && !e->second.ready) {
-          e->second.sol = std::move(sol);
-          e->second.basis = std::move(basis);
-          e->second.ready = true;
-        }
-        spec_cv.notify_all();
-      });
-      if (obs::enabled()) obs::registry().counter("milp.spec_launched").add();
-    }
-  };
-
-  // The node relaxation the serial code would compute: taken from the
-  // speculation cache when a fresh entry exists (waiting for an in-flight
-  // one, helping the pool meanwhile), solved inline otherwise.
+  // The node relaxation: the node's fixings applied to the shared LP, solved
+  // from the parent's warm basis, then the bounds restored.
   auto solve_node = [&](const Node& node) -> NodeSolve {
-    if (speculative) {
-      const int rows_now = relaxation.num_constraints();
-      std::unique_lock<std::mutex> lk(spec_mu);
-      auto it = cache.find(node.seq);
-      if (it != cache.end() && it->second.rows != rows_now) {
-        // Stale (lazy rows arrived after launch). Drop it; a still-running
-        // task finds its entry gone and discards its result.
-        cache.erase(it);
-        it = cache.end();
-      }
-      if (it != cache.end()) {
-        while (!it->second.ready) {
-          lk.unlock();
-          if (!par::global_pool().try_run_one()) {
-            lk.lock();
-            spec_cv.wait_for(lk, std::chrono::milliseconds(1));
-            lk.unlock();
-          }
-          lk.lock();
-          it = cache.find(node.seq);
-          if (it == cache.end()) break;
-        }
-        if (it != cache.end() && it->second.ready) {
-          NodeSolve ns{std::move(it->second.sol), std::move(it->second.basis)};
-          cache.erase(it);
-          lk.unlock();
-          if (obs::enabled()) {
-            obs::registry().counter("milp.spec_hits").add();
-            // Book the consumed solve as if it had run inline, keeping the
-            // lp.* counters bit-identical to the serial search.
-            lp::record_solve_metrics(ns.sol);
-          }
-          return ns;
-        }
-      }
-      lk.unlock();
-    }
     for (const auto& [var, val] : node.fixings) {
       relaxation.set_bounds(var, val, val);
     }
@@ -360,7 +222,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     auto basis = std::make_shared<lp::WarmBasis>();
     opt.export_basis = basis.get();
     NodeSolve ns{lp::solve(relaxation, opt), std::move(basis)};
-    // Restore bounds immediately; the LP problem object is shared.
     for (const auto& [var, val] : node.fixings) {
       relaxation.set_bounds(var, saved_lo[var], saved_hi[var]);
     }
@@ -376,16 +237,10 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
       hit_limit = true;
       break;
     }
-    speculate();
     Node node = *open.begin();
     open.erase(open.begin());
     if (incumbent_obj < lp::kInfinity &&
         node.bound >= incumbent_obj - std::abs(incumbent_obj) * options.gap - 1e-9) {
-      if (speculative) {
-        // Never consumed; drop any pre-solve so the cache stays bounded.
-        std::lock_guard<std::mutex> lk(spec_mu);
-        cache.erase(node.seq);
-      }
       continue;  // pruned by an incumbent found after the node was queued
     }
     ++result.nodes;
@@ -397,8 +252,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     NodeSolve solved = solve_node(node);
     lp::Solution& rel = solved.sol;
     if (obs::enabled()) {
-      // Booked at consumption time (not when a speculative task runs), so
-      // the counters replay the serial search at every thread count.
       if (rel.stats.warm) {
         obs::registry().counter("milp.warm_pivots").add(rel.stats.dual_pivots);
       } else {
@@ -437,7 +290,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
       if (!cuts.empty()) {
         append_rows(relaxation, cuts);
         result.lazy_constraints_added += static_cast<int>(cuts.size());
-        refresh_snapshot();  // cached pre-solves are now stale (row count)
         emit_event("milp.lazy_cuts", open.size() + 1, incumbent_obj, bound);
         // Re-queue the same node: its LP now sees the new rows. It restarts
         // from the basis this solve just exported — the LP extends it over
@@ -451,7 +303,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
       // than trusting the LP bound: the sum over integral values is exact
       // and identical no matter which kernel (or warm path) produced x.
       incumbent_obj = sign * objective_of(model, incumbent);
-      shared_incumbent.store(incumbent_obj, std::memory_order_relaxed);
       note_incumbent(incumbent_obj);
       emit_event("milp.incumbent", open.size(), incumbent_obj, bound);
       continue;
@@ -459,9 +310,8 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
 
     // Fractional point: give the cut separator a bounded number of chances
     // to tighten the relaxation before committing to a branch. Cuts ride the
-    // exact machinery lazy rows use — append globally, refresh the
-    // speculation snapshot, requeue the node on its warm basis — so the
-    // search stays bit-identical at every thread count.
+    // exact machinery lazy rows use: append globally, then requeue the node
+    // on its warm basis.
     if (options.cut_separator && node.cut_rounds < options.max_cut_rounds &&
         node.depth <= options.cut_depth_limit) {
       std::vector<Constraint> cuts = options.cut_separator(rel.x);
@@ -473,7 +323,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
       if (!cuts.empty()) {
         append_rows(relaxation, cuts);
         result.cutting_planes_added += static_cast<int>(cuts.size());
-        refresh_snapshot();  // cached pre-solves are now stale (row count)
         if (obs::enabled()) {
           obs::registry().counter("milp.cuts_added").add(
               static_cast<long>(cuts.size()));

@@ -77,21 +77,14 @@ struct BnbOptions {
   /// with lazy handlers and cut separators (both are translated into the
   /// reduced space automatically).
   bool presolve = true;
-  /// Worker lanes for the parallel best-first mode. 0 = size of the global
-  /// `par` pool (i.e. --jobs / XRING_JOBS); 1 = fully serial. With more than
-  /// one lane, workers speculatively pre-solve the LP relaxations of the
-  /// best open nodes (sharing the incumbent through an atomic bound) while
-  /// the integration loop consumes them in the exact serial search order —
-  /// so the visited node sequence, the lazy-constraint rounds, and the
-  /// returned solution are bit-identical at every thread count.
-  int threads = 0;
 };
 
 /// Solves the model by LP-relaxation branch & bound (best-first search,
-/// most-fractional branching, global lazy-constraint pool). Deterministic:
-/// the same model and options give the same search and the same answer
-/// regardless of BnbOptions::threads (unless the time limit cuts the search
-/// short — wall-clock stops are inherently machine-dependent).
+/// most-fractional branching, global lazy-constraint pool). The search is
+/// serial and deterministic: the same model and options give the same
+/// search and the same answer at every pool size (unless the time limit
+/// cuts the search short — wall-clock stops are inherently
+/// machine-dependent).
 MipResult solve(const Model& model, const BnbOptions& options = {});
 
 }  // namespace xring::milp

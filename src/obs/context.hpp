@@ -25,10 +25,10 @@ class EventLog;
 ///
 /// Ownership rules: the context owns its registry (unless constructed over a
 /// borrowed one) and any event log made with `make_event_log()`. A context
-/// must outlive every pool task submitted while it was current; all the
-/// library's parallel constructs (`parallel_for`, `parallel_reduce`,
-/// `TaskGroup`, the speculative B&B) wait for their tasks before returning,
-/// so scoping a context around a synthesis call is always safe.
+/// must outlive every pool task submitted while it was current; the
+/// library's parallel constructs (`parallel_for`, `parallel_reduce`) wait
+/// for their tasks before returning, so scoping a context around a
+/// synthesis call is always safe.
 class Context {
  public:
   /// Owns a fresh Registry; tracing starts enabled (a context exists to

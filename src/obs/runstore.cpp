@@ -63,17 +63,14 @@ MetricClass classify_metric(const std::string& name) {
       name == "milp.lns_repairs" || name == "milp.certified_gap" ||
       name.compare(0, 14, "lp.iterations.") == 0 ||
       name.compare(0, 17, "lp.ftran_density.") == 0 ||
-      // Step-3 search-path instrumentation: cursors and speculation change
-      // how often fits() is evaluated (never its answers), so probe counts
-      // float while every other mapping.* key stays exactly gated.
-      name == "mapping.fits_probes" || name == "mapping.fits_summary_hits" ||
-      name == "mapping.reloc_attempts" ||
+      // Memoized opening candidates count skipped work, never an answer.
+      // The Step-3 probe counters (mapping.fits_probes, ...) are gated
+      // exactly: the serial search makes them jobs-invariant.
       name == "mapping.candidates_memoized") {
     return MetricClass::kSolverInternal;
   }
   if (name.compare(0, 4, "mem.") == 0 || name.compare(0, 7, "events.") == 0 ||
-      name.compare(0, 4, "par.") == 0 ||
-      name.compare(0, 10, "milp.spec_") == 0) {
+      name.compare(0, 4, "par.") == 0) {
     return MetricClass::kResource;
   }
   if (name.compare(0, 5, "span.") == 0 || has_suffix(name, ".real_time_ns") ||

@@ -27,10 +27,10 @@ const char* to_string(MetricClass c);
 /// tools/xring_runs.cpp) in precedence order: `*.iterations`/`*.t_us`
 /// are ignored; the solver-internal trajectory counters (`lp.pivots`,
 /// `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
-/// `lp.ftran_density.*`, `milp.warm_pivots`, `milp.cold_solves`) float;
-/// `mem.*`/`events.*` plus the scheduling telemetry (`par.*`,
-/// `milp.spec_*` — genuinely timing-dependent, two identical runs differ)
-/// are resource; `span.*`, `*_ns` timings, `*.total_s`,
+/// `lp.ftran_density.*`, `milp.warm_pivots`, `milp.cold_solves`,
+/// `mapping.candidates_memoized`) float; `mem.*`/`events.*` plus the
+/// scheduling telemetry (`par.*` — genuinely timing-dependent, two
+/// identical runs differ) are resource; `span.*`, `*_ns` timings, `*.total_s`,
 /// `*.seconds`, and trailing-`.T` table cells are time-like; everything
 /// else is quality.
 MetricClass classify_metric(const std::string& name);

@@ -56,7 +56,7 @@ ThreadPool::~ThreadPool() {
   sleep_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   // Anything still queued (e.g. submitted after workers started exiting)
-  // runs here, so TaskGroup counters always resolve.
+  // runs here, so no submitted task is dropped.
   while (try_run_one()) {
   }
 }
@@ -242,52 +242,5 @@ void run_for(ThreadPool& pool, const std::shared_ptr<ForState>& st) {
 }
 
 }  // namespace detail
-
-TaskGroup::~TaskGroup() {
-  try {
-    wait();
-  } catch (...) {
-    // wait() already resolved every task; a stored exception that nobody
-    // collected dies with the group.
-  }
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(st_->mu);
-    ++st_->outstanding;
-  }
-  pool_->submit([st = st_, fn = std::move(fn)] {
-    std::exception_ptr err;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lk(st->mu);
-    if (err && !st->error) st->error = err;
-    if (--st->outstanding == 0) st->cv.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(st_->mu);
-      if (st_->outstanding == 0) break;
-    }
-    if (pool_->try_run_one()) continue;
-    std::unique_lock<std::mutex> lk(st_->mu);
-    st_->cv.wait_for(lk, std::chrono::milliseconds(1),
-                     [&] { return st_->outstanding == 0; });
-  }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lk(st_->mu);
-    err = st_->error;
-    st_->error = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
 
 }  // namespace xring::par

@@ -20,9 +20,9 @@ namespace xring::par {
 /// dry. Tasks submitted from outside the pool land in a shared injection
 /// queue that workers drain like any other victim. The pool's *jobs* count is
 /// the total concurrency it represents — `jobs - 1` background workers plus
-/// the thread that drives work into it (parallel_for and TaskGroup::wait both
-/// execute tasks on the calling thread), so a 1-job pool spawns no threads
-/// and runs everything inline.
+/// the thread that drives work into it (parallel_for executes tasks on the
+/// calling thread), so a 1-job pool spawns no threads and runs everything
+/// inline.
 ///
 /// Destruction finishes: workers drain every queued task before exiting, and
 /// whatever is still queued after they are joined runs on the destructing
@@ -32,13 +32,13 @@ namespace xring::par {
 /// Observability contexts propagate across the pool boundary: submit()
 /// captures the submitting thread's installed obs::Context (obs/context.hpp)
 /// and installs it in the executing thread for exactly the task's duration.
-/// parallel_for / parallel_reduce / TaskGroup all funnel through submit(),
-/// so two runs scoped in different contexts can share one pool and still
-/// record into fully disjoint registries — including when one run's blocked
-/// thread helps execute the other run's tasks. The submitter's context must
-/// outlive its tasks; every construct here waits for its tasks, so a
-/// context scoped around the parallel section (or the whole synthesis call)
-/// always satisfies that.
+/// parallel_for and parallel_reduce funnel through submit(), so two runs
+/// scoped in different contexts can share one pool and still record into
+/// fully disjoint registries — including when one run's blocked thread
+/// helps execute the other run's tasks. The submitter's context must
+/// outlive its tasks; both constructs wait for their tasks, so a context
+/// scoped around the parallel section (or the whole synthesis call) always
+/// satisfies that.
 class ThreadPool {
  public:
   /// `jobs <= 0` resolves to resolve_jobs(0) (XRING_JOBS env, then
@@ -188,32 +188,5 @@ T parallel_reduce(ThreadPool& pool, long begin, long end, T init, Body&& body,
   }
   return out;
 }
-
-/// A set of fire-and-forget tasks that can be awaited together. wait() helps
-/// run queued pool work while blocked and rethrows the first exception a
-/// task raised. The destructor waits (and swallows), so tasks never outlive
-/// the state they capture.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(&pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void run(std::function<void()> fn);
-  void wait();
-
- private:
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    long outstanding = 0;
-    std::exception_ptr error;
-  };
-
-  ThreadPool* pool_;
-  std::shared_ptr<State> st_ = std::make_shared<State>();
-};
 
 }  // namespace xring::par

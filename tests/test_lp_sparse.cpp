@@ -71,7 +71,6 @@ Problem random_lp(std::uint64_t seed) {
 Solution solve_with(const Problem& p, Kernel k) {
   SolveOptions o;
   o.kernel = k;
-  o.record_metrics = false;
   return solve(p, o);
 }
 
@@ -149,7 +148,6 @@ TEST(WarmStart, BoundChangeResolvesWithDualPivots) {
   Problem p = table_model(8);
   WarmBasis basis;
   SolveOptions cold;
-  cold.record_metrics = false;
   cold.export_basis = &basis;
   const Solution root = solve(p, cold);
   ASSERT_EQ(root.status, Status::kOptimal);
@@ -169,7 +167,6 @@ TEST(WarmStart, BoundChangeResolvesWithDualPivots) {
     p.set_bounds(var, fix, fix);
 
     SolveOptions warm;
-    warm.record_metrics = false;
     warm.warm_start = &basis;
     const Solution w = solve(p, warm);
     const Solution c = solve_with(p, Kernel::kSparseLu);
@@ -195,7 +192,6 @@ TEST(WarmStart, SurvivesAppendedRows) {
   p.add_constraint({{x, 1.0}, {y, 1.0}, {z, 1.0}}, Sense::kLe, 2.5);
   WarmBasis basis;
   SolveOptions cold;
-  cold.record_metrics = false;
   cold.export_basis = &basis;
   const Solution root = solve(p, cold);
   ASSERT_EQ(root.status, Status::kOptimal);
@@ -205,7 +201,6 @@ TEST(WarmStart, SurvivesAppendedRows) {
   p.add_constraint({{x, 1.0}}, Sense::kEq, 1.0);
 
   SolveOptions warm;
-  warm.record_metrics = false;
   warm.warm_start = &basis;
   const Solution w = solve(p, warm);
   const Solution c = solve_with(p, Kernel::kSparseLu);
@@ -228,7 +223,6 @@ TEST(WarmStart, MismatchedShapeFallsBackToCold) {
   junk.basis.assign(99, 0);
   junk.at_upper.assign(300, 0);
   SolveOptions o;
-  o.record_metrics = false;
   o.warm_start = &junk;
   const Solution s = solve(p, o);
   ASSERT_EQ(s.status, Status::kOptimal);
@@ -245,14 +239,12 @@ TEST(WarmStart, InfeasibleChildDetectedByDualSimplex) {
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 1.5);
   WarmBasis basis;
   SolveOptions cold;
-  cold.record_metrics = false;
   cold.export_basis = &basis;
   ASSERT_EQ(solve(p, cold).status, Status::kOptimal);
 
   p.set_bounds(x, 1, 1);
   p.set_bounds(y, 1, 1);
   SolveOptions warm;
-  warm.record_metrics = false;
   warm.warm_start = &basis;
   EXPECT_EQ(solve(p, warm).status, Status::kInfeasible);
 }

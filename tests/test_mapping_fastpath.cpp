@@ -1,8 +1,7 @@
 // Differential test of the Step-3 incremental-search fast paths
 // (mapping/occupancy.hpp): the summary-level `fits`, the cursor-resuming
-// `find_first_fit`, the counting-sort opening-candidate order, the
-// memoized-candidate skip, and the speculative parallel candidate
-// evaluation.
+// `find_first_fit`, the counting-sort opening-candidate order, and the
+// memoized-candidate skip of the opening search.
 //
 // Three levels are compared: the production fast path, the PR-4 word scan
 // kept verbatim (`fits_scan`), and the brute-force reference predicates
@@ -20,6 +19,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
 
 #include "mapping/opening.hpp"
 #include "obs/context.hpp"
@@ -255,75 +255,89 @@ TEST(FastpathCandidateOrder, CountingSortMatchesStableSort) {
   }
 }
 
-// Speculative candidate evaluation must be byte-identical at every thread
-// count and to the non-speculating serial path. n=64 crosses the
-// speculation size gate; the tight #wl cap forces real relocation work.
-TEST(FastpathSpeculation, OpeningsDeterministicAcrossJobs) {
+/// Steps 3a and 3b (assignment, then openings) on `inst` at a global pool
+/// of `jobs`, recording into a fresh obs context.
+struct OpeningRun {
+  Mapping mapping;
+  OpeningStats stats;
+  std::map<std::string, long long> counters;
+};
+
+OpeningRun run_openings(const Instance& inst, const MappingOptions& mo,
+                        int jobs) {
+  par::set_jobs(jobs);
+  obs::Context ctx;
+  OpeningRun out;
+  {
+    obs::ScopedContext scope(ctx);
+    out.mapping =
+        assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
+    out.stats =
+        create_openings(inst.ring.tour, inst.traffic, out.mapping, mo);
+  }
+  out.counters = ctx.registry().counters();
+  par::set_jobs(0);
+  return out;
+}
+
+// The opening search must be byte-identical at every pool size. The tight
+// #wl cap at n=64 forces real relocation work.
+TEST(FastpathOpenings, OpeningsDeterministicAcrossJobs) {
   const int n = 64;
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
   MappingOptions mo;
-  mo.max_wavelengths = n / 4;  // tight: candidates fail, memo + batches engage
+  mo.max_wavelengths = n / 4;  // tight: candidates fail, the memo engages
 
-  const auto run = [&](int jobs, bool speculate) {
-    par::set_jobs(jobs);
-    Mapping mapping =
-        assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
-    OpeningOptions oo;
-    oo.speculate = speculate;
-    const OpeningStats stats =
-        create_openings(inst.ring.tour, inst.traffic, mapping, mo, oo);
-    par::set_jobs(0);
-    return std::make_pair(std::move(mapping), stats);
-  };
-
-  const auto [serial_map, serial_stats] = run(1, /*speculate=*/false);
-  for (const int jobs : {1, 2, 8}) {
-    const auto [spec_map, spec_stats] = run(jobs, /*speculate=*/true);
-    EXPECT_EQ(spec_stats.relocated_signals, serial_stats.relocated_signals)
+  const OpeningRun serial = run_openings(inst, mo, 1);
+  for (const int jobs : {2, 8}) {
+    const OpeningRun run = run_openings(inst, mo, jobs);
+    EXPECT_EQ(run.stats.relocated_signals, serial.stats.relocated_signals)
         << "jobs=" << jobs;
-    EXPECT_EQ(spec_stats.extra_waveguides, serial_stats.extra_waveguides)
+    EXPECT_EQ(run.stats.extra_waveguides, serial.stats.extra_waveguides)
         << "jobs=" << jobs;
-    expect_mappings_identical(spec_map, serial_map);
+    expect_mappings_identical(run.mapping, serial.mapping);
   }
 }
 
-// The memoized-skip counter: (a) it fires on workloads with repeated
-// failing moving sets, (b) it is jobs-invariant (memo decisions replay in
-// the serial consume order regardless of speculation), and (c) skipping
-// does not change any outcome (covered by the determinism test above; here
-// the serial-vs-speculative mapping equality is re-checked under obs).
-TEST(FastpathMemo, MemoizedSkipsAreJobsInvariant) {
+// The memoized-skip counter fires on workloads with repeated failing
+// moving sets and is jobs-invariant; skipping changes no outcome (the
+// mappings are compared above).
+TEST(FastpathOpenings, MemoizedSkipsAreJobsInvariant) {
   const int n = 64;
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
   MappingOptions mo;
   mo.max_wavelengths = n / 4;
 
-  const auto run = [&](int jobs, bool speculate) {
-    par::set_jobs(jobs);
-    obs::Context ctx;
-    long long memoized = 0;
-    Mapping mapping;
-    {
-      obs::ScopedContext scope(ctx);
-      mapping =
-          assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
-      OpeningOptions oo;
-      oo.speculate = speculate;
-      create_openings(inst.ring.tour, inst.traffic, mapping, mo, oo);
-      memoized =
-          ctx.registry().counter("mapping.candidates_memoized").value();
-    }
-    par::set_jobs(0);
-    return std::make_pair(std::move(mapping), memoized);
-  };
-
-  const auto [serial_map, serial_memo] = run(1, /*speculate=*/false);
-  ASSERT_GT(serial_memo, 0)
-      << "workload must exercise the memoized-skip path";
+  const long long serial =
+      run_openings(inst, mo, 1).counters["mapping.candidates_memoized"];
+  ASSERT_GT(serial, 0) << "workload must exercise the memoized-skip path";
   for (const int jobs : {2, 8}) {
-    const auto [spec_map, spec_memo] = run(jobs, /*speculate=*/true);
-    EXPECT_EQ(spec_memo, serial_memo) << "jobs=" << jobs;
-    expect_mappings_identical(spec_map, serial_map);
+    EXPECT_EQ(
+        run_openings(inst, mo, jobs).counters["mapping.candidates_memoized"],
+        serial)
+        << "jobs=" << jobs;
+  }
+}
+
+// The probe counters are a function of the input alone: the bench gate
+// compares them exactly, at whatever pool size it runs.
+TEST(FastpathOpenings, ProbeCountersAreJobsInvariant) {
+  const int n = 64;
+  const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
+  MappingOptions mo;
+  mo.max_wavelengths = n / 4;
+
+  const char* const keys[] = {"mapping.fits_probes",
+                              "mapping.fits_summary_hits",
+                              "mapping.reloc_attempts"};
+  std::map<std::string, long long> serial = run_openings(inst, mo, 1).counters;
+  for (const char* key : keys) ASSERT_GT(serial[key], 0) << key;
+  for (const int jobs : {2, 8}) {
+    std::map<std::string, long long> run =
+        run_openings(inst, mo, jobs).counters;
+    for (const char* key : keys) {
+      EXPECT_EQ(run[key], serial[key]) << key << " at jobs=" << jobs;
+    }
   }
 }
 
@@ -345,17 +359,14 @@ TEST(FastpathOverflow, ExtraWaveguidePathMatchesReference) {
     const OpeningStats fs =
         create_openings(inst.ring.tour, inst.traffic, fast, mo);
 
-    // Reference: same pipeline with speculation off at 1 job exercises the
-    // serial transaction path; brute-force agreement of that path is
-    // covered exhaustively by test_mapping_index. Here the two production
-    // paths must agree on the overflow outcome.
+    // Reference: the same pipeline at 1 job; brute-force agreement of the
+    // transaction path is covered exhaustively by test_mapping_index. Here
+    // the pool size must not change the overflow outcome.
     par::set_jobs(1);
     Mapping serial = assign_wavelengths(inst.ring.tour, inst.traffic,
                                         inst.plan, mo);
-    OpeningOptions oo;
-    oo.speculate = false;
     const OpeningStats ss =
-        create_openings(inst.ring.tour, inst.traffic, serial, mo, oo);
+        create_openings(inst.ring.tour, inst.traffic, serial, mo);
     par::set_jobs(0);
 
     EXPECT_EQ(fs.relocated_signals, ss.relocated_signals) << "seed " << seed;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "mapping/ornoc_assignment.hpp"
 #include "mapping/wavelength.hpp"
 #include "ring/builder.hpp"
 
@@ -54,6 +57,21 @@ TEST(InteriorNodes, ExcludesEndpoints) {
         }
       }
     }
+  }
+}
+
+TEST(Assignment, RejectsNonPositiveWavelengthCap) {
+  const auto fp = netlist::Floorplan::standard(8);
+  const auto traffic = netlist::Traffic::all_to_all(8);
+  const ring::Tour tour(ring::build_ring(fp).geometry.tour);
+  for (const int cap : {0, -1}) {
+    MappingOptions opt;
+    opt.max_wavelengths = cap;
+    EXPECT_THROW(assign_wavelengths(tour, traffic, {}, opt),
+                 std::invalid_argument)
+        << "cap " << cap;
+    EXPECT_THROW(ornoc_assignment(tour, traffic, cap), std::invalid_argument)
+        << "cap " << cap;
   }
 }
 

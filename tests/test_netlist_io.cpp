@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "netlist/io.hpp"
 #include "netlist/traffic.hpp"
@@ -9,17 +11,67 @@ namespace xring::netlist {
 namespace {
 
 TEST(FloorplanIo, RoundTrip) {
-  const Floorplan original = Floorplan::standard(16);
-  std::stringstream buf;
-  write_floorplan(original, buf);
-  const Floorplan loaded = read_floorplan(buf);
-  ASSERT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.die_width(), original.die_width());
-  EXPECT_EQ(loaded.die_height(), original.die_height());
-  for (NodeId v = 0; v < original.size(); ++v) {
-    EXPECT_EQ(loaded.position(v), original.position(v));
-    EXPECT_EQ(loaded.node(v).name, original.node(v).name);
+  for (const int n : {8, 16, 32}) {
+    const Floorplan original = Floorplan::standard(n);
+    std::stringstream buf;
+    write_floorplan(original, buf);
+    const Floorplan loaded = read_floorplan(buf);
+    ASSERT_EQ(loaded.size(), original.size());
+    EXPECT_EQ(loaded.die_width(), original.die_width());
+    EXPECT_EQ(loaded.die_height(), original.die_height());
+    for (NodeId v = 0; v < original.size(); ++v) {
+      EXPECT_EQ(loaded.position(v), original.position(v)) << n;
+      EXPECT_EQ(loaded.node(v).name, original.node(v).name) << n;
+    }
   }
+}
+
+/// The std::invalid_argument message read_floorplan throws for `text`, or
+/// "accepted" when it parses.
+std::string rejection(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_floorplan(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(FloorplanIo, RejectsDuplicateNodeNames) {
+  const std::string msg =
+      rejection("die 9000 9000\nnode a 0 0\nnode b 2000 0\nnode a 4000 0\n");
+  EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("duplicate node name 'a'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("first on line 2"), std::string::npos) << msg;
+}
+
+TEST(FloorplanIo, RejectsCoincidentNodes) {
+  const std::string msg =
+      rejection("node a 0 0\nnode b 2000 1000\n# same spot\n"
+                "node c 2000 1000\n");
+  EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("coincident nodes"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'b' (line 2)"), std::string::npos) << msg;
+}
+
+TEST(FloorplanIo, RejectsNegativeCoordinates) {
+  for (const char* node : {"node a -1 0\n", "node a 0 -2000\n"}) {
+    const std::string msg = rejection(std::string("node z 0 0\n") + node);
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("negative coordinate"), std::string::npos) << msg;
+  }
+}
+
+TEST(FloorplanIo, RejectsNodesOutsideDeclaredDie) {
+  // The die may follow the nodes; the check runs once the file is read.
+  const std::string msg =
+      rejection("node a 0 0\nnode b 6000 0\nnode c 2000 3000\ndie 5000 4000\n");
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("node outside the die"), std::string::npos) << msg;
+  // The die's edge itself is inside.
+  EXPECT_EQ(rejection("die 5000 4000\nnode a 5000 4000\nnode b 0 0\n"),
+            "accepted");
 }
 
 TEST(FloorplanIo, ParsesCommentsAndBlankLines) {

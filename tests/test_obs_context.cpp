@@ -1,6 +1,6 @@
 // Scoped observability contexts: accessor routing and nesting, span/clock
 // pinning across context switches, propagation through the shared thread
-// pool (parallel_for, TaskGroup, nested loops, help-while-waiting), and the
+// pool (parallel_for, nested loops, help-while-waiting), and the
 // headline isolation guarantee — two concurrent syntheses on one pool
 // record per-context metrics identical to the same synthesis run alone.
 
@@ -144,18 +144,16 @@ TEST_F(ContextPool, ParallelForRecordsIntoSubmittersContext) {
 }
 
 TEST_F(ContextPool, NestedParallelismAndTaskGroupsPropagate) {
+  // The production nesting: sweep settings in an outer parallel_for, each
+  // running the analysis fan-out as an inner one.
   par::set_jobs(4);
   Context ctx;
   {
     ScopedContext scope(ctx);
-    par::TaskGroup group(par::global_pool());
-    for (int t = 0; t < 4; ++t) {
-      group.run([] {
-        par::parallel_for(par::global_pool(), 0, 25,
-                          [](long) { registry().counter("nested").add(); });
-      });
-    }
-    group.wait();
+    par::parallel_for(par::global_pool(), 0, 4, [](long) {
+      par::parallel_for(par::global_pool(), 0, 25,
+                        [](long) { registry().counter("nested").add(); });
+    });
   }
   EXPECT_EQ(ctx.registry().counters().at("nested"), 4 * 25);
   EXPECT_EQ(root_.counters().count("nested"), 0u);

@@ -21,6 +21,7 @@
 #include "obs/memprof.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
+#include "par/pool.hpp"
 #include "xring/synthesizer.hpp"
 
 namespace xring {
@@ -291,13 +292,13 @@ TEST_F(ObsProfileTest, BranchAndBoundEmitsProgressEvents) {
 }
 
 TEST_F(ObsProfileTest, EventStreamIsIdenticalAcrossThreadCounts) {
-  auto run = [&](int threads) {
+  auto run = [&](int jobs) {
+    par::set_jobs(jobs);
     obs::EventLog log;
     obs::EventLog* prev = obs::events::swap_log(&log);
-    milp::BnbOptions opt;
-    opt.threads = threads;
-    (void)milp::solve(cover_model(), opt);
+    (void)milp::solve(cover_model());
     obs::events::swap_log(prev);
+    par::set_jobs(0);
     // Strip timestamps: wall clock differs, the event sequence must not.
     std::ostringstream stripped;
     std::istringstream in(log.jsonl());

@@ -129,9 +129,8 @@ TEST_F(ObsSolverTest, SynthesisSpanTreeCoversTheFourSteps) {
   }
 
   // The root span closes last and encloses every other span in time. Span
-  // depth is per thread: speculative B&B LP solves run on pool workers,
-  // where they open at depth 0, so only spans on the root's thread must
-  // nest below it.
+  // depth is per thread (a span opened on a pool worker starts at depth 0),
+  // so only spans on the root's thread must nest below it.
   const obs::SpanEvent& root = spans.back();
   EXPECT_EQ(root.name, "synth");
   EXPECT_EQ(root.depth, 0);

@@ -1,7 +1,7 @@
 // The parallel execution substrate: thread-pool mechanics (work stealing,
 // exception propagation, nesting, degenerate ranges) and — the property the
 // whole design hangs on — bit-identical results from the parallel sweep and
-// the speculative MILP search at 1, 2, and 8 threads.
+// the MILP search at 1, 2, and 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -84,22 +84,6 @@ TEST(ParallelReduce, ChunkOrderIsIndependentOfThreadCount) {
   EXPECT_EQ(run(8), serial);
 }
 
-TEST(TaskGroup, WaitResolvesAllTasksAndRethrows) {
-  par::ThreadPool pool(4);
-  {
-    par::TaskGroup group(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i) group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 64);
-  }
-  {
-    par::TaskGroup group(pool);
-    group.run([] { throw std::runtime_error("task failure"); });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-  }
-}
-
 TEST(Jobs, ResolutionOrderAndGlobalPoolResize) {
   par::set_jobs(3);
   EXPECT_EQ(par::effective_jobs(), 3);
@@ -155,7 +139,7 @@ TEST(Determinism, SweepIdenticalAt128Threads) {
 
 TEST(Determinism, MilpSearchIdenticalAt128Threads) {
   // Cycle cover with a lazy handler bolted on: exercises branching, lazy
-  // rounds (snapshot invalidation), and incumbent pruning.
+  // rounds, and incumbent pruning.
   const int n = 13;
   milp::Model m;
   std::vector<int> x;
@@ -188,61 +172,11 @@ TEST(Determinism, MilpSearchIdenticalAt128Threads) {
   });
 }
 
-TEST(Determinism, LpCountersReplayTheSerialSearch) {
-  // The bench regression gate compares lp.solves/lp.pivots exactly, so the
-  // speculative search must book only the solves the serial search performs
-  // (discarded speculation stays off the books).
-  milp::Model m;
-  m.set_maximize(true);
-  const int a = m.add_binary(10), b = m.add_binary(13), c = m.add_binary(7);
-  m.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, milp::Sense::kLe, 6.0);
-  auto count = [&](int threads) {
-    milp::BnbOptions opt;
-    opt.threads = threads;
-    obs::set_enabled(true);
-    obs::registry().reset();
-    (void)milp::solve(m, opt);
-    const auto flat = obs::registry().flatten();
-    obs::set_enabled(false);
-    return std::make_pair(flat.at("lp.solves"), flat.at("lp.pivots"));
-  };
-  const auto serial = count(1);
-  const auto spec = count(8);
-  EXPECT_EQ(serial.first, spec.first);
-  EXPECT_EQ(serial.second, spec.second);
-}
-
-TEST(Determinism, BnbThreadsOptionOverridesGlobalPool) {
-  // An explicit BnbOptions::threads engages speculation even when the
-  // global pool is serial — and still returns the serial answer.
-  par::set_jobs(1);
-  milp::Model m;
-  m.set_maximize(true);
-  const int a = m.add_binary(10), b = m.add_binary(13), c = m.add_binary(7);
-  m.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, milp::Sense::kLe, 6.0);
-  milp::BnbOptions serial_opt;
-  serial_opt.threads = 1;
-  const milp::MipResult serial = milp::solve(m, serial_opt);
-  milp::BnbOptions spec_opt;
-  spec_opt.threads = 4;
-  const milp::MipResult spec = milp::solve(m, spec_opt);
-  par::set_jobs(0);
-  ASSERT_EQ(serial.status, milp::MipStatus::kOptimal);
-  ASSERT_EQ(spec.status, milp::MipStatus::kOptimal);
-  EXPECT_EQ(serial.objective, spec.objective);
-  EXPECT_EQ(serial.nodes, spec.nodes);
-  ASSERT_EQ(serial.x.size(), spec.x.size());
-  for (std::size_t i = 0; i < serial.x.size(); ++i) {
-    EXPECT_EQ(serial.x[i], spec.x[i]);
-  }
-}
-
 TEST(Determinism, WarmStartCountersIdenticalAt128Threads) {
-  // The dual-simplex warm starts ride the node's shared basis snapshot, so
-  // a speculated child solve is bit-identical to an inline one — and the
-  // milp.warm_pivots / milp.cold_solves bookkeeping (done at consumption
-  // time) must replay the serial search at every thread count. The model
-  // forces a fractional root and several levels of branching.
+  // The dual-simplex warm starts ride the parent's shared basis, and the
+  // milp.warm_pivots / milp.cold_solves bookkeeping, like the lp.* counters,
+  // must be the same at every thread count. The model forces a fractional
+  // root and several levels of branching.
   milp::Model m;
   m.set_maximize(true);
   std::vector<int> x;

@@ -55,7 +55,13 @@ TEST(RunstoreClassify, MatchesTheBenchCompareRules) {
   EXPECT_EQ(classify_metric("mem.rss_bytes.last"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("events.count"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("par.steals"), MetricClass::kResource);
-  EXPECT_EQ(classify_metric("milp.spec_launched"), MetricClass::kResource);
+  EXPECT_EQ(classify_metric("mapping.candidates_memoized"),
+            MetricClass::kSolverInternal);
+  // The Step-3 probe counters are jobs-invariant and gated exactly.
+  EXPECT_EQ(classify_metric("mapping.fits_probes"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("mapping.fits_summary_hits"),
+            MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("mapping.reloc_attempts"), MetricClass::kQuality);
   EXPECT_EQ(classify_metric("span.synth.total_s"), MetricClass::kTimeLike);
   EXPECT_EQ(classify_metric("solve.real_time_ns"), MetricClass::kTimeLike);
   EXPECT_EQ(classify_metric("synthesis.seconds"), MetricClass::kTimeLike);

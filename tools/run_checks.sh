@@ -37,11 +37,13 @@ gate() {  # gate TABLE [xring_runs diff options...]
     "$build_dir/bench/BENCH_$table.json" --quiet "$@"
 }
 gate table1 --time-tolerance 25
-# The mapping.* counters (waveguides, wavelengths, relocations, openings)
-# are the occupancy index's bit-identical contract with the brute-force
-# Step 3: they must match the committed baseline EXACTLY, with no time
-# escape hatch.
-gate table1 --only-prefix mapping. --rel-tolerance 0
+# The mapping.* counters (waveguides, wavelengths, relocations, openings,
+# and the serial search's probe counts) are the occupancy index's
+# bit-identical contract with the brute-force Step 3: they must match the
+# committed baselines EXACTLY, with no time escape hatch.
+for table in table1 table2 table3; do
+  gate "$table" --only-prefix mapping. --rel-tolerance 0
+done
 # Solver quality gate: the MILP's answers (milp.incumbent.last, node and
 # lazy-cut counts) and the realized ring (ring.crossings, ring.length_um)
 # must be byte-identical to the baseline. Pivot-path counters (lp.pivots,

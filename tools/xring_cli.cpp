@@ -60,6 +60,8 @@
 //   --out FILE         output path (default: stdout)
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -67,6 +69,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/latency.hpp"
 #include "netlist/io.hpp"
@@ -130,6 +133,36 @@ class Args {
   std::map<std::size_t, bool> used_;
 };
 
+/// The value of numeric flag `flag`, parsed strictly: the whole token must
+/// be a finite number of type T greater than zero. Anything else ("4x",
+/// "0", "-2", "nan", out of range) is an error naming the flag.
+template <class T>
+T positive(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc{} || end != last ||
+      !std::isfinite(static_cast<double>(value)) || !(value > 0)) {
+    throw std::invalid_argument(flag + (std::is_integral_v<T>
+                                            ? " must be a positive integer"
+                                            : " must be a positive number"));
+  }
+  return value;
+}
+
+/// The standard floorplan named by --nodes (default 16).
+netlist::Floorplan standard_floorplan(Args& args) {
+  const std::string nodes = args.value("--nodes");
+  return netlist::Floorplan::standard(
+      nodes.empty() ? 16 : positive<int>("--nodes", nodes));
+}
+
+/// The #wl cap named by --wl (default: one wavelength per node).
+int wavelength_cap(Args& args, const netlist::Floorplan& fp) {
+  const std::string wl = args.value("--wl");
+  return wl.empty() ? fp.size() : positive<int>("--wl", wl);
+}
+
 /// True when `s` ends in `suffix`, compared case-insensitively — users write
 /// metrics.CSV as readily as metrics.csv.
 bool has_suffix_nocase(const std::string& s, const std::string& suffix) {
@@ -160,26 +193,26 @@ int cmd_synth(Args& args) {
   if (!file.empty()) {
     fp = netlist::load_floorplan(file);
   } else {
-    fp = netlist::Floorplan::standard(std::stoi(args.value("--nodes", "16")));
+    fp = standard_floorplan(args);
   }
 
   const std::string jobs = args.value("--jobs");
-  if (!jobs.empty()) par::set_jobs(std::stoi(jobs));
+  if (!jobs.empty()) par::set_jobs(positive<int>("--jobs", jobs));
 
   SynthesisOptions opt;
   const std::string params_file = args.value("--params");
   if (!params_file.empty()) {
     opt.params = phys::load_parameters(params_file, opt.params);
   }
-  opt.mapping.max_wavelengths =
-      std::stoi(args.value("--wl", std::to_string(fp.size())));
+  opt.mapping.max_wavelengths = wavelength_cap(args, fp);
   opt.build_pdn = !args.flag("--no-pdn");
   opt.shortcuts.enable = !args.flag("--no-shortcuts");
   // Opt-in budgeted Step 1: swap the exact ring MILP for the LNS with a
   // certified gap (ring/builder.hpp), keeping everything downstream as is.
   const std::string milp_budget = args.value("--milp-budget");
   if (!milp_budget.empty()) {
-    opt.ring.lns_budget_seconds = std::stod(milp_budget);
+    opt.ring.lns_budget_seconds =
+        positive<double>("--milp-budget", milp_budget);
   }
   if (args.flag("--comb-pdn")) {
     opt.pdn_style = SynthesisOptions::PdnStyle::kComb;
@@ -368,11 +401,10 @@ int cmd_verify(Args& args) {
   if (!file.empty()) {
     fp = netlist::load_floorplan(file);
   } else {
-    fp = netlist::Floorplan::standard(std::stoi(args.value("--nodes", "16")));
+    fp = standard_floorplan(args);
   }
   SynthesisOptions opt;
-  opt.mapping.max_wavelengths =
-      std::stoi(args.value("--wl", std::to_string(fp.size())));
+  opt.mapping.max_wavelengths = wavelength_cap(args, fp);
   if (!args.report_unused()) return 2;
 
   const Synthesizer synth(fp);
@@ -385,10 +417,9 @@ int cmd_verify(Args& args) {
 }
 
 int cmd_floorplan(Args& args) {
-  const int nodes = std::stoi(args.value("--nodes", "16"));
+  const netlist::Floorplan fp = standard_floorplan(args);
   const std::string out = args.value("--out");
   if (!args.report_unused()) return 2;
-  const auto fp = netlist::Floorplan::standard(nodes);
   if (out.empty()) {
     netlist::write_floorplan(fp, std::cout);
   } else {

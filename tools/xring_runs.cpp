@@ -38,17 +38,19 @@
 //   solver     solver-internal trajectory counters (`lp.pivots`,
 //              `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
 //              `lp.ftran_density.*`, `milp.warm_pivots`,
-//              `milp.cold_solves`, the Step-3 probe counters): deterministic
-//              per build but expected to move whenever the search path
-//              changes, so they float free of the gate. The quality metrics
-//              they feed (`milp.incumbent.last`, `ring.*`, table cells) stay
-//              gated exactly — the answer may not move even when the path
-//              to it does.
+//              `milp.cold_solves`, `mapping.candidates_memoized`):
+//              deterministic per build but expected to move whenever the
+//              search path changes, so they float free of the gate. The
+//              quality metrics they feed (`milp.incumbent.last`, `ring.*`,
+//              table cells) stay gated exactly — the answer may not move
+//              even when the path to it does.
 //   resource   sampled resource and scheduling telemetry (`mem.*`,
-//              `events.*`, `par.*`, `milp.spec_*`): two identical runs
-//              differ. Never gated; they ride along for the human reading
-//              the report.
-//   quality    everything else; compared tight in both directions.
+//              `events.*`, `par.*`): two identical runs differ. Never
+//              gated; they ride along for the human reading the report.
+//   quality    everything else; compared tight in both directions. This
+//              includes the Step-3 probe counters (`mapping.fits_probes`,
+//              `mapping.fits_summary_hits`, `mapping.reloc_attempts`):
+//              the serial search makes them the same at every pool size.
 // Keys present in only one input are not compared; their count is reported
 // in the summary line even under --quiet (renaming a metric should not
 // silently drop it from the gate).
