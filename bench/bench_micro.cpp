@@ -24,6 +24,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "obs/export.hpp"
 #include "par/pool.hpp"
+#include "shortcut/shortcut.hpp"
 #include "sim/simulator.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -356,6 +357,56 @@ void BM_OffsetClosedRing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OffsetClosedRing)->Arg(8)->Arg(16)->Arg(32);
+
+// ---------------------------------------------------------------------------
+// Steps 2-3 kernels on the scaling harness's fixed ring.
+
+/// A boustrophedon ring over a rows x cols grid at 2 mm pitch (serpentine
+/// over columns 1.. row by row, back up column 0): the fixed ring of the
+/// `bench/scaling` resource profile. n = 128 / 256 / 512 use 8x16 / 16x16 /
+/// 16x32.
+struct SerpentineRing {
+  netlist::Floorplan floorplan;
+  ring::RingGeometry ring;
+};
+
+SerpentineRing serpentine_ring(int n) {
+  const int rows = n == 128 ? 8 : 16;
+  const int cols = n / rows;
+  SerpentineRing out{netlist::Floorplan::grid(rows, cols, 2000), {}};
+  std::vector<netlist::NodeId> order;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 1; c < cols; ++c) {
+      order.push_back(r * cols + (r % 2 == 0 ? c : cols - c));
+    }
+  }
+  for (int r = rows - 1; r >= 0; --r) order.push_back(r * cols);
+  out.ring = ring::realize(ring::Tour(std::move(order), &out.floorplan),
+                           out.floorplan);
+  return out;
+}
+
+/// Step 2's candidate scan: gain and ring-clearance of every node pair.
+void BM_CollectCandidates(benchmark::State& state) {
+  const SerpentineRing s = serpentine_ring(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shortcut::collect_candidates(s.ring, s.floorplan));
+  }
+}
+BENCHMARK(BM_CollectCandidates)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+
+/// The per-signal arc table of all-to-all traffic (both directions' hop
+/// intervals, masks and word spans) that a #wl sweep shares.
+void BM_ArcTable(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const SerpentineRing s = serpentine_ring(n);
+  const auto traffic = netlist::Traffic::all_to_all(n);
+  for (auto _ : state) {
+    const mapping::ArcTable arcs(s.ring.tour, traffic);
+    benchmark::DoNotOptimize(arcs.mask(0, mapping::Direction::kCw));
+  }
+}
+BENCHMARK(BM_ArcTable)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every finished run recorded as gauges
 /// (`bench.<name>.real_time_ns` / `.cpu_time_ns` / `.iterations`) in the

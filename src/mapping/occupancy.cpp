@@ -25,6 +25,24 @@ bool is_ring_route(const SignalRoute& r) {
 
 int lowest_set_bit(std::uint64_t x) { return __builtin_ctzll(x); }
 
+/// Sets bits [lo, hi) of the bitset, a whole word at a time.
+void set_range(std::uint64_t* bits, int lo, int hi) {
+  if (lo >= hi) return;
+  const int wlo = lo >> 6;
+  const int whi = (hi - 1) >> 6;
+  const std::uint64_t first = ~std::uint64_t{0} << (lo & 63);
+  const std::uint64_t last = (hi & 63) != 0
+                                 ? (std::uint64_t{1} << (hi & 63)) - 1
+                                 : ~std::uint64_t{0};
+  if (wlo == whi) {
+    bits[wlo] |= first & last;
+    return;
+  }
+  bits[wlo] |= first;
+  for (int k = wlo + 1; k < whi; ++k) bits[k] = ~std::uint64_t{0};
+  bits[whi] |= last;
+}
+
 /// Any live bit in the linear position range [lo, hi)? (hi <= n)
 bool any_bit_in(const std::vector<std::uint64_t>& bits, int lo, int hi) {
   if (lo >= hi) return false;
@@ -74,10 +92,11 @@ ArcTable::ArcTable(const ring::Tour& tour, const netlist::Traffic& traffic)
       const Arc a = arc_of(tour, sig, dir);
       arcs_[idx] = a;
       std::uint64_t* m = masks_.data() + static_cast<std::size_t>(idx) * words_;
-      for (int h = 0; h < a.len; ++h) {
-        const int hop = (a.start + h) % nodes_;
-        m[hop >> 6] |= std::uint64_t{1} << (hop & 63);
-      }
+      // The arc's hops [start, start+len) mod n as at most two linear
+      // ranges, split at the wrap.
+      const int end = a.start + a.len;
+      set_range(m, a.start, std::min(end, nodes_));
+      set_range(m, 0, end - nodes_);
       if (words_ <= 64) {
         WordSpan& span = spans_[idx];
         for (int k = 0; k < words_; ++k) {

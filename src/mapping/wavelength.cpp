@@ -122,10 +122,28 @@ Mapping assign_wavelengths(const ring::Tour& tour,
   // nothing share λ0; a crossed pair uses λ0 and λ1 so the crossing's leak
   // never matches the other shortcut's receivers; CSE-routed signals use λ2
   // upward, distinct from both.
+  //
+  // Each node lists its incident shortcuts in ascending index, so the first
+  // match for a signal is the lowest-indexed shortcut joining its pair —
+  // the one ShortcutPlan::find's scan returns.
+  std::vector<std::vector<int>> incident;
+  for (std::size_t i = 0; i < shortcuts.shortcuts.size(); ++i) {
+    const shortcut::Shortcut& s = shortcuts.shortcuts[i];
+    const std::size_t hi = static_cast<std::size_t>(std::max(s.a, s.b));
+    if (incident.size() <= hi) incident.resize(hi + 1);
+    incident[s.a].push_back(static_cast<int>(i));
+    if (s.b != s.a) incident[s.b].push_back(static_cast<int>(i));
+  }
   for (const auto& sig : traffic.signals()) {
-    const int sc = shortcuts.shortcuts.empty()
-                       ? -1
-                       : shortcuts.find(sig.src, sig.dst);
+    if (static_cast<std::size_t>(sig.src) >= incident.size()) continue;
+    int sc = -1;
+    for (const int i : incident[sig.src]) {
+      const shortcut::Shortcut& s = shortcuts.shortcuts[i];
+      if ((s.a == sig.src ? s.b : s.a) == sig.dst) {
+        sc = i;
+        break;
+      }
+    }
     if (sc < 0) continue;
     SignalRoute& r = m.routes[sig.id];
     r.kind = RouteKind::kShortcut;

@@ -1,9 +1,13 @@
 #include "phys/parameters_io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <istream>
+#include <limits>
 #include <map>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 namespace xring::phys {
@@ -68,6 +72,38 @@ std::map<std::string, std::function<double&(Parameters&)>> key_table() {
   return keys;
 }
 
+std::invalid_argument line_error(int lineno, const std::string& what) {
+  return std::invalid_argument("line " + std::to_string(lineno) + ": " + what);
+}
+
+/// The whole token as a finite number; `0.5x`, `nan` and `inf` are errors.
+double parse_number(const std::string& value, const std::string& key,
+                    int lineno) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(v)) {
+    throw line_error(lineno, "'" + key + "' must be a finite number, got '" +
+                                 value + "'");
+  }
+  return v;
+}
+
+/// Range rules: loss magnitudes are non-negative dB (the receiver
+/// sensitivity is a power level, not a loss) and the laser's wall-plug
+/// efficiency is a fraction in (0, 1] — 0 would make the laser power
+/// infinite.
+void check_range(const std::string& key, double v, int lineno) {
+  if (key == "loss.laser_wall_plug_efficiency") {
+    if (!(v > 0.0 && v <= 1.0)) {
+      throw line_error(lineno, "'" + key + "' must be in (0, 1]");
+    }
+  } else if (key.rfind("loss.", 0) == 0 &&
+             key != "loss.receiver_sensitivity_dbm" && v < 0.0) {
+    throw line_error(lineno, "'" + key + "' must be >= 0");
+  }
+}
+
 }  // namespace
 
 Parameters read_parameters(std::istream& in, Parameters base) {
@@ -96,20 +132,21 @@ Parameters read_parameters(std::istream& in, Parameters base) {
     const std::string value = trim(line.substr(eq + 1));
 
     if (key == "crosstalk.residue_filter") {
+      if (value != "true" && value != "false" && value != "1" &&
+          value != "0") {
+        throw line_error(lineno, "'" + key +
+                                     "' must be true, false, 1 or 0, got '" +
+                                     value + "'");
+      }
       base.crosstalk.residue_filter = value == "true" || value == "1";
       continue;
     }
     const auto it = keys.find(key);
     if (it == keys.end()) {
-      throw std::invalid_argument("line " + std::to_string(lineno) +
-                                  ": unknown parameter '" + key + "'");
+      throw line_error(lineno, "unknown parameter '" + key + "'");
     }
-    std::istringstream vs(value);
-    double v;
-    if (!(vs >> v)) {
-      throw std::invalid_argument("line " + std::to_string(lineno) +
-                                  ": non-numeric value for '" + key + "'");
-    }
+    const double v = parse_number(value, key, lineno);
+    check_range(key, v, lineno);
     it->second(base) = v;
   }
   return base;
@@ -123,12 +160,17 @@ Parameters load_parameters(const std::string& path, Parameters base) {
 
 void write_parameters(const Parameters& params, std::ostream& out) {
   out << "# xring device parameters\n";
+  // Enough digits that reading the file back restores every value bit for
+  // bit.
+  const auto precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   Parameters copy = params;
   for (const auto& [key, access] : key_table()) {
     out << key << " = " << access(copy) << "\n";
   }
   out << "crosstalk.residue_filter = "
       << (params.crosstalk.residue_filter ? "true" : "false") << "\n";
+  out.precision(precision);
 }
 
 void save_parameters(const Parameters& params, const std::string& path) {

@@ -18,7 +18,15 @@ namespace xring::phys {
 ///
 /// Unknown keys are an error (typos in loss coefficients silently skew
 /// every result otherwise). Unlisted keys keep their preset values, so a
-/// file only needs the coefficients it changes.
+/// file only needs the coefficients it changes. Values parse strictly:
+/// the whole token must be a finite number, `loss.*` magnitudes must be
+/// >= 0 (except `loss.receiver_sensitivity_dbm`, a power level), the
+/// wall-plug efficiency must lie in (0, 1], and `crosstalk.residue_filter`
+/// takes only true/false/1/0. A violation throws std::invalid_argument
+/// naming the line and the rule.
+///
+/// `write_parameters` prints max_digits10 significant digits, so a saved
+/// file reads back bit for bit.
 Parameters read_parameters(std::istream& in, Parameters base = Parameters::oring());
 Parameters load_parameters(const std::string& path,
                            Parameters base = Parameters::oring());

@@ -19,10 +19,12 @@ Tour::Tour(std::vector<NodeId> order, const netlist::Floorplan* floorplan)
     position_[order_[p]] = p;
   }
   hop_lengths_.assign(n, 0);
+  prefix_.assign(n + 1, 0);
   if (floorplan != nullptr) {
     for (int h = 0; h < n; ++h) {
       hop_lengths_[h] = floorplan->distance(at(h), at(h + 1));
       total_length_ += hop_lengths_[h];
+      prefix_[h + 1] = total_length_;
     }
   }
 }
@@ -33,11 +35,10 @@ int Tour::hops_cw(NodeId src, NodeId dst) const {
 }
 
 geom::Coord Tour::arc_length_cw(NodeId src, NodeId dst) const {
-  const int start = position(src);
-  const int hops = hops_cw(src, dst);
-  geom::Coord len = 0;
-  for (int h = 0; h < hops; ++h) len += hop_length(start + h);
-  return len;
+  // Integer µm, so the prefix differences equal the hop-by-hop sum exactly.
+  const int s = position(src), d = position(dst);
+  return d >= s ? prefix_[d] - prefix_[s]
+                : total_length_ - prefix_[s] + prefix_[d];
 }
 
 std::vector<int> Tour::hops_on_arc_cw(NodeId src, NodeId dst) const {

@@ -43,7 +43,8 @@ class Tour {
   /// Number of hops travelled going from src to dst in tour order.
   int hops_cw(NodeId src, NodeId dst) const;
 
-  /// Length of the clockwise (tour-order) arc from src to dst.
+  /// Length of the clockwise (tour-order) arc from src to dst. O(1): two
+  /// prefix-sum lookups.
   geom::Coord arc_length_cw(NodeId src, NodeId dst) const;
 
   /// Length of the counter-clockwise arc from src to dst.
@@ -62,6 +63,7 @@ class Tour {
   std::vector<NodeId> order_;
   std::vector<int> position_;           // node id -> position
   std::vector<geom::Coord> hop_lengths_;
+  std::vector<geom::Coord> prefix_;     // prefix_[p] = hops 0..p-1 summed
   geom::Coord total_length_ = 0;
 };
 

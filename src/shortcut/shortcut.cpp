@@ -1,6 +1,8 @@
 #include "shortcut/shortcut.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 
 namespace xring::shortcut {
 
@@ -10,23 +12,49 @@ using geom::LOrder;
 using geom::LRoute;
 using geom::Point;
 using geom::Segment;
-using geom::Touch;
 
-/// True if `route` can coexist with the realized ring: no transversal
-/// crossing with any ring segment. Collinear overlap and endpoint touches
-/// are legal — physical waveguides run in parallel at a small offset, which
-/// the integer node grid cannot represent (the paper's own Fig. 2 shortcut
-/// between row-end nodes runs parallel to the ring's return edge).
-bool clears_ring(const LRoute& route, const geom::Polyline& ring,
-                 const Point& end_a, const Point& end_b) {
-  (void)end_a;
-  (void)end_b;
-  for (const Segment& rs : route.segments()) {
-    for (const Segment& ss : ring.segments()) {
-      if (geom::classify(rs, ss) == Touch::kCross) return false;
+/// The four axis directions a leg of an L-route can run from a node.
+enum Ray { kPlusX, kMinusX, kPlusY, kMinusY };
+
+/// No ring segment blocks the ray.
+constexpr geom::Coord kUnblocked = std::numeric_limits<geom::Coord>::max();
+
+/// Per node and axis direction, the distance to the first ring segment that
+/// the ray from the node crosses transversally (kUnblocked when none).
+///
+/// Only a perpendicular segment can cross an axis leg, and it crosses the
+/// leg iff it holds the leg's line strictly inside its own span and lies
+/// strictly between the leg's two ends. A leg of length L from the node
+/// therefore clears the ring iff the first such segment along its ray is
+/// at distance >= L. Collinear overlap and endpoint touches are legal —
+/// physical waveguides run in parallel at a small offset, which the integer
+/// node grid cannot represent (the paper's own Fig. 2 shortcut between
+/// row-end nodes runs parallel to the ring's return edge) — so a blocker at
+/// exactly L, touching the leg's bend or far node, does not block it.
+std::vector<std::array<geom::Coord, 4>> ray_blockers(
+    const geom::Polyline& ring, const netlist::Floorplan& floorplan) {
+  std::vector<std::array<geom::Coord, 4>> blockers(
+      floorplan.size(), {kUnblocked, kUnblocked, kUnblocked, kUnblocked});
+  for (NodeId v = 0; v < floorplan.size(); ++v) {
+    const Point p = floorplan.position(v);
+    std::array<geom::Coord, 4>& b = blockers[v];
+    for (const Segment& s : ring.segments()) {
+      if (s.vertical()) {
+        if (std::min(s.a.y, s.b.y) >= p.y || p.y >= std::max(s.a.y, s.b.y)) {
+          continue;
+        }
+        if (s.a.x > p.x) b[kPlusX] = std::min(b[kPlusX], s.a.x - p.x);
+        if (s.a.x < p.x) b[kMinusX] = std::min(b[kMinusX], p.x - s.a.x);
+      } else if (s.horizontal()) {
+        if (std::min(s.a.x, s.b.x) >= p.x || p.x >= std::max(s.a.x, s.b.x)) {
+          continue;
+        }
+        if (s.a.y > p.y) b[kPlusY] = std::min(b[kPlusY], s.a.y - p.y);
+        if (s.a.y < p.y) b[kMinusY] = std::min(b[kMinusY], p.y - s.a.y);
+      }
     }
   }
-  return true;
+  return blockers;
 }
 
 /// Distance along an L-route from its `from` endpoint to a point on it.
@@ -53,39 +81,40 @@ int ShortcutPlan::find(NodeId a, NodeId b) const {
   return -1;
 }
 
-std::optional<LOrder> feasible_chord(const ring::RingGeometry& ring,
-                                     const netlist::Floorplan& floorplan,
-                                     NodeId a, NodeId b) {
-  const Point pa = floorplan.position(a), pb = floorplan.position(b);
-  for (const LRoute& route : geom::l_route_options(pa, pb)) {
-    if (clears_ring(route, ring.polyline, pa, pb)) return route.order();
-  }
-  return std::nullopt;
-}
-
 std::vector<ChordCandidate> collect_candidates(
     const ring::RingGeometry& ring, const netlist::Floorplan& floorplan) {
   const ring::Tour& tour = ring.tour;
   const int n = floorplan.size();
+  const std::vector<std::array<geom::Coord, 4>> blockers =
+      ray_blockers(ring.polyline, floorplan);
 
   // Feasible chords with positive gain (Sec. III-B). Ring-adjacent node
-  // pairs never gain: their cw arc is one hop of the same length.
+  // pairs never gain: their cw arc is one hop of the same length. The gain
+  // is O(1), so the geometry is only consulted for pairs that would gain.
   std::vector<ChordCandidate> candidates;
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
-      const Point pa = floorplan.position(a), pb = floorplan.position(b);
-      std::vector<LOrder> orders;
-      for (const LRoute& route : geom::l_route_options(pa, pb)) {
-        if (clears_ring(route, ring.polyline, pa, pb)) {
-          orders.push_back(route.order());
-        }
-      }
-      if (orders.empty()) continue;
       const geom::Coord len = floorplan.distance(a, b);
       const geom::Coord ring_len =
           std::min(tour.arc_length_cw(a, b), tour.arc_length_ccw(a, b));
       const geom::Coord gain = ring_len - len;
       if (gain <= 0) continue;
+      // Vertical-first runs a y-leg from a, then an x-leg into b;
+      // horizontal-first an x-leg from a, then a y-leg into b. Each leg is
+      // the ray from its node toward the other node's coordinate.
+      const Point pa = floorplan.position(a), pb = floorplan.position(b);
+      const geom::Coord dx = pb.x - pa.x, dy = pb.y - pa.y;
+      const geom::Coord len_x = dx < 0 ? -dx : dx, len_y = dy < 0 ? -dy : dy;
+      const std::array<geom::Coord, 4>& ba = blockers[a];
+      const std::array<geom::Coord, 4>& bb = blockers[b];
+      const bool vh = ba[dy > 0 ? kPlusY : kMinusY] >= len_y &&
+                      bb[dx > 0 ? kMinusX : kPlusX] >= len_x;
+      const bool hv = ba[dx > 0 ? kPlusX : kMinusX] >= len_x &&
+                      bb[dy > 0 ? kMinusY : kPlusY] >= len_y;
+      if (!vh && !hv) continue;
+      std::vector<LOrder> orders;
+      if (vh) orders.push_back(LOrder::kVerticalFirst);
+      if (hv) orders.push_back(LOrder::kHorizontalFirst);
       candidates.push_back(ChordCandidate{a, b, len, gain, std::move(orders)});
     }
   }

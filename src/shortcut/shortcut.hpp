@@ -65,13 +65,6 @@ ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
                              const netlist::Floorplan& floorplan,
                              const ShortcutOptions& options = {});
 
-/// Exposed for tests: can a chord between the two nodes be routed (either
-/// L-order) without crossing/overlapping/touching the realized ring other
-/// than at the chord's endpoints? Returns the usable order if so.
-std::optional<geom::LOrder> feasible_chord(const ring::RingGeometry& ring,
-                                           const netlist::Floorplan& floorplan,
-                                           NodeId a, NodeId b);
-
 /// Derives the CSE routes of every crossing pair in the plan (Fig. 7(b)).
 /// Called by both the greedy and the ILP selection; idempotent.
 void derive_cse_routes(ShortcutPlan& plan, const netlist::Floorplan& floorplan);
@@ -86,7 +79,10 @@ struct ChordCandidate {
   std::vector<geom::LOrder> feasible_orders;
 };
 
-/// All positive-gain ring-clearing chords, sorted by descending gain.
+/// All positive-gain ring-clearing chords, sorted by descending gain (ties
+/// by ascending (a, b)). `feasible_orders` lists the L-orders that cross no
+/// ring segment: vertical-first, then horizontal-first. O(n · ring
+/// segments) for the per-node ray blockers plus O(1) per node pair.
 std::vector<ChordCandidate> collect_candidates(
     const ring::RingGeometry& ring, const netlist::Floorplan& floorplan);
 

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "geom/sweep.hpp"
-#include "mapping/occupancy.hpp"
 #include "obs/obs.hpp"
 
 namespace xring::verify {
@@ -86,28 +85,50 @@ void check_routes(const RouterDesign& d, const DrcOptions& opt,
   }
 }
 
-void check_arcs(const RouterDesign& d, const mapping::ArcTable* arcs,
-                std::vector<Violation>& out) {
+/// The hop interval [start, start+len) mod n that a signal riding a
+/// waveguide of direction `dir` covers, derived from the tour alone.
+struct HopArc {
+  int start = 0;
+  int len = 0;
+};
+
+HopArc hop_arc(const ring::Tour& tour, const netlist::Signal& sig,
+               Direction dir) {
+  const NodeId from = dir == Direction::kCw ? sig.src : sig.dst;
+  const NodeId to = dir == Direction::kCw ? sig.dst : sig.src;
+  return {tour.position(from), tour.hops_cw(from, to)};
+}
+
+/// (to - from) mod n, for positions in [0, n).
+int cw_offset(int from, int to, int n) {
+  const int d = to - from;
+  return d < 0 ? d + n : d;
+}
+
+void check_arcs(const RouterDesign& d, std::vector<Violation>& out) {
+  const ring::Tour& tour = d.ring.tour;
+  const int n = tour.size();
+  if (n == 0) return;
   for (std::size_t w = 0; w < d.mapping.waveguides.size(); ++w) {
     const mapping::RingWaveguide& wg = d.mapping.waveguides[w];
+    std::vector<HopArc> arcs;
+    arcs.reserve(wg.signals.size());
+    for (const SignalId id : wg.signals) {
+      arcs.push_back(hop_arc(tour, d.traffic.signal(id), wg.dir));
+    }
     for (std::size_t i = 0; i < wg.signals.size(); ++i) {
       for (std::size_t j = i + 1; j < wg.signals.size(); ++j) {
         const SignalId a = wg.signals[i], b = wg.signals[j];
         if (d.mapping.routes[a].wavelength != d.mapping.routes[b].wavelength) {
           continue;
         }
-        // Hop-interval intersection as an O(n/64) AND of the precomputed
-        // arc bitsets — the same set test the occupied_hops bool-vector
-        // scan performed, so the (w, i<j) emission order is unchanged.
-        const std::uint64_t* ma = arcs->mask(a, wg.dir);
-        const std::uint64_t* mb = arcs->mask(b, wg.dir);
-        bool overlap = false;
-        for (int k = 0; k < arcs->words(); ++k) {
-          if ((ma[k] & mb[k]) != 0) {
-            overlap = true;
-            break;
-          }
-        }
+        // Two non-empty circular hop intervals intersect iff one starts
+        // inside the other.
+        const HopArc& x = arcs[i];
+        const HopArc& y = arcs[j];
+        const bool overlap = x.len > 0 && y.len > 0 &&
+                             (cw_offset(x.start, y.start, n) < x.len ||
+                              cw_offset(y.start, x.start, n) < y.len);
         if (overlap) {
           add(out, Violation::Rule::kArcOverlap,
               "signals " + std::to_string(a) + " and " + std::to_string(b) +
@@ -120,9 +141,11 @@ void check_arcs(const RouterDesign& d, const mapping::ArcTable* arcs,
   }
 }
 
-void check_openings(const RouterDesign& d, const mapping::ArcTable* arcs,
-                    const DrcOptions& opt, std::vector<Violation>& out) {
+void check_openings(const RouterDesign& d, const DrcOptions& opt,
+                    std::vector<Violation>& out) {
   if (!d.has_pdn || !opt.require_openings) return;
+  const ring::Tour& tour = d.ring.tour;
+  const int n = tour.size();
   for (std::size_t w = 0; w < d.mapping.waveguides.size(); ++w) {
     const mapping::RingWaveguide& wg = d.mapping.waveguides[w];
     if (wg.opening < 0) {
@@ -130,14 +153,15 @@ void check_openings(const RouterDesign& d, const mapping::ArcTable* arcs,
           "waveguide " + std::to_string(w) + " has no opening");
       continue;
     }
-    // A signal passes the opening when the opening is one of its interior
-    // nodes; interior_contains evaluates that strict-interior predicate per
-    // signal in O(1).
+    // A signal passes the opening when the opening is strictly inside its
+    // hop interval, i.e. one of its interior nodes.
     int passing = 0;
-    if (!wg.signals.empty()) {
-      const int pos = arcs->position(wg.opening);
+    if (n > 0 && !wg.signals.empty()) {
+      const int pos = tour.position(wg.opening);
       for (const SignalId id : wg.signals) {
-        if (arcs->interior_contains(id, wg.dir, pos)) ++passing;
+        const HopArc a = hop_arc(tour, d.traffic.signal(id), wg.dir);
+        const int offset = cw_offset(a.start, pos, n);
+        if (0 < offset && offset < a.len) ++passing;
       }
     }
     if (passing > 0) {
@@ -221,17 +245,14 @@ std::vector<Violation> check(const analysis::RouterDesign& design,
                              const DrcOptions& options) {
   obs::Span span("verify.drc");
   std::vector<Violation> out;
-  // The arc and opening checks share one per-signal hop-interval table
-  // (O(signals · n/64) to build, amortized over every pair probe).
-  const bool have_tour = design.ring.tour.size() > 0;
-  const mapping::ArcTable arcs =
-      have_tour ? mapping::ArcTable(design.ring.tour, design.traffic)
-                : mapping::ArcTable();
+  // The arc and opening checks derive every hop interval from the tour
+  // alone and share no code with the mapper's ArcTable, so a bug there
+  // cannot sign off its own output.
   check_ring(design, out);
   check_shortcuts(design, options, out);
   check_routes(design, options, out);
-  check_arcs(design, &arcs, out);
-  check_openings(design, &arcs, options, out);
+  check_arcs(design, out);
+  check_openings(design, options, out);
   check_pdn(design, out);
   check_cse_wavelengths(design, out);
   // Every violation doubles as a structured diagnostic (code drc.<rule>),

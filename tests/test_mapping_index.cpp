@@ -417,6 +417,51 @@ TEST_P(MappingIndexAllToAll, ArcTableMatchesHopDerivation) {
   }
 }
 
+TEST(ArcTableFill, MasksAndSpansMatchPerHopFill) {
+  // Rings of several 64-bit words whose size is not a multiple of 64, so
+  // arcs start, end and wrap inside partial first, middle and last words.
+  std::mt19937 rng(64);
+  for (const int n : {130, 200}) {
+    const auto fp = netlist::Floorplan::grid(10, n / 10, 1000);
+    std::vector<NodeId> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    const ring::Tour tour(std::move(order), &fp);
+    const Traffic traffic = Traffic::all_to_all(n);
+    const ArcTable arcs(tour, traffic);
+    const int words = (n + 63) / 64;
+    ASSERT_EQ(arcs.words(), words);
+    std::vector<std::uint64_t> valid(words, ~std::uint64_t{0});
+    valid[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+    for (const auto& sig : traffic.signals()) {
+      for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
+        // The fill as first written: one bit per hop, modulo n.
+        const NodeId from = dir == Direction::kCw ? sig.src : sig.dst;
+        const NodeId to = dir == Direction::kCw ? sig.dst : sig.src;
+        const int start = tour.position(from), len = tour.hops_cw(from, to);
+        ASSERT_EQ(arcs.arc(sig.id, dir).start, start);
+        ASSERT_EQ(arcs.arc(sig.id, dir).len, len);
+        std::vector<std::uint64_t> want(words, 0);
+        for (int h = 0; h < len; ++h) {
+          const int hop = (start + h) % n;
+          want[hop >> 6] |= std::uint64_t{1} << (hop & 63);
+        }
+        ArcTable::WordSpan span;
+        for (int k = 0; k < words; ++k) {
+          if (want[k] == 0) continue;
+          (want[k] == valid[k] ? span.full : span.partial) |=
+              std::uint64_t{1} << k;
+        }
+        const std::uint64_t* got = arcs.mask(sig.id, dir);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got))
+            << "n=" << n << " signal " << sig.id;
+        ASSERT_EQ(arcs.word_span(sig.id, dir).full, span.full);
+        ASSERT_EQ(arcs.word_span(sig.id, dir).partial, span.partial);
+      }
+    }
+  }
+}
+
 TEST_P(MappingIndexAllToAll, AssignAndOpeningsMatchReference) {
   const int n = GetParam();
   for (const bool with_shortcuts : {false, true}) {

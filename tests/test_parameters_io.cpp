@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "phys/parameters_io.hpp"
 
@@ -66,6 +67,82 @@ TEST(ParametersIo, BooleanFilterParses) {
   }
   std::istringstream in("crosstalk.residue_filter = false");
   EXPECT_FALSE(read_parameters(in).crosstalk.residue_filter);
+}
+
+/// The std::invalid_argument message read_parameters throws on `text`, or
+/// "accepted" when it parses.
+std::string rejection(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_parameters(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(ParametersIo, RejectsNumbersWithTrailingText) {
+  for (const char* v : {"0.5x", "0.5 0.6", "1e", "0x", ""}) {
+    const std::string msg =
+        rejection(std::string("# header\nloss.drop_db = ") + v + "\n");
+    EXPECT_NE(msg.find("line 2: 'loss.drop_db' must be a finite number"),
+              std::string::npos)
+        << v << ": " << msg;
+  }
+}
+
+TEST(ParametersIo, RejectsNonFiniteNumbers) {
+  for (const char* v : {"nan", "inf", "-inf", "1e999"}) {
+    const std::string msg = rejection(std::string("crosstalk.crossing_db = ") + v);
+    EXPECT_NE(msg.find("line 1: 'crosstalk.crossing_db' must be a finite number"),
+              std::string::npos)
+        << v << ": " << msg;
+  }
+}
+
+TEST(ParametersIo, RejectsNegativeLossMagnitudes) {
+  EXPECT_EQ(rejection("loss.crossing_db = -0.1"),
+            "line 1: 'loss.crossing_db' must be >= 0");
+  EXPECT_EQ(rejection("loss.crossing_db = 0"), "accepted");
+  // The receiver sensitivity is a power level in dBm, negative by nature;
+  // crosstalk coefficients are negative dB ratios.
+  EXPECT_EQ(rejection("loss.receiver_sensitivity_dbm = -30"), "accepted");
+  EXPECT_EQ(rejection("crosstalk.mrr_through_db = -30"), "accepted");
+}
+
+TEST(ParametersIo, RejectsWallPlugEfficiencyOutsideUnitInterval) {
+  for (const char* v : {"0", "-0.1", "1.5"}) {
+    EXPECT_EQ(rejection(std::string("loss.laser_wall_plug_efficiency = ") + v),
+              "line 1: 'loss.laser_wall_plug_efficiency' must be in (0, 1]")
+        << v;
+  }
+  std::istringstream in("loss.laser_wall_plug_efficiency = 1");
+  EXPECT_DOUBLE_EQ(read_parameters(in).loss.laser_wall_plug_efficiency, 1.0);
+}
+
+TEST(ParametersIo, RejectsNonBooleanResidueFilter) {
+  for (const char* v : {"yes", "on", "TRUE", "2", ""}) {
+    EXPECT_EQ(rejection(std::string("crosstalk.residue_filter = ") + v),
+              std::string("line 1: 'crosstalk.residue_filter' must be true, "
+                          "false, 1 or 0, got '") +
+                  v + "'");
+  }
+  std::istringstream in("crosstalk.residue_filter = 0");
+  EXPECT_FALSE(read_parameters(in).crosstalk.residue_filter);
+}
+
+TEST(ParametersIo, RoundTripIsBitExact) {
+  Parameters p = Parameters::oring();
+  p.loss.propagation_db_per_mm = 0.027412345678901234;  // 17 digits
+  p.crosstalk.noise_floor_mw = 1.0 / 3.0;
+  p.geometry.modulator_um = 0.1 + 0.2;
+  std::stringstream buf;
+  write_parameters(p, buf);
+  const Parameters q = read_parameters(buf, Parameters::proton_plus());
+  EXPECT_EQ(q.loss.propagation_db_per_mm, p.loss.propagation_db_per_mm);
+  EXPECT_EQ(q.crosstalk.noise_floor_mw, p.crosstalk.noise_floor_mw);
+  EXPECT_EQ(q.geometry.modulator_um, p.geometry.modulator_um);
+  EXPECT_EQ(q.loss.receiver_sensitivity_dbm, p.loss.receiver_sensitivity_dbm);
 }
 
 TEST(ParametersIo, MissingFileThrows) {

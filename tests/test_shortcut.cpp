@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "ring/builder.hpp"
 #include "shortcut/shortcut.hpp"
+#include "shortcut_reference.hpp"
 
 namespace xring::shortcut {
 namespace {
@@ -98,7 +103,7 @@ TEST(Shortcut, FeasibleChordHonoursCrossings) {
   const auto ring = make_ring(fp);
   for (netlist::NodeId a = 0; a < 4; ++a) {
     for (netlist::NodeId b = a + 1; b < 4; ++b) {
-      const auto order = feasible_chord(ring, fp, a, b);
+      const auto order = reference_feasible_chord(ring, fp, a, b);
       if (order) {
         const geom::LRoute chord(fp.position(a), fp.position(b), *order);
         EXPECT_EQ(ring.polyline.crossings_with(chord), 0);
@@ -162,6 +167,140 @@ TEST(Shortcut, CseRouteLengthsAreTriangleConsistent) {
     EXPECT_GE(r.length, fp.distance(r.src, r.dst));
     EXPECT_LE(r.length, plan.shortcuts[r.shortcut_in].length +
                             plan.shortcuts[r.shortcut_out].length);
+  }
+}
+
+/// Asserts that the ray-blocker scan returns the reference scan's candidate
+/// list entry for entry: same pairs, lengths, gains, orders and order.
+/// Returns the candidate count.
+std::size_t expect_candidates_match(const ring::RingGeometry& ring,
+                                    const netlist::Floorplan& fp,
+                                    const std::string& label) {
+  const std::vector<ChordCandidate> got = collect_candidates(ring, fp);
+  const std::vector<ChordCandidate> want =
+      reference_collect_candidates(ring, fp);
+  EXPECT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    const ChordCandidate& g = got[i];
+    const ChordCandidate& w = want[i];
+    EXPECT_TRUE(g.a == w.a && g.b == w.b && g.length == w.length &&
+                g.gain == w.gain && g.feasible_orders == w.feasible_orders)
+        << label << ": candidate " << i << " is " << g.a << "-" << g.b
+        << ", reference " << w.a << "-" << w.b;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return want.size();
+}
+
+/// A rows x cols grid at 2 mm pitch, every node moved by up to ±300 µm.
+netlist::Floorplan jittered_grid(int rows, int cols, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<geom::Coord> jitter(-300, 300);
+  std::vector<netlist::Node> nodes;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      netlist::Node node;
+      node.id = r * cols + c;
+      node.position = {2000 + 2000 * c + jitter(rng),
+                       2000 + 2000 * r + jitter(rng)};
+      nodes.push_back(node);
+    }
+  }
+  return netlist::Floorplan(std::move(nodes), (cols + 2) * 2000,
+                            (rows + 2) * 2000);
+}
+
+TEST(CollectCandidates, MatchesReferenceOnPaperLayouts) {
+  for (const int n : {8, 16, 32}) {
+    const auto fp = netlist::Floorplan::standard(n);
+    EXPECT_GT(expect_candidates_match(make_ring(fp), fp,
+                                      "standard(" + std::to_string(n) + ")"),
+              0u);
+  }
+  const auto loop = netlist::Floorplan::ring_layout(3, 3, 1000);
+  EXPECT_GT(expect_candidates_match(make_ring(loop), loop, "ring_layout(3,3)"),
+            0u);
+}
+
+TEST(CollectCandidates, MatchesReferenceOnJitteredGrids) {
+  for (const auto& [rows, cols] : {std::pair{8, 8}, std::pair{8, 12}}) {
+    const auto fp = jittered_grid(rows, cols, 100 * rows + cols);
+    expect_candidates_match(
+        make_ring(fp), fp,
+        "jittered " + std::to_string(rows) + "x" + std::to_string(cols));
+  }
+}
+
+TEST(CollectCandidates, MatchesReferenceOnRandomCrossingTours) {
+  // Shuffled tours over coarse grids: many collinear nodes, rings that
+  // cross themselves, legs that end exactly on ring segments (T-junctions)
+  // and ring segments through other nodes.
+  std::mt19937 rng(2023);
+  std::size_t candidates = 0;
+  int crossing_rings = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const int side = std::uniform_int_distribution<int>(2, 8)(rng);
+    std::vector<geom::Point> cells;
+    for (int x = 0; x < side; ++x) {
+      for (int y = 0; y < side; ++y) cells.push_back({1000 * x, 1000 * y});
+    }
+    std::shuffle(cells.begin(), cells.end(), rng);
+    const int n = std::uniform_int_distribution<int>(
+        std::min(4, side * side), std::min<int>(63, cells.size()))(rng);
+    if (n < 3) continue;
+    std::vector<netlist::Node> nodes;
+    for (int i = 0; i < n; ++i) nodes.push_back({i, cells[i], ""});
+    const netlist::Floorplan fp(std::move(nodes), 1000 * side, 1000 * side);
+    std::vector<netlist::NodeId> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    const ring::RingGeometry ring =
+        ring::realize(ring::Tour(std::move(order), &fp), fp);
+    crossing_rings += ring.crossings > 0;
+    candidates += expect_candidates_match(
+        ring, fp, "trial " + std::to_string(trial) + " (n=" +
+                      std::to_string(n) + ")");
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(candidates, 0u);
+  EXPECT_GT(crossing_rings, 100);
+}
+
+TEST(CollectCandidates, MatchesReferenceOnSerpentine512) {
+  // The 16x32 boustrophedon ring of the n=512 scaling row.
+  constexpr int kRows = 16, kCols = 32;
+  const auto fp = netlist::Floorplan::grid(kRows, kCols, 2000);
+  std::vector<netlist::NodeId> order;
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 1; c < kCols; ++c) {
+      order.push_back(r * kCols + (r % 2 == 0 ? c : kCols - c));
+    }
+  }
+  for (int r = kRows - 1; r >= 0; --r) order.push_back(r * kCols);
+  const ring::RingGeometry ring =
+      ring::realize(ring::Tour(std::move(order), &fp), fp);
+  ASSERT_EQ(ring.crossings, 0);
+  EXPECT_GT(expect_candidates_match(ring, fp, "serpentine 16x32"), 100000u);
+}
+
+TEST(Tour, ArcLengthMatchesHopSum) {
+  std::mt19937 rng(5);
+  for (const int n : {3, 7, 64, 131}) {
+    std::vector<netlist::Node> nodes;
+    std::uniform_int_distribution<geom::Coord> coord(0, 50000);
+    for (int i = 0; i < n; ++i) nodes.push_back({i, {coord(rng), coord(rng)}, ""});
+    const netlist::Floorplan fp(std::move(nodes), 50000, 50000);
+    std::vector<netlist::NodeId> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    const ring::Tour tour(std::move(order), &fp);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = 0; b < n; ++b) {
+        ASSERT_EQ(tour.arc_length_cw(a, b),
+                  reference_arc_length_cw(tour, a, b))
+            << "n=" << n << " " << a << "->" << b;
+      }
+    }
   }
 }
 

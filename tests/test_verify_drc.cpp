@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "baseline/oring.hpp"
 #include "verify/drc.hpp"
 #include "xring/synthesizer.hpp"
 
 namespace xring::verify {
 namespace {
+
+using netlist::NodeId;
+using netlist::SignalId;
 
 SynthesisResult synthesize(int n) {
   static std::vector<std::unique_ptr<netlist::Floorplan>> keep;
@@ -158,6 +163,110 @@ TEST(Drc, DetectsMissingPdnFeed) {
     found |= v.rule == Violation::Rule::kPdnMissingFeed;
   }
   EXPECT_TRUE(found);
+}
+
+/// The arc-overlap and opening-blocked verdicts derived hop by hop: each
+/// arc marked into a std::vector<bool> over the tour's hops, each opening
+/// tested against the arc's interior positions. Returns the messages in
+/// check()'s emission order (arc pairs by (w, i<j), then openings by w).
+std::vector<std::string> per_hop_verdicts(const analysis::RouterDesign& d) {
+  const ring::Tour& tour = d.ring.tour;
+  const int n = tour.size();
+  auto covered = [&](SignalId id, mapping::Direction dir) {
+    const auto& sig = d.traffic.signal(id);
+    const NodeId from = dir == mapping::Direction::kCw ? sig.src : sig.dst;
+    const NodeId to = dir == mapping::Direction::kCw ? sig.dst : sig.src;
+    std::vector<bool> hops(n, false);
+    for (int p = tour.position(from); tour.at(p) != to; ++p) {
+      hops[p % n] = true;
+    }
+    return hops;
+  };
+  std::vector<std::string> out;
+  const auto& wgs = d.mapping.waveguides;
+  for (std::size_t w = 0; w < wgs.size(); ++w) {
+    for (std::size_t i = 0; i < wgs[w].signals.size(); ++i) {
+      for (std::size_t j = i + 1; j < wgs[w].signals.size(); ++j) {
+        const SignalId a = wgs[w].signals[i], b = wgs[w].signals[j];
+        const int wl = d.mapping.routes[a].wavelength;
+        if (wl != d.mapping.routes[b].wavelength) continue;
+        const std::vector<bool> ha = covered(a, wgs[w].dir);
+        const std::vector<bool> hb = covered(b, wgs[w].dir);
+        bool overlap = false;
+        for (int h = 0; h < n; ++h) overlap |= ha[h] && hb[h];
+        if (overlap) {
+          out.push_back("signals " + std::to_string(a) + " and " +
+                        std::to_string(b) + " overlap on waveguide " +
+                        std::to_string(w) + " wavelength " +
+                        std::to_string(wl));
+        }
+      }
+    }
+  }
+  for (std::size_t w = 0; w < wgs.size(); ++w) {
+    if (wgs[w].opening < 0) continue;
+    int passing = 0;
+    for (const SignalId id : wgs[w].signals) {
+      // Interior nodes: every node the arc enters that is not its end.
+      const std::vector<bool> hops = covered(id, wgs[w].dir);
+      const int pos = tour.position(wgs[w].opening);
+      passing += hops[pos] && hops[(pos + n - 1) % n];
+    }
+    if (passing > 0) {
+      out.push_back(std::to_string(passing) +
+                    " signal(s) pass the opening of waveguide " +
+                    std::to_string(w));
+    }
+  }
+  return out;
+}
+
+TEST(Drc, ArcAndOpeningVerdictsMatchPerHopReference) {
+  // Seeded random re-mappings of synthesized designs: every ring-routed
+  // signal lands on a random waveguide and one of a few wavelengths, and
+  // every opening moves to a random node, so overlaps and blocked openings
+  // are common.
+  std::mt19937 rng(16);
+  int overlaps = 0, blocked = 0;
+  for (const int n : {8, 16, 32}) {
+    const SynthesisResult base = synthesize(n);
+    for (int trial = 0; trial < 25; ++trial) {
+      analysis::RouterDesign d = base.design;
+      auto& wgs = d.mapping.waveguides;
+      std::uniform_int_distribution<int> pick_wg(0, wgs.size() - 1);
+      std::uniform_int_distribution<int> pick_wl(0, 2);
+      std::uniform_int_distribution<NodeId> pick_node(0, n - 1);
+      for (auto& wg : wgs) {
+        wg.signals.clear();
+        wg.opening = pick_node(rng);
+      }
+      for (std::size_t id = 0; id < d.mapping.routes.size(); ++id) {
+        mapping::SignalRoute& r = d.mapping.routes[id];
+        if (r.kind != mapping::RouteKind::kRingCw &&
+            r.kind != mapping::RouteKind::kRingCcw) {
+          continue;
+        }
+        r.waveguide = pick_wg(rng);
+        r.wavelength = pick_wl(rng);
+        r.kind = wgs[r.waveguide].dir == mapping::Direction::kCw
+                     ? mapping::RouteKind::kRingCw
+                     : mapping::RouteKind::kRingCcw;
+        wgs[r.waveguide].signals.push_back(static_cast<SignalId>(id));
+      }
+      std::vector<std::string> got;
+      for (const Violation& v : check(d, options_for(n))) {
+        overlaps += v.rule == Violation::Rule::kArcOverlap;
+        blocked += v.rule == Violation::Rule::kOpeningBlocked;
+        if (v.rule == Violation::Rule::kArcOverlap ||
+            v.rule == Violation::Rule::kOpeningBlocked) {
+          got.push_back(v.message);
+        }
+      }
+      ASSERT_EQ(got, per_hop_verdicts(d)) << n << " nodes, trial " << trial;
+    }
+  }
+  EXPECT_GT(overlaps, 0);
+  EXPECT_GT(blocked, 0);
 }
 
 TEST(Drc, ReportFormats) {
