@@ -220,8 +220,10 @@ void BM_Evaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_Evaluate)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
-/// The crosstalk engine alone: deposit-replay noise propagation over a
-/// synthesized design with losses and laser powers held fixed.
+/// compute_noise alone on an XRing design with losses and laser powers held
+/// fixed. XRing's tree PDN, residue filter and crossing-free ring leave no
+/// ring noise to walk, so this times the shortcut-crossing and CSE emitters
+/// plus the deposit replay; BM_OrnocCrosstalk times the ring walk.
 void BM_CrosstalkAnalysis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto fp = netlist::Floorplan::standard(n);
@@ -241,6 +243,25 @@ void BM_CrosstalkAnalysis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrosstalkAnalysis)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+/// compute_noise alone on ORNoC's comb-PDN design at #wl = n: every crossing
+/// tap walks all of the laser's wavelengths around the crossed waveguide —
+/// the ring noise walk that dominates the paper's Tables II-III.
+void BM_OrnocCrosstalk(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto fp = netlist::Floorplan::standard(n);
+  baseline::OrnocOptions opt;
+  opt.max_wavelengths = n;
+  const SynthesisResult r =
+      baseline::synthesize_ornoc(fp, ring::build_ring(fp), opt);
+  const analysis::AnalysisContext ctx(r.design);
+  const std::vector<double> laser_mw = r.metrics.laser_mw;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::compute_noise(ctx, r.metrics.loss_ledger, laser_mw, nullptr));
+  }
+}
+BENCHMARK(BM_OrnocCrosstalk)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 /// Crossing detection over the realized ring: SegmentIndex build plus every
 /// hop queried against the full segment set (the RingSubstrate inner loop),
@@ -407,6 +428,25 @@ void BM_ArcTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArcTable)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+
+/// The per-design device tables of an evaluation (AnalysisContext with the
+/// sweep-shared ring substrate and arc table, so only the DeviceIndex is
+/// built) for XRing on the serpentine ring, default #wl cap.
+void BM_DeviceIndex(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const SerpentineRing s = serpentine_ring(n);
+  ring::RingBuildResult ring;
+  ring.geometry = s.ring;
+  const Synthesizer synth(s.floorplan);
+  const SynthesisResult r = synth.run_with_ring({}, ring);
+  const analysis::RingSubstrate substrate(r.design.ring, s.floorplan);
+  const mapping::ArcTable arcs(r.design.ring.tour, r.design.traffic);
+  for (auto _ : state) {
+    const analysis::AnalysisContext ctx(r.design, &substrate, &arcs);
+    benchmark::DoNotOptimize(ctx.devices().receivers_at(0, 0));
+  }
+}
+BENCHMARK(BM_DeviceIndex)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every finished run recorded as gauges
 /// (`bench.<name>.real_time_ns` / `.cpu_time_ns` / `.iterations`) in the

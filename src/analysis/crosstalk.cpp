@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "par/pool.hpp"
 #include "phys/units.hpp"
@@ -29,54 +30,117 @@ struct NoiseSink {
   }
 };
 
+/// The two factors a ring noise walk multiplies by, per (waveguide, hop)
+/// and per (waveguide, tour position), each the exact expression the walk
+/// used to evaluate at that step (see tests/analysis_reference.hpp). Built
+/// once per compute_noise call, and only when something walks: comb-PDN
+/// taps, receiver residue without the Fig. 5(b) filter, or a self-crossing
+/// ring. The emitters only read them, so they can run on any thread.
+struct WalkGains {
+  int nodes = 0;
+  std::vector<double> hop;   ///< [w·n + h]: propagation over hop h
+  std::vector<double> node;  ///< [w·n + p]: devices + PDN crossings at p
+
+  WalkGains() = default;
+  explicit WalkGains(const AnalysisContext& ctx) {
+    const RouterDesign& d = ctx.design();
+    const phys::LossParams& lp = d.params.loss;
+    const ring::Tour& tour = d.ring.tour;
+    const DeviceIndex& dev = ctx.devices();
+    const int n_wg = static_cast<int>(d.mapping.waveguides.size());
+    const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
+    nodes = tour.size();
+    hop.resize(static_cast<std::size_t>(n_wg) * nodes);
+    node.resize(hop.size());
+    for (int w = 0; w < n_wg; ++w) {
+      const double scale = d.ring_scale(w);
+      double* hop_row = hop.data() + static_cast<std::size_t>(w) * nodes;
+      double* node_row = node.data() + static_cast<std::size_t>(w) * nodes;
+      for (int p = 0; p < nodes; ++p) {
+        const double hop_mm = tour.hop_length(p) / 1000.0 * scale;
+        hop_row[p] = phys::db_to_linear(-hop_mm * lp.propagation_db_per_mm);
+        double node_db =
+            (rx_mrrs * dev.receivers_at(w, p) + dev.senders_at(w, p)) *
+            lp.through_db;
+        if (d.has_pdn) node_db += dev.pdn_crossings_at(w, p) * lp.crossing_db;
+        node_row[p] = phys::db_to_linear(-node_db);
+      }
+    }
+  }
+};
+
+/// One wavelength of a ring noise walk: the power still travelling (once
+/// absorbed, the deposit) and the absorbing receiver (-1 if none).
+struct Lane {
+  double power_mw = 0.0;
+  SignalId victim = -1;
+  bool travelling = false;
+};
+
 /// Walks noise injected on ring waveguide `w` at node `at`, travelling the
-/// waveguide's transmission direction, until a wavelength-matched receiver
-/// absorbs it, the opening terminates it, or a full lap decays it. All
-/// per-node device lookups go through the context's DeviceIndex — O(1) per
-/// node instead of a rescan of the waveguide's signal list — with the
-/// attenuation expression kept in the exact operation order of the
-/// brute-force walk (see analysis/reference.cpp).
-void walk_ring_noise(const AnalysisContext& ctx, int w, NodeId at,
-                     int wavelength, double power_mw, NoiseSink& sink) {
-  if (power_mw < kNegligibleMw) return;
+/// waveguide's transmission direction. Lane k carries wavelength
+/// first_wl + k; each lane stops when a wavelength-matched receiver absorbs
+/// it, its power turns negligible or a full lap ends, and the opening stops
+/// every lane. Each lane's power sees exactly the multiplications, in the
+/// same order, that a walk of that wavelength alone applies, and the first
+/// receiver in waveguide signal order with a travelling wavelength absorbs
+/// it. The deposits go out after the walk in lane (ascending wavelength)
+/// order — the order one walk per wavelength emitted them.
+void walk_ring_noise(const AnalysisContext& ctx, const WalkGains& gains,
+                     int w, NodeId at, int first_wl, std::span<Lane> lanes,
+                     NoiseSink& sink) {
+  // The travelling lanes, ascending; a lane stopped mid-hop leaves the list
+  // at that hop's device step.
+  std::vector<int> live;
+  live.reserve(lanes.size());
+  for (int k = 0; k < static_cast<int>(lanes.size()); ++k) {
+    lanes[k].travelling = !(lanes[k].power_mw < kNegligibleMw);
+    if (lanes[k].travelling) live.push_back(k);
+  }
   const RouterDesign& d = ctx.design();
   const phys::LossParams& lp = d.params.loss;
-  const ring::Tour& tour = d.ring.tour;
   const mapping::RingWaveguide& wg = d.mapping.waveguides[w];
   const DeviceIndex& dev = ctx.devices();
-  const double scale = d.ring_scale(w);
-  const int n = tour.size();
-  const int step = wg.dir == mapping::Direction::kCw ? 1 : -1;
-  const double absorb_db = lp.drop_db + lp.photodetector_db;
-  const bool has_pdn = d.has_pdn;
-  const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
+  const int n = gains.nodes;
+  const bool cw = wg.dir == mapping::Direction::kCw;
+  const double absorb =
+      phys::db_to_linear(-(lp.drop_db + lp.photodetector_db));
+  const double* hop_gain = gains.hop.data() + static_cast<std::size_t>(w) * n;
+  const double* node_gain = gains.node.data() + static_cast<std::size_t>(w) * n;
+  const int opening = wg.opening >= 0 ? d.ring.tour.position(wg.opening) : -1;
 
-  int pos = ctx.arcs().position(at);
-  for (int travelled = 0; travelled < n; ++travelled) {
-    // Propagate over the hop to the next node. For cw travel from position
-    // p the hop index is p; for ccw travel it is p-1.
-    const int hop = wg.dir == mapping::Direction::kCw ? pos : pos - 1;
-    const double hop_mm = tour.hop_length(hop) / 1000.0 * scale;
-    power_mw *= phys::db_to_linear(-hop_mm * lp.propagation_db_per_mm);
-    pos = pos + step;
-    const int p = ((pos % n) + n) % n;
-    if (power_mw < kNegligibleMw) return;
-
+  int p = ctx.arcs().position(at);
+  for (int travelled = 0; travelled < n && !live.empty(); ++travelled) {
+    // Propagate over the hop to the next node: cw travel from position p
+    // crosses hop p, ccw travel crosses hop p-1.
+    const int hop = cw ? p : (p == 0 ? n - 1 : p - 1);
+    p = cw ? (p + 1 == n ? 0 : p + 1) : hop;
+    for (const int k : live) {
+      lanes[k].power_mw *= hop_gain[hop];
+      if (lanes[k].power_mw < kNegligibleMw) lanes[k].travelling = false;
+    }
     // Receiver bank first: a matched drop-MRR absorbs the noise into its
     // photodetector.
-    const SignalId receiver = dev.receiver_on(w, p, wavelength);
-    if (receiver >= 0) {
-      sink.deposit(receiver, power_mw * phys::db_to_linear(-absorb_db));
-      return;
+    for (const DeviceIndex::Receiver& r : dev.receivers(w, p)) {
+      const std::size_t k = static_cast<std::size_t>(r.wl - first_wl);
+      if (k >= lanes.size() || !lanes[k].travelling) continue;
+      lanes[k].power_mw *= absorb;
+      lanes[k].victim = r.id;
+      lanes[k].travelling = false;
     }
     // The opening cut sits between the receiver and sender banks.
-    if (wg.opening == tour.at(p)) return;
+    if (p == opening) break;
     // Attenuation by the node's off-resonance devices and PDN crossings.
-    double node_db =
-        (rx_mrrs * dev.receivers_at(w, p) + dev.senders_at(w, p)) *
-        lp.through_db;
-    if (has_pdn) node_db += dev.pdn_crossings_at(w, p) * lp.crossing_db;
-    power_mw *= phys::db_to_linear(-node_db);
+    std::size_t kept = 0;
+    for (const int k : live) {
+      if (!lanes[k].travelling) continue;
+      lanes[k].power_mw *= node_gain[p];
+      live[kept++] = k;
+    }
+    live.resize(kept);
+  }
+  for (const Lane& lane : lanes) {
+    if (lane.victim >= 0) sink.deposit(lane.victim, lane.power_mw);
   }
 }
 
@@ -128,29 +192,33 @@ void deliver_shortcut_noise(const AnalysisContext& ctx, int sc, NodeId end,
 }
 
 /// Rows from one comb-PDN crossing tap: every wavelength the laser emits
-/// leaks a fraction of its continuous-wave power into the crossed waveguide.
-void emit_pdn_tap(const AnalysisContext& ctx, const std::vector<double>& laser_mw,
+/// leaks a fraction of its continuous-wave power into the crossed
+/// waveguide, and all of them walk it together.
+void emit_pdn_tap(const AnalysisContext& ctx, const WalkGains& gains,
+                  const std::vector<double>& laser_mw,
                   const pdn::CrossingTap& tap,
                   std::vector<XtalkContribution>& rows) {
   const RouterDesign& d = ctx.design();
   const phys::LossParams& lp = d.params.loss;
   const double kx = phys::db_to_linear(d.params.crosstalk.crossing_db);
+  const double tap_gain =
+      phys::db_to_linear(-(tap.attenuation_db + lp.coupler_db));
   NoiseSink sink{rows};
   sink.aggressor = -1;
   sink.source = XtalkSource::kPdnLeak;
   sink.node = tap.node;
-  for (int wl = 0; wl < static_cast<int>(laser_mw.size()); ++wl) {
+  std::vector<Lane> lanes(laser_mw.size());
+  for (std::size_t wl = 0; wl < laser_mw.size(); ++wl) {
+    // A dark laser leaks nothing: its lane stays at 0, below the cutoff.
     if (laser_mw[wl] <= 0.0) continue;
-    const double leak = laser_mw[wl] *
-                        phys::db_to_linear(-(tap.attenuation_db + lp.coupler_db)) *
-                        kx;
-    walk_ring_noise(ctx, tap.waveguide, tap.node, wl, leak, sink);
+    lanes[wl].power_mw = laser_mw[wl] * tap_gain * kx;
   }
+  walk_ring_noise(ctx, gains, tap.waveguide, tap.node, 0, lanes, sink);
 }
 
 /// Rows from one aggressor signal (crossing leaks, CSE/receiver residue,
 /// residual ring-geometry crossings).
-void emit_signal(const AnalysisContext& ctx,
+void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
                  const std::vector<LossBreakdown>& losses,
                  const std::vector<double>& laser_mw, std::size_t i,
                  std::vector<XtalkContribution>& rows) {
@@ -223,8 +291,9 @@ void emit_signal(const AnalysisContext& ctx,
       sink.aggressor = id;
       sink.source = XtalkSource::kReceiverResidue;
       sink.node = sig.dst;
-      walk_ring_noise(ctx, r.waveguide, sig.dst, r.wavelength,
-                      at_receiver * kres, sink);
+      Lane lane{at_receiver * kres};
+      walk_ring_noise(ctx, gains, r.waveguide, sig.dst, r.wavelength,
+                      {&lane, 1}, sink);
     }
 
     // --- 4. Residual ring-geometry crossings ----------------------------
@@ -263,8 +332,9 @@ void emit_signal(const AnalysisContext& ctx,
                 laser_mw[r.wavelength] *
                 phys::db_to_linear(-losses[i].total_db() / 2.0);  // mid-path
             sink.node = tour.at(g);
-            walk_ring_noise(ctx, r.waveguide, tour.at(g), r.wavelength,
-                            p * kx * crossings, sink);
+            Lane lane{p * kx * crossings};
+            walk_ring_noise(ctx, gains, r.waveguide, tour.at(g),
+                            r.wavelength, {&lane, 1}, sink);
           }
         }
       }
@@ -290,6 +360,9 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
   const long taps =
       d.has_pdn ? static_cast<long>(d.pdn.taps.size()) : 0;
   const long items = taps + static_cast<long>(d.mapping.routes.size());
+  const bool walks = taps > 0 || !d.params.crosstalk.residue_filter ||
+                     d.ring.crossings > 0;
+  const WalkGains gains = walks ? WalkGains(ctx) : WalkGains();
 
   using Rows = std::vector<XtalkContribution>;
   par::ThreadPool& pool = par::global_pool();
@@ -298,10 +371,10 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
       pool, 0, items, Rows{},
       [&](long k, Rows& acc) {
         if (k < taps) {
-          emit_pdn_tap(ctx, laser_mw, d.pdn.taps[static_cast<std::size_t>(k)],
-                       acc);
+          emit_pdn_tap(ctx, gains, laser_mw,
+                       d.pdn.taps[static_cast<std::size_t>(k)], acc);
         } else {
-          emit_signal(ctx, losses, laser_mw,
+          emit_signal(ctx, gains, losses, laser_mw,
                       static_cast<std::size_t>(k - taps), acc);
         }
       },

@@ -22,31 +22,4 @@ double RouterDesign::ring_scale(int waveguide) const {
   return (base + 8.0 * spacing * waveguide) / base;
 }
 
-int RouterDesign::receivers_at(int waveguide, NodeId v) const {
-  int count = 0;
-  for (const SignalId id : mapping.waveguides[waveguide].signals) {
-    if (traffic.signal(id).dst == v) ++count;
-  }
-  return count;
-}
-
-int RouterDesign::senders_at(int waveguide, NodeId v) const {
-  int count = 0;
-  for (const SignalId id : mapping.waveguides[waveguide].signals) {
-    if (traffic.signal(id).src == v) ++count;
-  }
-  return count;
-}
-
-std::vector<SignalId> RouterDesign::receivers_on(int waveguide, NodeId v,
-                                                 int wl) const {
-  std::vector<SignalId> out;
-  for (const SignalId id : mapping.waveguides[waveguide].signals) {
-    if (traffic.signal(id).dst == v && mapping.routes[id].wavelength == wl) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 }  // namespace xring::analysis

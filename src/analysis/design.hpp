@@ -33,19 +33,6 @@ struct RouterDesign {
   /// simple rectilinear closed curve by d adds exactly 8d to its perimeter
   /// (4 net convex corners x 2d each). Arc lengths scale proportionally.
   double ring_scale(int waveguide) const;
-
-  /// Number of receiver drop-MRRs of node `v` on ring waveguide `w` (one
-  /// per signal terminating there; doubled by the residue-filter MRR of
-  /// Fig. 5(b) in the loss model, not here).
-  int receivers_at(int waveguide, NodeId v) const;
-
-  /// Number of modulators of node `v` on ring waveguide `w`.
-  int senders_at(int waveguide, NodeId v) const;
-
-  /// All signals terminating at node `v` on ring waveguide `w` with
-  /// wavelength `wl` (at most one by arc-disjointness, but returned as a
-  /// list so the crosstalk engine can stay assumption-free).
-  std::vector<SignalId> receivers_on(int waveguide, NodeId v, int wl) const;
 };
 
 /// Itemized insertion loss of one signal path. Units: dB (losses are

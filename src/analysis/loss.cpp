@@ -77,12 +77,9 @@ LossBreakdown ring_route_loss(const AnalysisContext& ctx, SignalId id) {
   // per-interior-node counts are integers, so the prefix-summed form equals
   // the node-by-node accumulation exactly.
   const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
-  b.through_mrrs = static_cast<int>(
-      rx_mrrs * dev.rx_on_interior(w, arc.start, arc.len) +
-      dev.tx_on_interior(w, arc.start, arc.len));
-  if (d.has_pdn) {
-    b.crossings += static_cast<int>(dev.pdn_on_interior(w, arc.start, arc.len));
-  }
+  b.through_mrrs = rx_mrrs * dev.rx_on_interior(w, arc.start, arc.len) +
+                   dev.tx_on_interior(w, arc.start, arc.len);
+  b.crossings += dev.pdn_on_interior(w, arc.start, arc.len);
   b.through_db = b.through_mrrs * lp.through_db;
 
   b.crossings += ring.crossings_on_arc(arc.start, arc.len);

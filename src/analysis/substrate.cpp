@@ -1,6 +1,7 @@
 #include "analysis/substrate.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "geom/sweep.hpp"
 
@@ -126,43 +127,52 @@ DeviceIndex::DeviceIndex(const RouterDesign& design,
   const ring::Tour& tour = design.ring.tour;
   nodes_ = tour.size();
   const int n_wg = static_cast<int>(design.mapping.waveguides.size());
+  const std::size_t cells = static_cast<std::size_t>(n_wg) * nodes_;
 
-  rx_.assign(n_wg, std::vector<int>(nodes_, 0));
-  tx_.assign(n_wg, std::vector<int>(nodes_, 0));
-  rx_lists_.assign(static_cast<std::size_t>(n_wg) * nodes_, {});
+  // Counting pass: each cell's count lands one slot to its right, so the
+  // running sum turns the arrays into the row-major running counts in place.
+  rx_.assign(cells + 1, 0);
+  tx_.assign(cells + 1, 0);
   for (int w = 0; w < n_wg; ++w) {
-    const mapping::RingWaveguide& wg = design.mapping.waveguides[w];
-    for (const SignalId id : wg.signals) {
+    for (const SignalId id : design.mapping.waveguides[w].signals) {
       const auto& sig = design.traffic.signal(id);
-      const int dst_pos = arcs.position(sig.dst);
-      const int src_pos = arcs.position(sig.src);
-      ++rx_[w][dst_pos];
-      ++tx_[w][src_pos];
-      rx_lists_[static_cast<std::size_t>(w) * nodes_ + dst_pos].push_back(
-          WlSig{design.mapping.routes[id].wavelength, id});
+      ++rx_[cell(w, arcs.position(sig.dst)) + 1];
+      ++tx_[cell(w, arcs.position(sig.src)) + 1];
+    }
+  }
+  std::partial_sum(rx_.begin(), rx_.end(), rx_.begin());
+  std::partial_sum(tx_.begin(), tx_.end(), tx_.begin());
+
+  // Stable CSR fill, one waveguide at a time: every bucket lists its
+  // receivers in the waveguide's signal order.
+  rx_lists_.resize(static_cast<std::size_t>(rx_.back()));
+  std::vector<std::int32_t> cursor(nodes_);
+  for (int w = 0; w < n_wg; ++w) {
+    std::copy_n(rx_.begin() + static_cast<std::ptrdiff_t>(cell(w, 0)),
+                nodes_, cursor.begin());
+    for (const SignalId id : design.mapping.waveguides[w].signals) {
+      const int pos = arcs.position(design.traffic.signal(id).dst);
+      rx_lists_[static_cast<std::size_t>(cursor[pos]++)] =
+          Receiver{design.mapping.routes[id].wavelength, id};
     }
   }
 
-  const bool pdn = design.has_pdn &&
-                   static_cast<int>(design.pdn.crossings_at.size()) >= n_wg;
-  rx_prefix_.assign(n_wg, {});
-  tx_prefix_.assign(n_wg, {});
-  if (pdn) {
-    pdn_.assign(n_wg, std::vector<int>(nodes_, 0));
-    pdn_prefix_.assign(n_wg, {});
-  }
-  for (int w = 0; w < n_wg; ++w) {
-    rx_prefix_[w].assign(nodes_ + 1, 0);
-    tx_prefix_[w].assign(nodes_ + 1, 0);
-    if (pdn) pdn_prefix_[w].assign(nodes_ + 1, 0);
-    for (int p = 0; p < nodes_; ++p) {
-      rx_prefix_[w][p + 1] = rx_prefix_[w][p] + rx_[w][p];
-      tx_prefix_[w][p + 1] = tx_prefix_[w][p] + tx_[w][p];
-      if (pdn) {
-        pdn_[w][p] = design.pdn.crossings_at[w][tour.at(p)];
-        pdn_prefix_[w][p + 1] = pdn_prefix_[w][p] + pdn_[w][p];
+  const auto& crossings = design.pdn.crossings_at;
+  const bool crossed =
+      design.has_pdn && static_cast<int>(crossings.size()) >= n_wg &&
+      std::any_of(crossings.begin(), crossings.begin() + n_wg,
+                  [](const std::vector<int>& row) {
+                    return std::any_of(row.begin(), row.end(),
+                                       [](int c) { return c != 0; });
+                  });
+  if (crossed) {
+    pdn_.assign(cells + 1, 0);
+    for (int w = 0; w < n_wg; ++w) {
+      for (int p = 0; p < nodes_; ++p) {
+        pdn_[cell(w, p) + 1] = crossings[w][tour.at(p)];
       }
     }
+    std::partial_sum(pdn_.begin(), pdn_.end(), pdn_.begin());
   }
 
   // Per-shortcut route tables, in ascending signal-id order — the exact

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -93,47 +94,62 @@ class RingSubstrate {
   bool degenerate_hop_ = false;
 };
 
-/// Mapping-dependent device lookup tables for one RouterDesign: per
-/// (waveguide, tour position) receiver/sender counts with cyclic prefix
-/// sums, first-match receiver lists, and per-shortcut route tables. Built
-/// once per evaluation in O(signals + waveguides·n); every query the loss
-/// and crosstalk engines issue afterwards is O(1) or O(devices at the
-/// queried node), replacing the O(|waveguide signals|) and O(|routes|)
-/// rescans of the brute-force accessors (RouterDesign::receivers_at et al.,
-/// which remain as the differential reference).
+/// Mapping-dependent device lookup tables for one RouterDesign, flat at
+/// ~8 bytes per (waveguide, tour position) cell:
+///  * per device kind (receivers, senders, PDN crossings) one int32 running
+///    count over the cells (w, pos) in row-major order, W·n+1 entries. A
+///    cell's count is an adjacent difference, an arc's interior sum two;
+///  * the receiver running count doubles as the CSR offsets of the
+///    per-cell receiver lists, filled stably in the waveguide's signal
+///    order — the first-match order the crosstalk walk scans;
+///  * the PDN-crossing count only when some ring waveguide is crossed at
+///    all (comb PDNs; the tree PDN is crossing-free, so XRing skips it);
+///  * per-shortcut route tables (O(signals)).
+/// Built once per evaluation in O(signals + waveguides·n); every query the
+/// loss and crosstalk engines issue afterwards is O(1) or O(devices at the
+/// queried node). tests/analysis_reference.hpp keeps the brute-force
+/// rescans these replace as the differential reference.
 class DeviceIndex {
  public:
+  /// One receiver of a (waveguide, position) cell: its signal's wavelength
+  /// and id.
+  struct Receiver {
+    int wl;
+    SignalId id;
+  };
+
   DeviceIndex() = default;
   DeviceIndex(const RouterDesign& design, const mapping::ArcTable& arcs);
 
-  /// receivers_at / senders_at by tour position (== the brute-force count).
-  int receivers_at(int w, int pos) const { return rx_[w][pos]; }
-  int senders_at(int w, int pos) const { return tx_[w][pos]; }
-  /// PDN crossings at the node occupying tour position `pos` (0 w/o PDN).
-  int pdn_crossings_at(int w, int pos) const { return pdn_[w][pos]; }
+  /// Receivers / senders terminating / starting at tour position `pos` on
+  /// waveguide `w`.
+  int receivers_at(int w, int pos) const { return cell_count(rx_, w, pos); }
+  int senders_at(int w, int pos) const { return cell_count(tx_, w, pos); }
+  /// PDN crossings at the node occupying tour position `pos` (0 when no
+  /// PDN branch crosses a ring waveguide).
+  int pdn_crossings_at(int w, int pos) const {
+    return pdn_.empty() ? 0 : cell_count(pdn_, w, pos);
+  }
 
-  /// Σ receivers_at / senders_at / pdn crossings over the arc's interior
+  /// Σ receivers_at / senders_at / pdn_crossings_at over the arc's interior
   /// positions (start+1 .. start+len-1) — the interior_nodes device scan of
-  /// ring_route_loss as one O(1) prefix-sum query each.
-  long long rx_on_interior(int w, int start, int len) const {
-    return interior_sum(rx_prefix_[w], start, len);
+  /// ring_route_loss as one O(1) running-count query each.
+  int rx_on_interior(int w, int start, int len) const {
+    return interior_sum(rx_, w, start, len);
   }
-  long long tx_on_interior(int w, int start, int len) const {
-    return interior_sum(tx_prefix_[w], start, len);
+  int tx_on_interior(int w, int start, int len) const {
+    return interior_sum(tx_, w, start, len);
   }
-  long long pdn_on_interior(int w, int start, int len) const {
-    return pdn_prefix_.empty() ? 0
-                               : interior_sum(pdn_prefix_[w], start, len);
+  int pdn_on_interior(int w, int start, int len) const {
+    return pdn_.empty() ? 0 : interior_sum(pdn_, w, start, len);
   }
 
-  /// First signal (in the waveguide's signal order — the order
-  /// RouterDesign::receivers_on yields) terminating at tour position `pos`
-  /// on waveguide `w` with wavelength `wl`; -1 when none.
-  SignalId receiver_on(int w, int pos, int wl) const {
-    for (const WlSig& e : rx_lists_[static_cast<std::size_t>(w) * nodes_ + pos]) {
-      if (e.wl == wl) return e.id;
-    }
-    return -1;
+  /// The receivers at tour position `pos` on waveguide `w`, in the
+  /// waveguide's signal order (the first one of a wavelength is the drop-MRR
+  /// that absorbs noise on it).
+  std::span<const Receiver> receivers(int w, int pos) const {
+    const std::size_t c = cell(w, pos);
+    return {rx_lists_.data() + rx_[c], rx_lists_.data() + rx_[c + 1]};
   }
 
   /// Mapped CSE routes entering shortcut `sc`'s crossing from node `from`
@@ -159,23 +175,31 @@ class DeviceIndex {
   }
 
  private:
-  struct WlSig {
-    int wl;
-    SignalId id;
-  };
   struct ChordSig {
     NodeId dst;
     int wl;
     SignalId id;
   };
 
-  long long interior_sum(const std::vector<long long>& prefix, int start,
-                         int len) const {
+  std::size_t cell(int w, int pos) const {
+    return static_cast<std::size_t>(w) * nodes_ + pos;
+  }
+
+  int cell_count(const std::vector<std::int32_t>& run, int w, int pos) const {
+    const std::size_t c = cell(w, pos);
+    return run[c + 1] - run[c];
+  }
+
+  /// Σ of waveguide w's cell counts over the interior of the cyclic arc;
+  /// `row[p]` is the running count before position p of that waveguide.
+  int interior_sum(const std::vector<std::int32_t>& run, int w, int start,
+                   int len) const {
     if (len <= 1) return 0;
+    const std::int32_t* row = run.data() + cell(w, 0);
     const int s = (start + 1) % nodes_;
     const int end = s + (len - 1);
-    if (end <= nodes_) return prefix[end] - prefix[s];
-    return (prefix[nodes_] - prefix[s]) + prefix[end - nodes_];
+    if (end <= nodes_) return row[end] - row[s];
+    return (row[nodes_] - row[s]) + (row[end - nodes_] - row[0]);
   }
 
   static int count_in(const std::vector<std::pair<NodeId, int>>& counts,
@@ -187,9 +211,8 @@ class DeviceIndex {
   }
 
   int nodes_ = 0;
-  std::vector<std::vector<int>> rx_, tx_, pdn_;             ///< [w][pos]
-  std::vector<std::vector<long long>> rx_prefix_, tx_prefix_, pdn_prefix_;
-  std::vector<std::vector<WlSig>> rx_lists_;                ///< [w·n + pos]
+  std::vector<std::int32_t> rx_, tx_, pdn_;  ///< running counts, W·n+1
+  std::vector<Receiver> rx_lists_;           ///< CSR entries, offsets rx_
   std::vector<std::vector<ChordSig>> chord_rx_;             ///< [shortcut]
   std::vector<std::vector<std::pair<NodeId, int>>> cse_in_counts_;
   std::vector<std::vector<std::pair<NodeId, int>>> chord_rx_counts_;
