@@ -149,7 +149,7 @@ BENCHMARK(BM_CreateOpenings)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillise
 
 /// The opening phase's inner loop in isolation: transactional relocation of
 /// every signal of each waveguide through find_first_fit (cursor-resumed,
-/// summary-answered probes), rolled back so every iteration replays the
+/// gap-tree-pruned probes), rolled back so every iteration replays the
 /// same searches. This is the path the Step-3 fast paths target.
 void BM_RelocateSearch(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -162,15 +162,14 @@ void BM_RelocateSearch(benchmark::State& state) {
   mo.max_wavelengths = n;
   mapping::Mapping m =
       mapping::assign_wavelengths(ring.tour, traffic, plan, mo, &arcs);
-  mapping::OccupancyIndex index(arcs, m);
+  mapping::OccupancyIndex index(arcs, m, mo.max_wavelengths);
   long long searches = 0;
   for (auto _ : state) {
     for (int w = 0; w < static_cast<int>(m.waveguides.size()); ++w) {
       const auto signals = m.waveguides[w].signals;
       index.begin_transaction();
       for (const mapping::SignalId id : signals) {
-        const auto slot = index.find_first_fit(m.waveguides[w].dir, id, w,
-                                               mo.max_wavelengths);
+        const auto slot = index.find_first_fit(m.waveguides[w].dir, id, w);
         if (slot.waveguide >= 0) {
           index.relocate(id, slot.waveguide, slot.wavelength);
         }
@@ -417,14 +416,14 @@ void BM_CollectCandidates(benchmark::State& state) {
 BENCHMARK(BM_CollectCandidates)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// The per-signal arc table of all-to-all traffic (both directions' hop
-/// intervals, masks and word spans) that a #wl sweep shares.
+/// intervals) that a #wl sweep shares.
 void BM_ArcTable(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const SerpentineRing s = serpentine_ring(n);
   const auto traffic = netlist::Traffic::all_to_all(n);
   for (auto _ : state) {
     const mapping::ArcTable arcs(s.ring.tour, traffic);
-    benchmark::DoNotOptimize(arcs.mask(0, mapping::Direction::kCw));
+    benchmark::DoNotOptimize(arcs.arc(0, mapping::Direction::kCw));
   }
 }
 BENCHMARK(BM_ArcTable)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);

@@ -299,8 +299,8 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
     // --- 4. Residual ring-geometry crossings ----------------------------
     // Only degraded constructions (Fig. 2(c) ablation) have them: a signal
     // passing such a crossing leaks onto another arc of its own waveguide.
-    // Coupling-pair discovery runs on the arc table: one O(n/64) AND of the
-    // signal's hop mask against the substrate's crossing-hop mask rules the
+    // Coupling-pair discovery runs on the arc table: one range query of the
+    // signal's arc against the substrate's crossing-hop mask rules the
     // whole section out (the overwhelmingly common case), and surviving
     // signals walk only their arc's crossing hops via the sparse rows —
     // visiting exactly the (h, g) pairs the occupied_hops × tour.size()
@@ -309,17 +309,9 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
          r.kind == mapping::RouteKind::kRingCcw) &&
         d.ring.crossings > 0) {
       const mapping::Direction dir = d.mapping.waveguides[r.waveguide].dir;
-      const std::uint64_t* mine = ctx.arcs().mask(id, dir);
       const std::vector<std::uint64_t>& crossing_hops =
           ctx.ring().cross_hop_mask();
-      bool overlaps = false;
-      for (std::size_t k = 0; k < crossing_hops.size(); ++k) {
-        if ((mine[k] & crossing_hops[k]) != 0) {
-          overlaps = true;
-          break;
-        }
-      }
-      if (overlaps) {
+      if (ctx.arcs().overlaps(id, dir, crossing_hops.data())) {
         const mapping::ArcTable::Arc arc = ctx.arc(id, dir);
         const int n = tour.size();
         sink.aggressor = id;

@@ -61,10 +61,10 @@ class RingSubstrate {
     return static_cast<geom::Coord>(interval_sum(len_prefix_, start, len));
   }
 
-  /// Hop bitset (one bit per hop, 64-bit words, same layout as
-  /// mapping::ArcTable masks): bit h set iff hop h participates in at least
-  /// one crossing. ANDing a signal's arc mask against this answers "does
-  /// this signal pass any residual crossing" in O(n/64).
+  /// Hop bitset (one bit per hop, 64-bit words, the layout
+  /// mapping::ArcTable::overlaps reads): bit h set iff hop h participates
+  /// in at least one crossing. One overlaps() query of a signal's arc
+  /// against it answers "does this signal pass any residual crossing".
   const std::vector<std::uint64_t>& cross_hop_mask() const {
     return cross_mask_;
   }
@@ -132,7 +132,7 @@ class DeviceIndex {
   }
 
   /// Σ receivers_at / senders_at / pdn_crossings_at over the arc's interior
-  /// positions (start+1 .. start+len-1) — the interior_nodes device scan of
+  /// positions (start+1 .. start+len-1) — the interior-node device scan of
   /// ring_route_loss as one O(1) running-count query each.
   int rx_on_interior(int w, int start, int len) const {
     return interior_sum(rx_, w, start, len);

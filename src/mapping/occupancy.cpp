@@ -25,8 +25,8 @@ bool is_ring_route(const SignalRoute& r) {
 
 int lowest_set_bit(std::uint64_t x) { return __builtin_ctzll(x); }
 
-/// Sets bits [lo, hi) of the bitset, a whole word at a time.
-void set_range(std::uint64_t* bits, int lo, int hi) {
+/// Flips bits [lo, hi) of the bitset, a whole word at a time.
+void flip_range(std::uint64_t* bits, int lo, int hi) {
   if (lo >= hi) return;
   const int wlo = lo >> 6;
   const int whi = (hi - 1) >> 6;
@@ -35,40 +35,19 @@ void set_range(std::uint64_t* bits, int lo, int hi) {
                                  ? (std::uint64_t{1} << (hi & 63)) - 1
                                  : ~std::uint64_t{0};
   if (wlo == whi) {
-    bits[wlo] |= first & last;
+    bits[wlo] ^= first & last;
     return;
   }
-  bits[wlo] |= first;
-  for (int k = wlo + 1; k < whi; ++k) bits[k] = ~std::uint64_t{0};
-  bits[whi] |= last;
-}
-
-/// Any live bit in the linear position range [lo, hi)? (hi <= n)
-bool any_bit_in(const std::vector<std::uint64_t>& bits, int lo, int hi) {
-  if (lo >= hi) return false;
-  const int wlo = lo >> 6;
-  const int whi = (hi - 1) >> 6;
-  const std::uint64_t first = ~std::uint64_t{0} << (lo & 63);
-  const std::uint64_t last = (hi & 63) != 0
-                                 ? (std::uint64_t{1} << (hi & 63)) - 1
-                                 : ~std::uint64_t{0};
-  if (wlo == whi) return (bits[wlo] & first & last) != 0;
-  if ((bits[wlo] & first) != 0) return true;
-  for (int k = wlo + 1; k < whi; ++k) {
-    if (bits[k] != 0) return true;
-  }
-  return (bits[whi] & last) != 0;
+  bits[wlo] ^= first;
+  for (int k = wlo + 1; k < whi; ++k) bits[k] = ~bits[k];
+  bits[whi] ^= last;
 }
 
 }  // namespace
 
 ArcTable::ArcTable(const ring::Tour& tour, const netlist::Traffic& traffic)
-    : nodes_(tour.size()),
-      words_((tour.size() + 63) / 64),
-      signal_count_(traffic.size()) {
+    : nodes_(tour.size()), signal_count_(traffic.size()) {
   arcs_.resize(static_cast<std::size_t>(2) * signal_count_);
-  masks_.assign(static_cast<std::size_t>(2) * signal_count_ * words_, 0);
-  spans_.resize(static_cast<std::size_t>(2) * signal_count_);
   NodeId max_id = 0;
   for (const auto& sig : traffic.signals()) {
     max_id = std::max({max_id, sig.src, sig.dst});
@@ -76,65 +55,30 @@ ArcTable::ArcTable(const ring::Tour& tour, const netlist::Traffic& traffic)
   for (int p = 0; p < nodes_; ++p) max_id = std::max(max_id, tour.at(p));
   positions_.assign(max_id + 1, -1);
   for (int p = 0; p < nodes_; ++p) positions_[tour.at(p)] = p;
-
-  // Valid hop bits per word: the last word of a non-multiple-of-64 ring has
-  // hops only in its low n%64 bits; occupancy never sets bits above them,
-  // so an arc covering every valid bit of a word overlaps any live bit
-  // there ("fully covered" in the summary sense).
-  std::vector<std::uint64_t> valid(words_, ~std::uint64_t{0});
-  if (nodes_ % 64 != 0 && words_ > 0) {
-    valid[words_ - 1] = (std::uint64_t{1} << (nodes_ % 64)) - 1;
-  }
-
   for (const auto& sig : traffic.signals()) {
     for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
-      const int idx = index(sig.id, dir);
-      const Arc a = arc_of(tour, sig, dir);
-      arcs_[idx] = a;
-      std::uint64_t* m = masks_.data() + static_cast<std::size_t>(idx) * words_;
-      // The arc's hops [start, start+len) mod n as at most two linear
-      // ranges, split at the wrap.
-      const int end = a.start + a.len;
-      set_range(m, a.start, std::min(end, nodes_));
-      set_range(m, 0, end - nodes_);
-      if (words_ <= 64) {
-        WordSpan& span = spans_[idx];
-        for (int k = 0; k < words_; ++k) {
-          if (m[k] == 0) continue;
-          const std::uint64_t bit = std::uint64_t{1} << k;
-          if (m[k] == valid[k]) {
-            span.full |= bit;
-          } else {
-            span.partial |= bit;
-          }
-        }
-      }
+      arcs_[index(sig.id, dir)] = arc_of(tour, sig, dir);
     }
   }
 }
 
-OccupancyIndex::OccupancyIndex(const ArcTable& arcs, Mapping& mapping)
-    : arcs_(&arcs), mapping_(&mapping) {
+OccupancyIndex::OccupancyIndex(const ArcTable& arcs, Mapping& mapping,
+                               int max_wavelengths)
+    : arcs_(&arcs), mapping_(&mapping), stride_(max_wavelengths) {
+  if (max_wavelengths < 1) {
+    throw std::invalid_argument("max_wavelengths (#wl) must be >= 1, got " +
+                                std::to_string(max_wavelengths));
+  }
   slots_.resize(mapping.waveguides.size());
-  passing_.resize(mapping.waveguides.size());
+  passing_.assign(mapping.waveguides.size(),
+                  std::vector<int>(arcs.nodes(), 0));
+  for (GapTree& tree : gap_) tree.stride_ = stride_;
+  for (const RingWaveguide& wg : mapping.waveguides) append_gap_slots(wg.dir);
   for (std::size_t w = 0; w < mapping.waveguides.size(); ++w) {
-    passing_[w].assign(arcs.nodes(), 0);
-    const RingWaveguide& wg = mapping.waveguides[w];
-    for (const SignalId id : wg.signals) {
+    for (const SignalId id : mapping.waveguides[w].signals) {
       add_to_slots(static_cast<int>(w), mapping.routes[id].wavelength, id, +1);
     }
   }
-}
-
-void OccupancyIndex::GapTree::reset(int count, int stride) {
-  stride_ = stride;
-  size_ = count;
-  wcount_ = (count + stride - 1) / stride;
-  cap_ = 1;
-  while (cap_ < wcount_) cap_ *= 2;
-  leaf_.assign(count, Node{-1, ~std::uint64_t{0}});
-  node_.assign(static_cast<std::size_t>(2) * cap_,
-               Node{-1, ~std::uint64_t{0}});
 }
 
 void OccupancyIndex::GapTree::refresh_waveguide(int w) {
@@ -278,24 +222,12 @@ int OccupancyIndex::max_free_run(const SlotBits& slot) const {
   return std::max(best, run + first_gap);
 }
 
-void OccupancyIndex::build_gap_trees() {
-  const int L = stride_;
-  const int W = static_cast<int>(mapping_->waveguides.size());
-  gap_[0].reset(W * L, L);
-  gap_[1].reset(W * L, L);
-  for (int w = 0; w < W; ++w) {
-    const int d = mapping_->waveguides[w].dir == Direction::kCw ? 0 : 1;
-    const auto& wg_slots = slots_[w];
-    for (int wl = 0; wl < L; ++wl) {
-      if (wl < static_cast<int>(wg_slots.size())) {
-        const SlotBits& slot = wg_slots[wl];
-        gap_[d].set(w * L + wl, max_free_run(slot), slot.buckets);
-      } else {
-        gap_[d].set(w * L + wl, arcs_->nodes(), 0);
-      }
-    }
+void OccupancyIndex::append_gap_slots(Direction dir) {
+  const int d = dir == Direction::kCw ? 0 : 1;
+  for (int wl = 0; wl < stride_; ++wl) {
+    gap_[d].append(arcs_->nodes(), 0);  // empty: free run n, no live bucket
+    gap_[1 - d].append(-1, ~std::uint64_t{0});
   }
-  gap_built_ = true;
 }
 
 void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
@@ -314,105 +246,41 @@ void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
     // dirtied slots.
     removal_log_.push_back({++epoch_, waveguide, wavelength});
   }
-  const std::uint64_t* m = arcs_->mask(id, dir);
-  for (int k = 0; k < arcs_->words(); ++k) {
-    if (m[k] == 0) continue;
-    // Placements within a slot are disjoint (every placement passed fits),
-    // so XOR both sets and clears exactly the signal's own bits.
-    slot.bits[k] ^= m[k];
-    if (arcs_->summarizable()) {
-      const std::uint64_t bit = std::uint64_t{1} << k;
-      if (slot.bits[k] != 0) {
-        slot.summary |= bit;
-      } else {
-        slot.summary &= ~bit;
-      }
-    }
-  }
   slot.live += sign * a.len;
-  if (a.len > 0) {
-    // Refresh the 64-bucket occupancy mask for exactly the buckets the arc
-    // overlaps (bucket width ceil(n/64) hops); all other buckets kept their
-    // bit pattern, so their mask bits are still correct.
-    const int n = arcs_->nodes();
-    const int B = (n + 63) / 64;
-    const auto update_buckets = [&](int x, int y) {  // linear piece [x, y)
-      for (int j = x / B; j * B < y && j < 64; ++j) {
-        const int lo = j * B;
-        const int hi = std::min((j + 1) * B, n);
-        if (any_bit_in(slot.bits, lo, hi)) {
-          slot.buckets |= std::uint64_t{1} << j;
-        } else {
-          slot.buckets &= ~(std::uint64_t{1} << j);
-        }
+  const int n = arcs_->nodes();
+  const int B = (n + 63) / 64;
+  // Placements within a slot are disjoint (every placement passed fits), so
+  // flipping the arc's hop range both sets and clears exactly the signal's
+  // own bits. Then refresh the 64-bucket occupancy mask for exactly the
+  // buckets the arc overlaps (bucket width ceil(n/64) hops); all other
+  // buckets kept their bit pattern, so their mask bits are still correct.
+  const auto flip_piece = [&](int x, int y) {  // linear piece [x, y)
+    flip_range(slot.bits.data(), x, y);
+    for (int j = x / B; j * B < y && j < 64; ++j) {
+      const int lo = j * B;
+      const int hi = std::min((j + 1) * B, n);
+      if (any_bit_in(slot.bits.data(), lo, hi)) {
+        slot.buckets |= std::uint64_t{1} << j;
+      } else {
+        slot.buckets &= ~(std::uint64_t{1} << j);
       }
-    };
-    const int end = a.start + a.len;
-    if (end <= n) {
-      update_buckets(a.start, end);
-    } else {
-      update_buckets(a.start, n);
-      update_buckets(0, end - n);
     }
+  };
+  const int end = a.start + a.len;
+  if (end <= n) {
+    flip_piece(a.start, end);
+  } else {
+    flip_piece(a.start, n);
+    flip_piece(0, end - n);
   }
-  if (gap_built_ && wavelength < stride_) {
+  if (wavelength < stride_) {
     gap_[dir == Direction::kCw ? 0 : 1].set(
         waveguide * stride_ + wavelength, max_free_run(slot), slot.buckets);
   }
-  const int n = arcs_->nodes();
   std::vector<int>& pass = passing_[waveguide];
   for (int h = 1; h < a.len; ++h) {
     pass[(a.start + h) % n] += sign;
   }
-}
-
-bool OccupancyIndex::fits_words(const SlotBits& slot, SignalId id,
-                                Direction dir, bool resident) const {
-  const std::uint64_t* bits = slot.bits.data();
-  const std::uint64_t* mine = arcs_->mask(id, dir);
-  // `mine` is zero outside the arc's word range, so only the words the arc
-  // touches can fail the test; a wrapping arc touches two word runs. Most
-  // signals cover a short arc, making this O(arc/64) instead of O(n/64).
-  const ArcTable::Arc a = arcs_->arc(id, dir);
-  if (a.len <= 0) return true;
-  const int last = a.start + a.len - 1;  // inclusive, may exceed n-1
-  const auto scan = [&](int word_lo, int word_hi) {  // inclusive word range
-    for (int k = word_lo; k <= word_hi; ++k) {
-      if ((bits[k] & mine[k]) != (resident ? mine[k] : 0)) return false;
-    }
-    return true;
-  };
-  if (last < arcs_->nodes()) {
-    return scan(a.start >> 6, last >> 6);
-  }
-  return scan(a.start >> 6, arcs_->words() - 1) &&
-         scan(0, (last - arcs_->nodes()) >> 6);
-}
-
-bool OccupancyIndex::fits_scan(int waveguide, int wavelength,
-                               SignalId id) const {
-  const Mapping& m = *mapping_;
-  const RingWaveguide& wg = m.waveguides[waveguide];
-  const Direction dir = wg.dir;
-
-  // An already-fixed opening must not lie inside the signal's arc.
-  if (wg.opening != -1 &&
-      arcs_->interior_contains(id, dir, arcs_->position(wg.opening))) {
-    return false;
-  }
-
-  const auto& wg_slots = slots_[waveguide];
-  if (wavelength >= static_cast<int>(wg_slots.size()) ||
-      wg_slots[wavelength].bits.empty()) {
-    return true;  // nothing occupies this (waveguide, λ) slot yet
-  }
-  // If the signal itself already resides in this slot, its own bits are in
-  // the slot; the brute-force reference skips `other == signal`, which here
-  // means the intersection must be exactly the signal's own mask.
-  const SignalRoute& r = m.routes[id];
-  const bool resident = is_ring_route(r) && r.waveguide == waveguide &&
-                        r.wavelength == wavelength;
-  return fits_words(wg_slots[wavelength], id, dir, resident);
 }
 
 bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
@@ -421,6 +289,7 @@ bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
   const RingWaveguide& wg = m.waveguides[waveguide];
   const Direction dir = wg.dir;
 
+  // An already-fixed opening must not lie inside the signal's arc.
   if (wg.opening != -1 &&
       arcs_->interior_contains(id, dir, arcs_->position(wg.opening))) {
     ++stats_.fits_summary_hits;
@@ -429,76 +298,33 @@ bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
 
   const auto& wg_slots = slots_[waveguide];
   if (wavelength >= static_cast<int>(wg_slots.size()) ||
-      wg_slots[wavelength].bits.empty()) {
+      wg_slots[wavelength].live == 0) {
     ++stats_.fits_summary_hits;
-    return true;
+    return true;  // nothing occupies this (waveguide, λ) slot
   }
   const SlotBits& slot = wg_slots[wavelength];
   const SignalRoute& r = m.routes[id];
-  const bool resident = is_ring_route(r) && r.waveguide == waveguide &&
-                        r.wavelength == wavelength;
   const ArcTable::Arc a = arcs_->arc(id, dir);
-  if (a.len <= 0) {
+  // A signal resident in the slot overlaps only itself, which the
+  // brute-force reference skips: placements within a slot are disjoint.
+  if (a.len <= 0 || (is_ring_route(r) && r.waveguide == waveguide &&
+                     r.wavelength == wavelength)) {
     ++stats_.fits_summary_hits;
     return true;
   }
-  if (!resident) {
-    if (slot.live == 0) {
-      ++stats_.fits_summary_hits;
-      return true;  // definite accept: the slot holds no bits at all
-    }
-    if (slot.live + a.len > arcs_->nodes()) {
-      // Definite reject by pigeonhole: the slot's free hops number fewer
-      // than the arc needs, so SOME occupied hop lies inside the arc.
-      ++stats_.fits_summary_hits;
-      return false;
-    }
-    if (arcs_->summarizable()) {
-      const ArcTable::WordSpan& span = arcs_->word_span(id, dir);
-      if (slot.summary & span.full) {
-        // Definite reject: a word the arc covers completely has live bits.
-        ++stats_.fits_summary_hits;
-        return false;
-      }
-      std::uint64_t p = slot.summary & span.partial;
-      if (p == 0) {
-        // Definite accept: every word with live bits is disjoint from the
-        // arc's words.
-        ++stats_.fits_summary_hits;
-        return true;
-      }
-      // Inconclusive only on the partially-covered boundary words (at most
-      // four, for a wrapping arc): check those exactly.
-      const std::uint64_t* bits = slot.bits.data();
-      const std::uint64_t* mine = arcs_->mask(id, dir);
-      while (p != 0) {
-        const int k = lowest_set_bit(p);
-        if ((bits[k] & mine[k]) != 0) return false;
-        p &= p - 1;
-      }
-      return true;
-    }
+  if (slot.live + a.len > arcs_->nodes()) {
+    // Pigeonhole: the slot's free hops number fewer than the arc needs, so
+    // SOME occupied hop lies inside the arc.
+    ++stats_.fits_summary_hits;
+    return false;
   }
-  return fits_words(slot, id, dir, resident);
+  return !arcs_->overlaps(id, dir, slot.bits.data());
 }
 
 OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
-                                                    int from_waveguide,
-                                                    int max_wavelengths) {
+                                                    int from_waveguide) {
   if (from_waveguide >= 0) ++stats_.reloc_attempts;
-  const int L = max_wavelengths;
-  if (stride_ == 0) {
-    // The first search fixes the cap this index serves. Every Step-3 entry
-    // point (assign_wavelengths, create_openings, ornoc_assignment) reaches
-    // here before touching a slot, so this one check guards them all.
-    if (L < 1) {
-      throw std::invalid_argument("max_wavelengths (#wl) must be >= 1, got " +
-                                  std::to_string(L));
-    }
-    stride_ = L;
-  }
-  assert(stride_ == L && "one OccupancyIndex instance serves one #wl cap");
-  if (!gap_built_) build_gap_trees();
+  const int L = stride_;
   const int W = static_cast<int>(mapping_->waveguides.size());
   const long long nslots = static_cast<long long>(W) * L;
   if (cursors_.empty()) {
@@ -518,8 +344,7 @@ OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
   const int need = a.len > 0 ? a.len : 0;  // len<=0 fits any slot
   // Hop buckets the arc covers completely: a slot (or whole subtree) whose
   // occupancy mask intersects them provably rejects. Bucket width is
-  // ceil(n/64) hops — position-exact for n <= 64, and always 4x finer than
-  // the 64-bit summary words for larger rings.
+  // ceil(n/64) hops — position-exact for n <= 64.
   const int n = arcs_->nodes();
   const int B = (n + 63) / 64;
   const auto bucket_range = [&](int x, int y) -> std::uint64_t {  // [x, y)
@@ -683,13 +508,7 @@ int OccupancyIndex::add_waveguide(Direction dir) {
   const int w = mapping_->add_waveguide(dir);
   slots_.emplace_back();
   passing_.emplace_back(arcs_->nodes(), 0);
-  if (gap_built_) {
-    const int d = dir == Direction::kCw ? 0 : 1;
-    for (int wl = 0; wl < stride_; ++wl) {
-      gap_[d].append(arcs_->nodes(), 0);
-      gap_[1 - d].append(-1, ~std::uint64_t{0});
-    }
-  }
+  append_gap_slots(dir);
   return w;
 }
 

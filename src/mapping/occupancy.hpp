@@ -8,21 +8,38 @@
 
 namespace xring::mapping {
 
+/// Any set bit at positions [lo, hi) of a bitset of 64-bit words?
+/// (0 <= lo, hi <= the bitset's bit count.)
+inline bool any_bit_in(const std::uint64_t* bits, int lo, int hi) {
+  if (lo >= hi) return false;
+  const int wlo = lo >> 6;
+  const int whi = (hi - 1) >> 6;
+  const std::uint64_t first = ~std::uint64_t{0} << (lo & 63);
+  const std::uint64_t last = (hi & 63) != 0
+                                 ? (std::uint64_t{1} << (hi & 63)) - 1
+                                 : ~std::uint64_t{0};
+  if (wlo == whi) return (bits[wlo] & first & last) != 0;
+  if ((bits[wlo] & first) != 0) return true;
+  for (int k = wlo + 1; k < whi; ++k) {
+    if (bits[k] != 0) return true;
+  }
+  return (bits[whi] & last) != 0;
+}
+
 /// Precomputed arc geometry of every signal over one (tour, traffic) pair.
 ///
 /// A ring-routed signal occupies a *contiguous* run of tour hops — the cw
 /// arc src→dst when riding a clockwise waveguide, the cw arc dst→src when
-/// riding a counter-clockwise one. The table stores that run twice per
-/// signal (one per direction) as a half-open hop interval [start, start+len)
-/// mod n plus a hop bitset, so the hot predicates of Step 3 become O(1)
-/// interval arithmetic / O(n/64) word scans instead of re-deriving
-/// `occupied_hops` / `interior_nodes` vectors on every probe.
+/// riding a counter-clockwise one. The table stores that run once per
+/// signal and direction, as a half-open hop interval [start, start+len)
+/// mod n, so the hot predicates of Step 3 become O(1) interval arithmetic
+/// or one range query over a hop bitset instead of re-deriving hop or node
+/// vectors on every probe.
 ///
 /// The table depends only on (tour, traffic) — not on #wl — so one instance
 /// is shared read-only across every setting of a `#wl` sweep (it is
-/// immutable after construction and safe to read concurrently). The sweep
-/// cache (`SweepCache`) carries it, including the word spans below that
-/// back the summary-level `fits` fast path.
+/// immutable after construction and safe to read concurrently); the sweep
+/// cache (`SweepCache`) carries it.
 class ArcTable {
  public:
   ArcTable() = default;
@@ -30,7 +47,8 @@ class ArcTable {
 
   bool empty() const { return nodes_ == 0; }
   int nodes() const { return nodes_; }
-  int words() const { return words_; }
+  /// 64-bit words of a hop bitset over this ring (one bit per hop).
+  int words() const { return (nodes_ + 63) / 64; }
   int signals() const { return signal_count_; }
 
   /// One directed arc: tour position of its first hop plus hop count.
@@ -41,32 +59,19 @@ class ArcTable {
 
   Arc arc(SignalId id, Direction dir) const { return arcs_[index(id, dir)]; }
 
-  /// Bitset (words() 64-bit words) over the hop indices the arc covers;
-  /// bit h set iff hop h (connecting tour position h to h+1) is occupied.
-  const std::uint64_t* mask(SignalId id, Direction dir) const {
-    return masks_.data() + static_cast<std::size_t>(index(id, dir)) * words_;
+  /// True when `bits` (a words()-word hop bitset; bit h is hop h, joining
+  /// tour positions h and h+1) has a set bit on one of the arc's hops — a
+  /// range query over the arc's one or two linear pieces, split at the wrap.
+  bool overlaps(SignalId id, Direction dir, const std::uint64_t* bits) const {
+    const Arc a = arcs_[index(id, dir)];
+    const int end = a.start + a.len;
+    if (end <= nodes_) return any_bit_in(bits, a.start, end);
+    return any_bit_in(bits, a.start, nodes_) ||
+           any_bit_in(bits, 0, end - nodes_);
   }
-
-  /// Summary-level view of one arc, for the O(1) `fits` fast path: bit k of
-  /// `full` is set when the arc covers every valid hop bit of occupancy
-  /// word k (so any live bit in that word is an overlap), bit k of
-  /// `partial` when it covers some but not all (the word must be checked
-  /// exactly). Only populated when summarizable().
-  struct WordSpan {
-    std::uint64_t full = 0;
-    std::uint64_t partial = 0;
-  };
-
-  const WordSpan& word_span(SignalId id, Direction dir) const {
-    return spans_[index(id, dir)];
-  }
-
-  /// The two-level summary covers rings of up to 64 occupancy words
-  /// (n <= 4096); wider rings fall back to the word scan everywhere.
-  bool summarizable() const { return words_ <= 64; }
 
   /// True when tour position `pos` is strictly inside the arc — i.e. the
-  /// node at `pos` is one of the signal's `interior_nodes`.
+  /// signal passes *through* the node there (endpoints excluded).
   bool interior_contains(SignalId id, Direction dir, int pos) const {
     const Arc a = arcs_[index(id, dir)];
     const int d = pos - a.start;
@@ -83,23 +88,18 @@ class ArcTable {
   }
 
   int nodes_ = 0;
-  int words_ = 0;
   int signal_count_ = 0;
-  std::vector<Arc> arcs_;             ///< [direction][signal]
-  std::vector<std::uint64_t> masks_;  ///< [direction][signal][word]
-  std::vector<WordSpan> spans_;       ///< [direction][signal]
-  std::vector<int> positions_;        ///< node id -> tour position
+  std::vector<Arc> arcs_;       ///< [direction][signal]
+  std::vector<int> positions_;  ///< node id -> tour position
 };
 
 /// Incremental mirror of a Mapping's ring-waveguide occupancy.
 ///
 /// Maintains, in lockstep with the Mapping it wraps:
-///   - per (waveguide, wavelength) hop bitsets plus a two-level summary
-///     (one 64-bit summary word over the n/64 occupancy words and a live
-///     set-bit count), making `fits` O(1) for definite accepts (disjoint
-///     summaries, empty slots) and definite rejects (a fully-covered word
-///     with live bits, or the pigeonhole `live + len > n`), with the PR-4
-///     word scan kept verbatim as the fallback and reference (`fits_scan`);
+///   - per (waveguide, wavelength) hop bitsets plus a live set-bit count:
+///     `fits` answers empty slots, resident signals and the pigeonhole
+///     reject `live + len > n` without reading the bits, and otherwise
+///     runs one `ArcTable::overlaps` range query over the arc's words;
 ///   - per-signal first-fit cursors per direction: `find_first_fit` resumes
 ///     where the same signal's previous search failed instead of from slot
 ///     0. A cursor stays sound because failed probes are monotone under bit
@@ -129,24 +129,21 @@ class ArcTable {
 ///
 /// All mutations of the mapping's ring state must go through this class
 /// while an index is live. Predicates are *bit-identical* to the brute-force
-/// reference implementations (`mapping::fits`, `mapping::passing_signals`):
-/// the index only evaluates the same predicates faster, which
-/// tests/test_mapping_index.cpp and tests/test_mapping_fastpath.cpp enforce
-/// differentially.
+/// reference predicates in tests/mapping_reference.hpp: the index only
+/// evaluates the same predicates faster, which tests/test_mapping_index.cpp
+/// and tests/test_mapping_fastpath.cpp enforce differentially.
 class OccupancyIndex {
  public:
-  /// Builds the index over the mapping's current ring placements.
-  OccupancyIndex(const ArcTable& arcs, Mapping& mapping);
+  /// Builds the index over the mapping's current ring placements, serving
+  /// one #wl cap: `max_wavelengths` slots per waveguide. Throws
+  /// std::invalid_argument when `max_wavelengths` < 1, so every Step-3
+  /// entry point rejects the cap even when nothing is ring-routed.
+  OccupancyIndex(const ArcTable& arcs, Mapping& mapping, int max_wavelengths);
 
-  /// Indexed equivalent of mapping::fits(tour, traffic, m, w, wl, id).
-  /// Summary fast path first, word scan only when the summary is
-  /// inconclusive; always returns exactly what `fits_scan` would.
+  /// True if the signal can join the (waveguide, wavelength) slot: its arc
+  /// overlaps no other same-slot arc and does not pass the waveguide's
+  /// opening (once fixed). Equals the brute-force reference predicate.
   bool fits(int waveguide, int wavelength, SignalId id) const;
-
-  /// The PR-4 word-scan `fits`, kept verbatim as the differential reference
-  /// for the summary fast path (and as the fallback when the ring exceeds
-  /// the summary's 64-word reach).
-  bool fits_scan(int waveguide, int wavelength, SignalId id) const;
 
   /// A found (waveguide, wavelength) slot; waveguide < 0 means none fits.
   struct Slot {
@@ -159,14 +156,11 @@ class OccupancyIndex {
   /// wavelength 0..max_wavelengths-1 within each — whose slot fits the
   /// signal; exactly the slot the brute-force first-fit loops of
   /// `place_on_ring` / the opening relocation find. Resumes from the
-  /// signal's cursor when it is still sound (see class comment). Every
-  /// `find_first_fit` call on one index instance must use the same
-  /// `max_wavelengths` (one index serves one #wl setting); the first call
-  /// throws std::invalid_argument when it is below 1.
-  Slot find_first_fit(Direction dir, SignalId id, int from_waveguide,
-                      int max_wavelengths);
+  /// signal's cursor when it is still sound (see class comment).
+  Slot find_first_fit(Direction dir, SignalId id, int from_waveguide);
 
-  /// Indexed equivalent of mapping::passing_signals(..., w, tour.at(pos)).
+  /// Number of signals on `waveguide` whose arcs pass through the node at
+  /// tour position `pos` (the brute-force reference's passing count).
   int passing_count(int waveguide, int pos) const {
     return passing_[waveguide][pos];
   }
@@ -207,7 +201,7 @@ class OccupancyIndex {
   /// pool size.
   struct SearchStats {
     long long fits_probes = 0;       ///< fits() evaluations
-    long long fits_summary_hits = 0; ///< probes answered without a word read
+    long long fits_summary_hits = 0; ///< probes answered without slot bits
     long long reloc_attempts = 0;    ///< find_first_fit calls with a `from`
   };
 
@@ -216,16 +210,13 @@ class OccupancyIndex {
   const ArcTable& arcs() const { return *arcs_; }
 
  private:
-  /// One (waveguide, wavelength) slot: hop bitset plus its two-level
-  /// summary — bit k of `summary` set iff bits[k] != 0, `live` the total
-  /// set-bit count (placements within a slot are disjoint, so it is the sum
+  /// One (waveguide, wavelength) slot: hop bitset plus its total set-bit
+  /// count `live` (placements within a slot are disjoint, so it is the sum
   /// of resident arc lengths).
   struct SlotBits {
     std::vector<std::uint64_t> bits;  ///< empty = all-zero (grown lazily)
-    std::uint64_t summary = 0;
     /// Bit j set iff hop bucket j holds a live bit, where the ring's n
-    /// positions split into 64 uniform buckets of ceil(n/64) hops — a
-    /// position-finer (and n-independent) analogue of `summary` that feeds
+    /// positions split into 64 uniform buckets of ceil(n/64) hops; feeds
     /// the gap tree's occupancy filter.
     std::uint64_t buckets = 0;
     int live = 0;
@@ -291,7 +282,6 @@ class OccupancyIndex {
     /// the whole heap cache-resident even at n=1024.
     std::vector<Node> node_;
 
-    void reset(int count, int stride);
     void set(int k, int gap, std::uint64_t occ);
     void append(int gap, std::uint64_t occ);
     /// First slot index >= from with gap >= need and (occ & full) == 0 —
@@ -305,14 +295,15 @@ class OccupancyIndex {
   };
 
   void add_to_slots(int waveguide, int wavelength, SignalId id, int sign);
-  bool fits_words(const SlotBits& slot, SignalId id, Direction dir,
-                  bool resident) const;
   /// Longest circular run of free hop positions in the slot (n when empty).
   int max_free_run(const SlotBits& slot) const;
-  void build_gap_trees();
+  /// Appends one waveguide's stride_ empty slots to its direction's gap
+  /// tree and never-qualifying ones to the other direction's.
+  void append_gap_slots(Direction dir);
 
   const ArcTable* arcs_;
   Mapping* mapping_;
+  int stride_;  ///< the one max_wavelengths this instance serves
   /// slots_[w][wl] (grown lazily; an absent slot is all-zero).
   std::vector<std::vector<SlotBits>> slots_;
   /// passing_[w][pos]: # signals on w whose arc interior covers position pos.
@@ -324,10 +315,8 @@ class OccupancyIndex {
   std::vector<Cursor> cursors_;  ///< [direction][signal], sized on first use
   std::uint32_t epoch_ = 0;      ///< bumps once per logged removal
   std::vector<Removal> removal_log_;
-  int stride_ = 0;  ///< the one max_wavelengths this instance serves
   std::vector<long long> dirty_scratch_;
-  std::array<GapTree, 2> gap_;  ///< [kCw, kCcw], built on the first search
-  bool gap_built_ = false;
+  std::array<GapTree, 2> gap_;  ///< [kCw, kCcw]
 };
 
 }  // namespace xring::mapping

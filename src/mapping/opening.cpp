@@ -10,22 +10,6 @@
 
 namespace xring::mapping {
 
-int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
-                    const Mapping& mapping, int w, NodeId node) {
-  int count = 0;
-  const RingWaveguide& wg = mapping.waveguides[w];
-  for (const SignalId id : wg.signals) {
-    const auto& sig = traffic.signal(id);
-    for (const NodeId v : interior_nodes(tour, sig.src, sig.dst, wg.dir)) {
-      if (v == node) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
 std::vector<std::pair<int, NodeId>> opening_candidate_order(
     const OccupancyIndex& index, const ring::Tour& tour, int w) {
   // Stable counting sort by passing count: bucket offsets from a count
@@ -59,11 +43,10 @@ namespace {
 /// as the brute-force reference). Commits when all of them fit; otherwise
 /// rolls back, restoring the exact pre-attempt state.
 bool relocate_all(OccupancyIndex& index, Direction dir, int w,
-                  const std::vector<SignalId>& moving, int max_wavelengths) {
+                  const std::vector<SignalId>& moving) {
   index.begin_transaction();
   for (const SignalId id : moving) {
-    const OccupancyIndex::Slot slot =
-        index.find_first_fit(dir, id, w, max_wavelengths);
+    const OccupancyIndex::Slot slot = index.find_first_fit(dir, id, w);
     if (slot.waveguide < 0) {
       index.rollback();
       return false;
@@ -122,10 +105,9 @@ OpeningStats create_openings(const ring::Tour& tour,
   std::optional<ArcTable> local_arcs;
   if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
   const ArcTable& arcs = shared_arcs ? *shared_arcs : *local_arcs;
-  OccupancyIndex index(arcs, mapping);
+  OccupancyIndex index(arcs, mapping, mapping_options.max_wavelengths);
 
   long long memoized = 0;
-  const int max_wl = mapping_options.max_wavelengths;
 
   // Index loop, not range-for: relocation may append waveguides, which must
   // then get their own openings too.
@@ -161,7 +143,7 @@ OpeningStats create_openings(const ring::Tour& tour,
           ++memoized;
           continue;
         }
-        if (relocate_all(index, dir, w, moving, max_wl)) {
+        if (relocate_all(index, dir, w, moving)) {
           mapping.waveguides[w].opening = node;
           stats.relocated_signals += static_cast<int>(moving.size());
           placed = true;
@@ -176,8 +158,7 @@ OpeningStats create_openings(const ring::Tour& tour,
     if (!placed) {
       const NodeId node = candidates.front().second;
       for (const SignalId id : index.signals_passing(w, node)) {
-        const OccupancyIndex::Slot slot =
-            index.find_first_fit(dir, id, w, max_wl);
+        const OccupancyIndex::Slot slot = index.find_first_fit(dir, id, w);
         if (slot.waveguide >= 0) {
           index.relocate(id, slot.waveguide, slot.wavelength);
         } else {

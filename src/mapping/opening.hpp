@@ -49,10 +49,4 @@ OpeningStats create_openings(const ring::Tour& tour,
 std::vector<std::pair<int, NodeId>> opening_candidate_order(
     const OccupancyIndex& index, const ring::Tour& tour, int w);
 
-/// Number of signals on waveguide `w` whose arc passes *through* `node`.
-/// Brute-force REFERENCE implementation (see OccupancyIndex::passing_count
-/// for the maintained version); only the tests call it.
-int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
-                    const Mapping& mapping, int w, NodeId node);
-
 }  // namespace xring::mapping

@@ -14,7 +14,7 @@ Mapping ornoc_assignment(const ring::Tour& tour,
   Mapping m;
   m.routes.assign(traffic.size(), SignalRoute{});
   const ArcTable arcs(tour, traffic);
-  OccupancyIndex index(arcs, m);
+  OccupancyIndex index(arcs, m, max_wavelengths);
 
   for (const auto& sig : traffic.signals()) {
     const geom::Coord cw = tour.arc_length_cw(sig.src, sig.dst);
@@ -27,11 +27,8 @@ Mapping ornoc_assignment(const ring::Tour& tour,
     // accepting the long way around the ring — before it ever adds a
     // waveguide. This is what keeps its resource count low and its
     // worst-case path close to the full perimeter.
-    OccupancyIndex::Slot slot =
-        index.find_first_fit(shorter, sig.id, -1, max_wavelengths);
-    if (slot.waveguide < 0) {
-      slot = index.find_first_fit(longer, sig.id, -1, max_wavelengths);
-    }
+    OccupancyIndex::Slot slot = index.find_first_fit(shorter, sig.id, -1);
+    if (slot.waveguide < 0) slot = index.find_first_fit(longer, sig.id, -1);
     if (slot.waveguide < 0) slot = {index.add_waveguide(shorter), 0};
     index.place(sig.id, slot.waveguide, slot.wavelength);
   }

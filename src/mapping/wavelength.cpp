@@ -29,51 +29,12 @@ std::vector<int> occupied_hops(const ring::Tour& tour, NodeId src, NodeId dst,
                                : tour.hops_on_arc_cw(dst, src);
 }
 
-std::vector<NodeId> interior_nodes(const ring::Tour& tour, NodeId src,
-                                   NodeId dst, Direction dir) {
-  const NodeId from = dir == Direction::kCw ? src : dst;
-  const NodeId to = dir == Direction::kCw ? dst : src;
-  std::vector<NodeId> out;
-  const int hops = tour.hops_cw(from, to);
-  const int start = tour.position(from);
-  for (int h = 1; h < hops; ++h) out.push_back(tour.at(start + h));
-  return out;
-}
-
-bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
-          const Mapping& mapping, int waveguide, int wavelength,
-          SignalId signal) {
-  const RingWaveguide& w = mapping.waveguides[waveguide];
-  const auto& sig = traffic.signal(signal);
-
-  // An already-fixed opening must not lie inside the signal's arc.
-  if (w.opening != -1) {
-    for (const NodeId v : interior_nodes(tour, sig.src, sig.dst, w.dir)) {
-      if (v == w.opening) return false;
-    }
-  }
-
-  const std::vector<int> mine = occupied_hops(tour, sig.src, sig.dst, w.dir);
-  std::vector<bool> covered(tour.size(), false);
-  for (const int h : mine) covered[h] = true;
-
-  for (const SignalId other : w.signals) {
-    if (other == signal) continue;
-    if (mapping.routes[other].wavelength != wavelength) continue;
-    const auto& o = traffic.signal(other);
-    for (const int h : occupied_hops(tour, o.src, o.dst, w.dir)) {
-      if (covered[h]) return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// First-fit probe over the waveguides of the direction, on the incremental
 /// index: same probe order (waveguide index ascending, then wavelength) and
-/// same predicate as the brute-force reference, answered through the
-/// summary fast path and the signal's resumable cursor (find_first_fit).
+/// same predicate as the brute-force reference, resumed from the signal's
+/// cursor (find_first_fit).
 /// When every (waveguide, λ) slot under the #wl cap is blocked, a new
 /// waveguide is appended; a conflict diagnostic is emitted when an existing
 /// waveguide of the direction could not host the signal (i.e. the overflow
@@ -83,7 +44,7 @@ std::pair<int, int> place_on_ring(const netlist::Traffic& traffic,
                                   Direction dir, SignalId id,
                                   int max_wavelengths) {
   const OccupancyIndex::Slot slot =
-      index.find_first_fit(dir, id, /*from_waveguide=*/-1, max_wavelengths);
+      index.find_first_fit(dir, id, /*from_waveguide=*/-1);
   if (slot.waveguide >= 0) return {slot.waveguide, slot.wavelength};
   const int candidates = m.ring_waveguides(dir);
   if (candidates > 0) {
@@ -219,7 +180,7 @@ Mapping assign_wavelengths(const ring::Tour& tour,
   std::optional<ArcTable> local_arcs;
   if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
   const ArcTable& arcs = shared_arcs ? *shared_arcs : *local_arcs;
-  OccupancyIndex index(arcs, m);
+  OccupancyIndex index(arcs, m, options.max_wavelengths);
 
   for (const SignalId id : ring_signals) {
     const Direction dir =

@@ -79,11 +79,6 @@ class ArcTable;  // occupancy.hpp: precomputed arcs shared across a sweep
 std::vector<int> occupied_hops(const ring::Tour& tour, NodeId src, NodeId dst,
                                Direction dir);
 
-/// Interior nodes of the occupied arc (nodes the signal passes *through*;
-/// endpoints excluded). A waveguide opening at any of these blocks the path.
-std::vector<NodeId> interior_nodes(const ring::Tour& tour, NodeId src,
-                                   NodeId dst, Direction dir);
-
 /// XRing's signal mapping (Sec. III-C): shortcut-supported signals first
 /// (shortcut wavelength rules: one shared λ for non-crossed shortcuts,
 /// distinct λs for a crossed pair, further λs for CSE-routed signals), then
@@ -96,21 +91,11 @@ std::vector<NodeId> interior_nodes(const ring::Tour& tour, NodeId src,
 /// (tour, traffic) pair — a `#wl` sweep builds it once (see
 /// Synthesizer::make_sweep_cache) instead of once per setting; when null a
 /// local table is built. Either way the result is bit-identical to the
-/// brute-force reference predicates below.
+/// brute-force reference predicates in tests/mapping_reference.hpp.
 Mapping assign_wavelengths(const ring::Tour& tour,
                            const netlist::Traffic& traffic,
                            const shortcut::ShortcutPlan& shortcuts,
                            const MappingOptions& options = {},
                            const ArcTable* shared_arcs = nullptr);
-
-/// True if the signal can be added to (waveguide, wavelength) without arc
-/// overlap with same-wavelength signals and without passing the waveguide's
-/// opening (when already fixed). Brute-force REFERENCE implementation:
-/// every synthesis path, the ORNoC baseline included, uses
-/// OccupancyIndex::fits (bit-identical, O(n/64) instead of O(co-resident
-/// signals × path)); only the differential tests call this version.
-bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
-          const Mapping& mapping, int waveguide, int wavelength,
-          SignalId signal);
 
 }  // namespace xring::mapping

@@ -14,6 +14,7 @@
 #include "analysis/design.hpp"
 #include "geom/lshape.hpp"
 #include "mapping/wavelength.hpp"
+#include "mapping_reference.hpp"
 #include "phys/units.hpp"
 
 namespace xring::analysis::reference {
@@ -141,7 +142,8 @@ inline LossBreakdown ring_route_loss(const RefContext& ctx, SignalId id) {
   b.bend_db = b.bends * lp.bend_db;
 
   const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
-  for (const NodeId v : mapping::interior_nodes(tour, sig.src, sig.dst, dir)) {
+  for (const NodeId v :
+       mapping::reference::interior_nodes(tour, sig.src, sig.dst, dir)) {
     b.through_mrrs += rx_mrrs * receivers_at(d, route.waveguide, v) +
                       senders_at(d, route.waveguide, v);
     if (d.has_pdn) {

@@ -1,14 +1,14 @@
 // Differential test of the Step-3 incremental-search fast paths
-// (mapping/occupancy.hpp): the summary-level `fits`, the cursor-resuming
+// (mapping/occupancy.hpp): the indexed `fits`, the cursor-resuming
 // `find_first_fit`, the counting-sort opening-candidate order, and the
 // memoized-candidate skip of the opening search.
 //
-// Three levels are compared: the production fast path, the PR-4 word scan
-// kept verbatim (`fits_scan`), and the brute-force reference predicates
-// (`mapping::fits`). The contract is BIT-IDENTICAL decisions — the fast
-// paths may only skip work with a proof, never change an answer — so every
-// test asserts exact equality of predicates, probe outcomes, complete
-// mappings, and opening statistics, at 1, 2, and 8 pool jobs.
+// The production paths are compared against the brute-force reference
+// predicates (tests/mapping_reference.hpp). The contract is BIT-IDENTICAL
+// decisions — the fast paths may only skip work with a proof, never change
+// an answer — so every test asserts exact equality of predicates, probe
+// outcomes, complete mappings, and opening statistics, at 1, 2, and 8 pool
+// jobs.
 
 #include "mapping/occupancy.hpp"
 
@@ -22,6 +22,7 @@
 #include <string>
 
 #include "mapping/opening.hpp"
+#include "mapping_reference.hpp"
 #include "obs/context.hpp"
 #include "obs/obs.hpp"
 #include "par/pool.hpp"
@@ -103,28 +104,22 @@ void expect_mappings_identical(const Mapping& a, const Mapping& b) {
   EXPECT_EQ(a.wavelengths_used, b.wavelengths_used);
 }
 
-/// Three-level fits agreement over every (waveguide, wavelength, signal) of
-/// the mapping's current state: summary fast path == verbatim PR-4 word
-/// scan exhaustively; the O(signals × hops)-per-call brute-force reference
-/// on every `brute_stride`-th signal (1 = all — the scan itself is checked
-/// against brute force exhaustively at the smaller sizes, so sampling the
-/// third level at large n loses no coverage of the new fast path).
-void expect_fits_three_level(const ring::Tour& tour, const Traffic& traffic,
-                             Mapping& mapping, int max_wavelengths,
-                             int brute_stride = 1) {
+/// Two-level fits agreement over every (waveguide, wavelength) of the
+/// mapping's current state: the indexed `fits` equals the brute-force
+/// reference, whose O(signals × hops) cost per call limits it to every
+/// `brute_stride`-th signal (1 = all).
+void expect_fits_two_level(const ring::Tour& tour, const Traffic& traffic,
+                           Mapping& mapping, int max_wavelengths,
+                           int brute_stride = 1) {
   const ArcTable arcs(tour, traffic);
-  const OccupancyIndex index(arcs, mapping);
+  const OccupancyIndex index(arcs, mapping, max_wavelengths);
   for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
     for (const auto& sig : traffic.signals()) {
+      if (sig.id % brute_stride != 0) continue;
       for (int wl = 0; wl < max_wavelengths; ++wl) {
-        const bool fast = index.fits(w, wl, sig.id);
-        const bool scan = index.fits_scan(w, wl, sig.id);
-        ASSERT_EQ(fast, scan)
-            << "summary vs scan: w=" << w << " wl=" << wl << " sig=" << sig.id;
-        if (sig.id % brute_stride == 0) {
-          ASSERT_EQ(scan, fits(tour, traffic, mapping, w, wl, sig.id))
-              << "scan vs brute: w=" << w << " wl=" << wl << " sig=" << sig.id;
-        }
+        ASSERT_EQ(index.fits(w, wl, sig.id),
+                  reference::fits(tour, traffic, mapping, w, wl, sig.id))
+            << "w=" << w << " wl=" << wl << " sig=" << sig.id;
       }
     }
   }
@@ -132,9 +127,8 @@ void expect_fits_three_level(const ring::Tour& tour, const Traffic& traffic,
 
 class FastpathAllToAll : public ::testing::TestWithParam<int> {};
 
-// Summary-index vs PR-4 index vs brute-force on the mapped and the opened
-// state. n=64 spans exactly one occupancy word (full-word summary coverage);
-// the smaller sizes exercise the partial-word masks.
+// Index vs brute force on the mapped and the opened state. n=64 spans
+// exactly one occupancy word; the smaller sizes use part of one.
 TEST_P(FastpathAllToAll, FitsThreeLevelAgreement) {
   const int n = GetParam();
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
@@ -143,19 +137,18 @@ TEST_P(FastpathAllToAll, FitsThreeLevelAgreement) {
   const int brute_stride = n >= 64 ? 9 : 1;
   Mapping mapping =
       assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
-  expect_fits_three_level(inst.ring.tour, inst.traffic, mapping,
-                          mo.max_wavelengths, brute_stride);
+  expect_fits_two_level(inst.ring.tour, inst.traffic, mapping,
+                        mo.max_wavelengths, brute_stride);
   create_openings(inst.ring.tour, inst.traffic, mapping, mo);
-  expect_fits_three_level(inst.ring.tour, inst.traffic, mapping,
-                          mo.max_wavelengths, brute_stride);
+  expect_fits_two_level(inst.ring.tour, inst.traffic, mapping,
+                        mo.max_wavelengths, brute_stride);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FastpathAllToAll,
                          ::testing::Values(8, 16, 32, 64));
 
 // Seeded random traffic, including a ring size that is not a multiple of 64
-// (the last occupancy word has invalid high bits — the summary's "fully
-// covered" test must use the valid-bit mask, not all-ones).
+// (arcs wrap and end inside the partial last occupancy word).
 TEST(FastpathRandom, FitsThreeLevelAgreementSeeded) {
   for (const int n : {16, 24, 70}) {
     for (const unsigned seed : {3u, 99u}) {
@@ -167,67 +160,73 @@ TEST(FastpathRandom, FitsThreeLevelAgreementSeeded) {
       Mapping mapping =
           assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
       create_openings(inst.ring.tour, inst.traffic, mapping, mo);
-      expect_fits_three_level(inst.ring.tour, inst.traffic, mapping,
-                              mo.max_wavelengths, n >= 64 ? 7 : 3);
+      expect_fits_two_level(inst.ring.tour, inst.traffic, mapping,
+                            mo.max_wavelengths);
     }
   }
 }
 
 // Warm-vs-cold search agreement: after arbitrary interleavings of
 // transactions, rollbacks, and commits, a cursor-resuming find_first_fit
-// must return exactly the slot a cold full scan (over the verbatim word
-// scan) returns. This drives the removal-log dirty-reprobe path hard: every
-// rollback logs bit removals that can turn previously failed slots fitting.
+// must return exactly the slot a cold full scan over the brute-force
+// reference returns. This drives the removal-log dirty-reprobe path hard:
+// every rollback logs bit removals that can turn previously failed slots
+// fitting. n=32 fits one occupancy word with one-hop buckets; n=70 and
+// n=130 span two and three words with buckets two and three hops wide; at
+// n=200 arcs cover whole middle words, so a removal flips entire words.
 TEST(FastpathCursor, WarmSearchMatchesColdScanAcrossRollbacks) {
-  const int n = 32;
-  const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
-  const ring::Tour& tour = inst.ring.tour;
-  MappingOptions mo;
-  mo.max_wavelengths = n / 2;
-  Mapping mapping =
-      assign_wavelengths(tour, inst.traffic, inst.plan, mo);
-  const ArcTable arcs(tour, inst.traffic);
-  OccupancyIndex index(arcs, mapping);
+  for (const int n : {32, 70, 130, 200}) {
+    const Traffic traffic = n == 32 ? Traffic::all_to_all(n)
+                                    : random_traffic(n, 10 * n, 7u);
+    const Instance inst = make_instance(n, traffic, false);
+    const ring::Tour& tour = inst.ring.tour;
+    MappingOptions mo;
+    mo.max_wavelengths = n == 32 ? n / 2 : 8;
+    Mapping mapping = assign_wavelengths(tour, inst.traffic, inst.plan, mo);
+    const ArcTable arcs(tour, inst.traffic);
+    OccupancyIndex index(arcs, mapping, mo.max_wavelengths);
 
-  const auto cold_first_fit = [&](Direction dir, SignalId id, int from) {
-    OccupancyIndex::Slot slot;
-    for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
-      if (mapping.waveguides[w].dir != dir || w == from) continue;
-      for (int wl = 0; wl < mo.max_wavelengths; ++wl) {
-        if (index.fits_scan(w, wl, id)) return OccupancyIndex::Slot{w, wl};
+    const auto cold_first_fit = [&](Direction dir, SignalId id, int from) {
+      OccupancyIndex::Slot slot;
+      for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
+        if (mapping.waveguides[w].dir != dir || w == from) continue;
+        for (int wl = 0; wl < mo.max_wavelengths; ++wl) {
+          if (reference::fits(tour, inst.traffic, mapping, w, wl, id)) {
+            return OccupancyIndex::Slot{w, wl};
+          }
+        }
+      }
+      return slot;
+    };
+
+    std::mt19937 rng(2024);
+    int warm_hits = 0;
+    for (int round = 0; round < 80; ++round) {
+      const int w = static_cast<int>(rng() % mapping.waveguides.size());
+      auto signals = mapping.waveguides[w].signals;
+      if (signals.empty()) continue;
+      const bool keep = (rng() % 2) == 0;
+      index.begin_transaction();
+      for (const SignalId id : signals) {
+        const Direction dir = mapping.waveguides[w].dir;
+        const OccupancyIndex::Slot cold = cold_first_fit(dir, id, w);
+        const OccupancyIndex::Slot warm = index.find_first_fit(dir, id, w);
+        ASSERT_EQ(warm.waveguide, cold.waveguide)
+            << "n=" << n << " round " << round << " signal " << id;
+        ASSERT_EQ(warm.wavelength, cold.wavelength)
+            << "n=" << n << " round " << round << " signal " << id;
+        if (warm.waveguide < 0) continue;
+        index.relocate(id, warm.waveguide, warm.wavelength);
+        ++warm_hits;
+      }
+      if (keep) {
+        index.commit();
+      } else {
+        index.rollback();
       }
     }
-    return slot;
-  };
-
-  std::mt19937 rng(2024);
-  int warm_hits = 0;
-  for (int round = 0; round < 40; ++round) {
-    const int w = static_cast<int>(rng() % mapping.waveguides.size());
-    auto signals = mapping.waveguides[w].signals;
-    if (signals.empty()) continue;
-    const bool keep = (rng() % 2) == 0;
-    index.begin_transaction();
-    for (const SignalId id : signals) {
-      const Direction dir = mapping.waveguides[w].dir;
-      const OccupancyIndex::Slot cold = cold_first_fit(dir, id, w);
-      const OccupancyIndex::Slot warm =
-          index.find_first_fit(dir, id, w, mo.max_wavelengths);
-      ASSERT_EQ(warm.waveguide, cold.waveguide)
-          << "round " << round << " signal " << id;
-      ASSERT_EQ(warm.wavelength, cold.wavelength)
-          << "round " << round << " signal " << id;
-      if (warm.waveguide < 0) continue;
-      index.relocate(id, warm.waveguide, warm.wavelength);
-      ++warm_hits;
-    }
-    if (keep) {
-      index.commit();
-    } else {
-      index.rollback();
-    }
+    ASSERT_GT(warm_hits, 0) << "n=" << n;
   }
-  ASSERT_GT(warm_hits, 0);
 }
 
 // Counting-sort candidate order == the stable_sort it replaced, on every
@@ -240,7 +239,7 @@ TEST(FastpathCandidateOrder, CountingSortMatchesStableSort) {
     mo.max_wavelengths = n / 2;
     Mapping mapping = assign_wavelengths(tour, inst.traffic, inst.plan, mo);
     const ArcTable arcs(tour, inst.traffic);
-    OccupancyIndex index(arcs, mapping);
+    OccupancyIndex index(arcs, mapping, mo.max_wavelengths);
     for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
       std::vector<std::pair<int, NodeId>> expected;
       for (int pos = 0; pos < tour.size(); ++pos) {

@@ -22,6 +22,7 @@
 
 #include "mapping/opening.hpp"
 #include "mapping/ornoc_assignment.hpp"
+#include "mapping_reference.hpp"
 #include "ring/builder.hpp"
 #include "shortcut/shortcut.hpp"
 
@@ -34,7 +35,7 @@ using netlist::Traffic;
 // --------------------------------------------------------------------------
 // Reference implementations: the exact pre-index Step-3 hot loops (deep-copy
 // transactions, per-probe occupied_hops/interior_nodes derivation), built on
-// the exported brute-force predicates `fits` / `passing_signals`.
+// the brute-force predicates of tests/mapping_reference.hpp.
 
 std::pair<int, int> ref_place_on_ring(const ring::Tour& tour,
                                       const Traffic& traffic, Mapping& m,
@@ -43,7 +44,7 @@ std::pair<int, int> ref_place_on_ring(const ring::Tour& tour,
   for (int w = 0; w < static_cast<int>(m.waveguides.size()); ++w) {
     if (m.waveguides[w].dir != dir) continue;
     for (int wl = 0; wl < max_wavelengths; ++wl) {
-      if (fits(tour, traffic, m, w, wl, id)) return {w, wl};
+      if (reference::fits(tour, traffic, m, w, wl, id)) return {w, wl};
     }
   }
   return {m.add_waveguide(dir), 0};
@@ -136,7 +137,7 @@ std::pair<bool, bool> ref_relocate(const ring::Tour& tour,
   for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
     if (w == from || mapping.waveguides[w].dir != dir) continue;
     for (int wl = 0; wl < max_wavelengths; ++wl) {
-      if (!fits(tour, traffic, mapping, w, wl, id)) continue;
+      if (!reference::fits(tour, traffic, mapping, w, wl, id)) continue;
       auto& sigs = mapping.waveguides[from].signals;
       sigs.erase(std::remove(sigs.begin(), sigs.end(), id), sigs.end());
       mapping.waveguides[w].signals.push_back(id);
@@ -163,7 +164,8 @@ std::vector<SignalId> ref_signals_passing(const ring::Tour& tour,
   const Direction dir = mapping.waveguides[w].dir;
   for (const SignalId id : mapping.waveguides[w].signals) {
     const auto& sig = traffic.signal(id);
-    const auto interior = interior_nodes(tour, sig.src, sig.dst, dir);
+    const auto interior =
+        reference::interior_nodes(tour, sig.src, sig.dst, dir);
     if (std::find(interior.begin(), interior.end(), node) != interior.end()) {
       out.push_back(id);
     }
@@ -179,8 +181,8 @@ OpeningStats ref_create_openings(const ring::Tour& tour,
     std::vector<std::pair<int, NodeId>> candidates;
     for (int pos = 0; pos < tour.size(); ++pos) {
       const NodeId v = tour.at(pos);
-      candidates.emplace_back(passing_signals(tour, traffic, mapping, w, v),
-                              v);
+      candidates.emplace_back(
+          reference::passing_signals(tour, traffic, mapping, w, v), v);
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const auto& a, const auto& b) {
@@ -261,7 +263,7 @@ Mapping ref_ornoc_assignment(const ring::Tour& tour, const Traffic& traffic,
            ++w) {
         if (m.waveguides[w].dir != dir) continue;
         for (int wl = 0; wl < max_wavelengths; ++wl) {
-          if (fits(tour, traffic, m, w, wl, sig.id)) {
+          if (reference::fits(tour, traffic, m, w, wl, sig.id)) {
             chosen_w = w;
             chosen_wl = wl;
             chosen_dir = dir;
@@ -334,12 +336,12 @@ void expect_mappings_identical(const Mapping& a, const Mapping& b) {
 void expect_index_agrees(const ring::Tour& tour, const Traffic& traffic,
                          Mapping& mapping, int max_wavelengths) {
   const ArcTable arcs(tour, traffic);
-  const OccupancyIndex index(arcs, mapping);
+  const OccupancyIndex index(arcs, mapping, max_wavelengths);
   for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
     for (int pos = 0; pos < tour.size(); ++pos) {
       const NodeId v = tour.at(pos);
       EXPECT_EQ(index.passing_count(w, pos),
-                passing_signals(tour, traffic, mapping, w, v))
+                reference::passing_signals(tour, traffic, mapping, w, v))
           << "w=" << w << " pos=" << pos;
       EXPECT_EQ(index.signals_passing(w, v),
                 ref_signals_passing(tour, traffic, mapping, w, v))
@@ -348,7 +350,7 @@ void expect_index_agrees(const ring::Tour& tour, const Traffic& traffic,
     for (const auto& sig : traffic.signals()) {
       for (int wl = 0; wl < max_wavelengths; ++wl) {
         EXPECT_EQ(index.fits(w, wl, sig.id),
-                  fits(tour, traffic, mapping, w, wl, sig.id))
+                  reference::fits(tour, traffic, mapping, w, wl, sig.id))
             << "w=" << w << " wl=" << wl << " signal=" << sig.id;
       }
     }
@@ -400,13 +402,16 @@ TEST_P(MappingIndexAllToAll, ArcTableMatchesHopDerivation) {
     for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
       const auto hops = occupied_hops(tour, sig.src, sig.dst, dir);
       const std::set<int> hop_set(hops.begin(), hops.end());
-      const std::uint64_t* mask = arcs.mask(sig.id, dir);
+      std::vector<std::uint64_t> probe(arcs.words(), 0);
       for (int h = 0; h < tour.size(); ++h) {
-        const bool bit = (mask[h >> 6] >> (h & 63)) & 1;
-        EXPECT_EQ(bit, hop_set.count(h) > 0)
+        probe[h >> 6] = std::uint64_t{1} << (h & 63);
+        EXPECT_EQ(arcs.overlaps(sig.id, dir, probe.data()),
+                  hop_set.count(h) > 0)
             << "signal " << sig.id << " hop " << h;
+        probe[h >> 6] = 0;
       }
-      const auto interior = interior_nodes(tour, sig.src, sig.dst, dir);
+      const auto interior =
+          reference::interior_nodes(tour, sig.src, sig.dst, dir);
       const std::set<NodeId> interior_set(interior.begin(), interior.end());
       for (int pos = 0; pos < tour.size(); ++pos) {
         EXPECT_EQ(arcs.interior_contains(sig.id, dir, pos),
@@ -417,7 +422,7 @@ TEST_P(MappingIndexAllToAll, ArcTableMatchesHopDerivation) {
   }
 }
 
-TEST(ArcTableFill, MasksAndSpansMatchPerHopFill) {
+TEST(ArcTableFill, OverlapsMatchPerHopFill) {
   // Rings of several 64-bit words whose size is not a multiple of 64, so
   // arcs start, end and wrap inside partial first, middle and last words.
   std::mt19937 rng(64);
@@ -431,32 +436,24 @@ TEST(ArcTableFill, MasksAndSpansMatchPerHopFill) {
     const ArcTable arcs(tour, traffic);
     const int words = (n + 63) / 64;
     ASSERT_EQ(arcs.words(), words);
-    std::vector<std::uint64_t> valid(words, ~std::uint64_t{0});
-    valid[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+    std::vector<std::uint64_t> probe(words, 0);
     for (const auto& sig : traffic.signals()) {
       for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
-        // The fill as first written: one bit per hop, modulo n.
+        // The arc as first derived: one hop at a time, modulo n.
         const NodeId from = dir == Direction::kCw ? sig.src : sig.dst;
         const NodeId to = dir == Direction::kCw ? sig.dst : sig.src;
         const int start = tour.position(from), len = tour.hops_cw(from, to);
         ASSERT_EQ(arcs.arc(sig.id, dir).start, start);
         ASSERT_EQ(arcs.arc(sig.id, dir).len, len);
-        std::vector<std::uint64_t> want(words, 0);
-        for (int h = 0; h < len; ++h) {
-          const int hop = (start + h) % n;
-          want[hop >> 6] |= std::uint64_t{1} << (hop & 63);
+        std::vector<bool> covered(n, false);
+        for (int h = 0; h < len; ++h) covered[(start + h) % n] = true;
+        // A one-bit probe at every hop: overlaps() sees exactly the arc.
+        for (int h = 0; h < n; ++h) {
+          probe[h >> 6] = std::uint64_t{1} << (h & 63);
+          ASSERT_EQ(arcs.overlaps(sig.id, dir, probe.data()), covered[h])
+              << "n=" << n << " signal " << sig.id << " hop " << h;
+          probe[h >> 6] = 0;
         }
-        ArcTable::WordSpan span;
-        for (int k = 0; k < words; ++k) {
-          if (want[k] == 0) continue;
-          (want[k] == valid[k] ? span.full : span.partial) |=
-              std::uint64_t{1} << k;
-        }
-        const std::uint64_t* got = arcs.mask(sig.id, dir);
-        ASSERT_TRUE(std::equal(want.begin(), want.end(), got))
-            << "n=" << n << " signal " << sig.id;
-        ASSERT_EQ(arcs.word_span(sig.id, dir).full, span.full);
-        ASSERT_EQ(arcs.word_span(sig.id, dir).partial, span.partial);
       }
     }
   }
@@ -562,7 +559,7 @@ TEST(MappingIndexTransaction, RollbackRestoresExactState) {
   const Mapping snapshot = mapping;
 
   const ArcTable arcs(inst.ring.tour, inst.traffic);
-  OccupancyIndex index(arcs, mapping);
+  OccupancyIndex index(arcs, mapping, mo.max_wavelengths);
 
   // Move every relocatable signal of waveguide 0 somewhere else, then roll
   // everything back.

@@ -2,8 +2,10 @@
 
 #include <stdexcept>
 
+#include "mapping/opening.hpp"
 #include "mapping/ornoc_assignment.hpp"
 #include "mapping/wavelength.hpp"
+#include "mapping_reference.hpp"
 #include "ring/builder.hpp"
 
 namespace xring::mapping {
@@ -50,7 +52,7 @@ TEST(InteriorNodes, ExcludesEndpoints) {
     for (netlist::NodeId b = 0; b < 8; ++b) {
       if (a == b) continue;
       for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
-        const auto inner = interior_nodes(tour, a, b, dir);
+        const auto inner = reference::interior_nodes(tour, a, b, dir);
         for (const netlist::NodeId v : inner) {
           EXPECT_NE(v, a);
           EXPECT_NE(v, b);
@@ -60,17 +62,39 @@ TEST(InteriorNodes, ExcludesEndpoints) {
   }
 }
 
+// The cap is rejected even when no signal reaches a first-fit search: with
+// empty traffic, or with every signal on a shortcut.
 TEST(Assignment, RejectsNonPositiveWavelengthCap) {
   const auto fp = netlist::Floorplan::standard(8);
-  const auto traffic = netlist::Traffic::all_to_all(8);
   const ring::Tour tour(ring::build_ring(fp).geometry.tour);
+  const netlist::Traffic all = netlist::Traffic::all_to_all(8);
+  const netlist::Traffic none;
+  netlist::Signal sig;
+  sig.id = 0;
+  sig.src = tour.at(0);
+  sig.dst = tour.at(4);
+  const netlist::Traffic one(std::vector<netlist::Signal>{sig});
+  shortcut::ShortcutPlan plan;
+  plan.shortcuts.push_back({});
+  plan.shortcuts[0].a = sig.src;
+  plan.shortcuts[0].b = sig.dst;
   for (const int cap : {0, -1}) {
     MappingOptions opt;
     opt.max_wavelengths = cap;
-    EXPECT_THROW(assign_wavelengths(tour, traffic, {}, opt),
+    for (const netlist::Traffic* traffic : {&all, &none}) {
+      EXPECT_THROW(assign_wavelengths(tour, *traffic, {}, opt),
+                   std::invalid_argument)
+          << "cap " << cap << ", " << traffic->size() << " signals";
+      EXPECT_THROW(ornoc_assignment(tour, *traffic, cap),
+                   std::invalid_argument)
+          << "cap " << cap << ", " << traffic->size() << " signals";
+    }
+    Mapping unmapped;
+    EXPECT_THROW(create_openings(tour, none, unmapped, opt),
                  std::invalid_argument)
         << "cap " << cap;
-    EXPECT_THROW(ornoc_assignment(tour, traffic, cap), std::invalid_argument)
+    EXPECT_THROW(assign_wavelengths(tour, one, plan, opt),
+                 std::invalid_argument)
         << "cap " << cap;
   }
 }

@@ -3,6 +3,7 @@
 #include <random>
 
 #include "baseline/oring.hpp"
+#include "mapping_reference.hpp"
 #include "verify/drc.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -107,8 +108,8 @@ TEST(Drc, DetectsBlockedOpening) {
   for (auto& wg : r.design.mapping.waveguides) {
     if (wg.signals.empty()) continue;
     const auto& sig = r.design.traffic.signal(wg.signals.front());
-    const auto interior = mapping::interior_nodes(r.design.ring.tour, sig.src,
-                                                  sig.dst, wg.dir);
+    const auto interior = mapping::reference::interior_nodes(
+        r.design.ring.tour, sig.src, sig.dst, wg.dir);
     if (interior.empty()) continue;
     wg.opening = interior.front();
     break;

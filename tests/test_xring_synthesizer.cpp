@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "mapping_reference.hpp"
 #include "xring/sweep.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -184,9 +185,9 @@ TEST_P(SynthesizerSweep, StructuralInvariants) {
   for (std::size_t w = 0; w < r.design.mapping.waveguides.size(); ++w) {
     const auto& wg = r.design.mapping.waveguides[w];
     EXPECT_GE(wg.opening, 0);
-    EXPECT_EQ(mapping::passing_signals(r.design.ring.tour, r.design.traffic,
-                                       r.design.mapping, static_cast<int>(w),
-                                       wg.opening),
+    EXPECT_EQ(mapping::reference::passing_signals(
+                  r.design.ring.tour, r.design.traffic, r.design.mapping,
+                  static_cast<int>(w), wg.opening),
               0);
     // Every node that actually sends on this waveguide has a feed; nodes
     // without a sender carry none (Sec. III-D: the leaves are the senders).
