@@ -13,7 +13,7 @@ using namespace xring;
 
 void row(report::Table& t, const char* name, const SynthesisResult& r) {
   double mean = 0;
-  for (const auto& s : r.metrics.signals) mean += s.il_star_db;
+  for (const auto& s : r.metrics.signals) mean += s.loss.star_db();
   mean /= static_cast<double>(r.metrics.signals.size());
   t.add_row({name, std::to_string(r.metrics.wavelengths),
              std::to_string(r.metrics.waveguides),

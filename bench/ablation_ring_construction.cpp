@@ -25,7 +25,7 @@ SynthesisResult with_tour(const netlist::Floorplan& fp,
 
 void row(report::Table& t, const char* name, const SynthesisResult& r) {
   double mean = 0;
-  for (const auto& s : r.metrics.signals) mean += s.il_star_db;
+  for (const auto& s : r.metrics.signals) mean += s.loss.star_db();
   mean /= static_cast<double>(r.metrics.signals.size());
   t.add_row({name,
              report::num(r.design.ring.tour.total_length() / 1000.0, 1),

@@ -221,8 +221,8 @@ BENCHMARK(BM_Evaluate)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 /// compute_noise alone on an XRing design with losses and laser powers held
 /// fixed. XRing's tree PDN, residue filter and crossing-free ring leave no
-/// ring noise to walk, so this times the shortcut-crossing and CSE emitters
-/// plus the deposit replay; BM_OrnocCrosstalk times the ring walk.
+/// ring noise to walk, so this times the shortcut-crossing and CSE emitters;
+/// BM_OrnocCrosstalk times the ring walk.
 void BM_CrosstalkAnalysis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto fp = netlist::Floorplan::standard(n);
@@ -231,14 +231,9 @@ void BM_CrosstalkAnalysis(benchmark::State& state) {
   opt.mapping.max_wavelengths = n;
   const SynthesisResult r = synth.run(opt);
   const analysis::AnalysisContext ctx(r.design);
-  std::vector<analysis::LossBreakdown> losses(r.design.traffic.size());
-  for (netlist::SignalId id = 0; id < r.design.traffic.size(); ++id) {
-    losses[id] = analysis::signal_loss(ctx, id);
-  }
-  const std::vector<double> laser_mw = r.metrics.laser_mw;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::compute_noise(ctx, losses, laser_mw, nullptr));
+        analysis::compute_noise(ctx, r.metrics.signals, r.metrics.laser_mw));
   }
 }
 BENCHMARK(BM_CrosstalkAnalysis)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
@@ -254,10 +249,9 @@ void BM_OrnocCrosstalk(benchmark::State& state) {
   const SynthesisResult r =
       baseline::synthesize_ornoc(fp, ring::build_ring(fp), opt);
   const analysis::AnalysisContext ctx(r.design);
-  const std::vector<double> laser_mw = r.metrics.laser_mw;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::compute_noise(ctx, r.metrics.loss_ledger, laser_mw, nullptr));
+        analysis::compute_noise(ctx, r.metrics.signals, r.metrics.laser_mw));
   }
 }
 BENCHMARK(BM_OrnocCrosstalk)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);

@@ -56,17 +56,18 @@ int main() {
   std::vector<int> ids(r.metrics.signals.size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
   std::sort(ids.begin(), ids.end(), [&](int a, int b) {
-    return r.metrics.signals[a].il_star_db > r.metrics.signals[b].il_star_db;
+    return r.metrics.signals[a].loss.star_db() >
+           r.metrics.signals[b].loss.star_db();
   });
   report::Table t({"signal", "il* (dB)", "path (mm)", "crossings", "MRR passes"});
   for (int k = 0; k < 5; ++k) {
     const auto& sig = r.design.traffic.signal(ids[k]);
-    const auto& rep = r.metrics.signals[ids[k]];
+    const analysis::LossBreakdown& loss = r.metrics.signals[ids[k]].loss;
     t.add_row({floorplan.node(sig.src).name + " -> " +
                    floorplan.node(sig.dst).name,
-               report::num(rep.il_star_db, 2), report::num(rep.path_mm, 1),
-               std::to_string(rep.crossings),
-               std::to_string(rep.through_mrrs)});
+               report::num(loss.star_db(), 2), report::num(loss.path_mm, 1),
+               std::to_string(loss.crossings),
+               std::to_string(loss.through_mrrs)});
   }
   std::printf("\nworst five signal paths:\n%s", t.to_string().c_str());
   std::printf("\ntotal laser power: %.2f W, worst SNR: %s dB\n",

@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
   }
   const auto& sig = r.design.traffic.signal(worst_flow);
   std::printf("\nslowest flow n%d -> n%d: %.1f ns over %.1f mm\n", sig.src,
-              sig.dst, worst, r.metrics.signals[worst_flow].path_mm);
+              sig.dst, worst, r.metrics.signals[worst_flow].loss.path_mm);
   return 0;
 }

@@ -15,10 +15,8 @@ constexpr double kNegligibleMw = 1e-15;
 
 /// Records noise deposits as provenance rows. Callers stamp the
 /// aggressor/source/node fields before each walk. The rows are *the* result:
-/// compute_noise replays them, in emission order, into both the per-victim
-/// totals and the attribution ledger, so the two views are fed from the same
-/// numbers (the sum invariant the explainability tests check) and the
-/// emitters themselves can run on any thread.
+/// evaluate() adds them, in emission order, into the per-victim totals, so
+/// the emitters themselves can run on any thread.
 struct NoiseSink {
   std::vector<XtalkContribution>& rows;
   SignalId aggressor = -1;
@@ -219,7 +217,7 @@ void emit_pdn_tap(const AnalysisContext& ctx, const WalkGains& gains,
 /// Rows from one aggressor signal (crossing leaks, CSE/receiver residue,
 /// residual ring-geometry crossings).
 void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
-                 const std::vector<LossBreakdown>& losses,
+                 const std::vector<SignalReport>& signals,
                  const std::vector<double>& laser_mw, std::size_t i,
                  std::vector<XtalkContribution>& rows) {
   const RouterDesign& d = ctx.design();
@@ -234,6 +232,7 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
     const SignalId id = static_cast<SignalId>(i);
     const mapping::SignalRoute& r = d.mapping.routes[i];
     const auto& sig = d.traffic.signal(id);
+    const LossBreakdown& loss = signals[i].loss;
 
     // --- 2. Shortcut-pair crossing leaks -------------------------------
     if (r.kind == mapping::RouteKind::kShortcut) {
@@ -241,7 +240,7 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
       if (sc.crossing_partner >= 0) {
         const double to_x_mm = chord_to_crossing_mm(d, r.shortcut, sig.src);
         const double p_at_x =
-            power_at_crossing(d, laser_mw, id, losses[i], to_x_mm);
+            power_at_crossing(d, laser_mw, id, loss, to_x_mm);
         const shortcut::Shortcut& partner =
             d.shortcuts.shortcuts[sc.crossing_partner];
         sink.aggressor = id;
@@ -267,7 +266,7 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
       const shortcut::Shortcut& in = d.shortcuts.shortcuts[cse.shortcut_in];
       const double to_x_mm = chord_to_crossing_mm(d, cse.shortcut_in, cse.src);
       const double p_at_x =
-          power_at_crossing(d, laser_mw, id, losses[i], to_x_mm);
+          power_at_crossing(d, laser_mw, id, loss, to_x_mm);
       const NodeId far_end = in.a == cse.src ? in.b : in.a;
       const double rest_mm = in.length / 1000.0 - to_x_mm;
       sink.aggressor = id;
@@ -286,7 +285,7 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
          r.kind == mapping::RouteKind::kRingCcw)) {
       const double at_receiver =
           laser_mw[r.wavelength] *
-          phys::db_to_linear(-(losses[i].total_db() - lp.drop_db -
+          phys::db_to_linear(-(loss.total_db() - lp.drop_db -
                                lp.photodetector_db));
       sink.aggressor = id;
       sink.source = XtalkSource::kReceiverResidue;
@@ -322,7 +321,7 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
           for (const auto& [g, crossings] : ctx.ring().cross_row(h)) {
             const double p =
                 laser_mw[r.wavelength] *
-                phys::db_to_linear(-losses[i].total_db() / 2.0);  // mid-path
+                phys::db_to_linear(-loss.total_db() / 2.0);  // mid-path
             sink.node = tour.at(g);
             Lane lane{p * kx * crossings};
             walk_ring_noise(ctx, gains, r.waveguide, tour.at(g),
@@ -336,19 +335,18 @@ void emit_signal(const AnalysisContext& ctx, const WalkGains& gains,
 
 }  // namespace
 
-std::vector<double> compute_noise(const AnalysisContext& ctx,
-                                  const std::vector<LossBreakdown>& losses,
-                                  const std::vector<double>& laser_mw,
-                                  std::vector<XtalkContribution>* attribution) {
+std::vector<XtalkContribution> compute_noise(
+    const AnalysisContext& ctx, const std::vector<SignalReport>& signals,
+    const std::vector<double>& laser_mw) {
   const RouterDesign& d = ctx.design();
 
   // Work items: one per PDN crossing tap, then one per aggressor signal —
   // the same order the serial code walked them. Each item only *records*
-  // its deposits; the chunks are combined in ascending chunk order and the
-  // replay below folds the rows into the totals strictly in item order,
-  // reproducing the serial accumulation (and its floating-point rounding)
-  // exactly, no matter how many threads emitted the rows. The chunk
-  // partition depends only on (items, grain), never on the thread count.
+  // its deposits; the chunks are combined in ascending chunk order, so the
+  // rows come out strictly in item order and evaluate() folds them into the
+  // totals with the serial accumulation (and its floating-point rounding),
+  // no matter how many threads emitted the rows. The chunk partition
+  // depends only on (items, grain), never on the thread count.
   const long taps =
       d.has_pdn ? static_cast<long>(d.pdn.taps.size()) : 0;
   const long items = taps + static_cast<long>(d.mapping.routes.size());
@@ -359,14 +357,14 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
   using Rows = std::vector<XtalkContribution>;
   par::ThreadPool& pool = par::global_pool();
   const long grain = std::max(1L, items / (8L * pool.jobs()));
-  Rows rows = par::parallel_reduce(
+  return par::parallel_reduce(
       pool, 0, items, Rows{},
       [&](long k, Rows& acc) {
         if (k < taps) {
           emit_pdn_tap(ctx, gains, laser_mw,
                        d.pdn.taps[static_cast<std::size_t>(k)], acc);
         } else {
-          emit_signal(ctx, gains, losses, laser_mw,
+          emit_signal(ctx, gains, signals, laser_mw,
                       static_cast<std::size_t>(k - taps), acc);
         }
       },
@@ -375,16 +373,6 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
                    std::make_move_iterator(chunk.end()));
       },
       grain);
-
-  std::vector<double> noise(d.traffic.size(), 0.0);
-  if (attribution != nullptr) {
-    attribution->reserve(attribution->size() + rows.size());
-  }
-  for (const XtalkContribution& row : rows) {
-    noise[row.victim] += row.noise_mw;
-    if (attribution != nullptr) attribution->push_back(row);
-  }
-  return noise;
 }
 
 }  // namespace xring::analysis

@@ -4,8 +4,9 @@
 
 namespace xring::analysis {
 
-/// First-order crosstalk result: the total noise power (mW) reaching each
-/// signal's photodetector on its own wavelength.
+/// First-order crosstalk: every deposit of noise power on a signal's
+/// photodetector, on its own wavelength, as one XtalkContribution row
+/// (victim, aggressor, source mechanism, injection node, power).
 ///
 /// Modelled sources (per Nikdast et al. [14], first order only):
 ///  * comb-PDN crossings leaking continuous-wave laser power (all used
@@ -21,14 +22,12 @@ namespace xring::analysis {
 /// Residue noise at photodetector drop-MRRs is removed by the MRR+terminator
 /// of Fig. 5(b) and therefore never contributes, exactly as the paper
 /// assumes.
-/// When `attribution` is non-null, every deposit is additionally recorded
-/// as an XtalkContribution row (victim, aggressor, source mechanism,
-/// injection node, power). The rows of one victim sum to its entry of the
-/// returned vector exactly — both are accumulated from the same deposits.
-std::vector<double> compute_noise(const AnalysisContext& ctx,
-                                  const std::vector<LossBreakdown>& losses,
-                                  const std::vector<double>& laser_mw,
-                                  std::vector<XtalkContribution>* attribution =
-                                      nullptr);
+///
+/// `signals` supplies each aggressor's loss breakdown; `laser_mw` is the
+/// per-wavelength laser power. The rows come in a fixed order (PDN taps,
+/// then aggressors by signal id) that does not depend on the thread count.
+std::vector<XtalkContribution> compute_noise(
+    const AnalysisContext& ctx, const std::vector<SignalReport>& signals,
+    const std::vector<double>& laser_mw);
 
 }  // namespace xring::analysis

@@ -36,8 +36,8 @@ struct RouterDesign {
 };
 
 /// Itemized insertion loss of one signal path. Units: dB (losses are
-/// positive magnitudes), mm, counts. Kept per signal in
-/// RouterMetrics::loss_ledger so reports can show where each dB went.
+/// positive magnitudes), mm, counts. Each SignalReport holds its signal's
+/// breakdown, so reports can show where each dB went.
 struct LossBreakdown {
   double propagation_db = 0.0;
   double modulator_db = 0.0;
@@ -77,8 +77,8 @@ const char* to_string(XtalkSource s);
 /// One row of the crosstalk attribution table: `noise_mw` of noise power
 /// reached `victim`'s photodetector, injected by `aggressor` (or by the CW
 /// laser light in the PDN, aggressor = -1) through `source` at `node`. The
-/// rows of one victim sum to its SignalReport::noise_mw — evaluate()
-/// guarantees the invariant by accumulating both from the same deposits.
+/// rows of one victim sum to its SignalReport::noise_mw — evaluate() forms
+/// that total by adding the victim's rows in ledger order.
 struct XtalkContribution {
   SignalId victim = -1;
   SignalId aggressor = -1;
@@ -87,18 +87,14 @@ struct XtalkContribution {
   double noise_mw = 0.0;
 };
 
-/// Per-signal analysis record.
+/// Per-signal analysis record. The paper's per-signal figures read off
+/// `loss`: il = loss.total_db(), il* = loss.star_db() (PDN feed and coupler
+/// excluded), L = loss.path_mm, C = loss.crossings.
 struct SignalReport {
-  double il_db = 0.0;        ///< full insertion loss incl. PDN feed & coupler
-  double il_star_db = 0.0;   ///< insertion loss excluding PDN feed (il* in
-                             ///< Table II) — still includes on-path losses
-  double path_mm = 0.0;      ///< geometric path length sender → receiver
-  int crossings = 0;         ///< waveguide crossings passed on the path
-  int through_mrrs = 0;      ///< off-resonance MRRs passed
-  double noise_mw = 0.0;     ///< first-order noise power at the receiver
-  double signal_mw = 0.0;    ///< received signal power
-  double snr_db = 0.0;       ///< 10*log10(signal/noise); +inf encoded as
-                             ///< kNoNoiseSnr when noise is zero
+  LossBreakdown loss;
+  double noise_mw = 0.0;  ///< first-order noise power at the receiver
+  double snr_db = 0.0;    ///< 10*log10(signal/noise); +inf encoded as
+                          ///< kNoNoiseSnr when noise is zero
 };
 
 constexpr double kNoNoiseSnr = 1e9;
@@ -118,9 +114,6 @@ struct RouterMetrics {
   /// worst-loss signal on that wavelength: P = 10^((il_w + S)/10).
   std::vector<double> laser_mw;
   std::vector<SignalReport> signals;
-  /// Provenance: itemized loss per signal (parallel to `signals`; each
-  /// entry's total_db()/star_db() equals the signal's il_db/il_star_db).
-  std::vector<LossBreakdown> loss_ledger;
   /// Provenance: every crosstalk contribution that reached a photodetector.
   /// A victim's rows sum to its SignalReport::noise_mw.
   std::vector<XtalkContribution> xtalk_ledger;

@@ -24,15 +24,10 @@ RouterMetrics evaluate(const RouterDesign& design, const EvalShared& shared) {
   m.signals.resize(num_signals);
 
   // --- Losses -----------------------------------------------------------
-  // The per-signal breakdowns are retained as the metrics' loss ledger: the
-  // report layer renders them as waterfalls, and the explainability tests
-  // hold them to the invariant total_db()/star_db() == il_db/il_star_db.
-  std::vector<LossBreakdown>& losses = m.loss_ledger;
-  losses.resize(num_signals);
   // Per-signal loss walks are independent (the context is immutable and
-  // each iteration writes only its own ledger/report slots), so they fan
-  // out over the global pool. Every slot holds exactly the value the serial
-  // loop would have written — no cross-signal accumulation happens here.
+  // each iteration writes only its own record), so they fan out over the
+  // global pool. Every record holds exactly the value the serial loop would
+  // have written — no cross-signal accumulation happens here.
   {
     par::ThreadPool& pool = par::global_pool();
     const long grain = std::max(1L, static_cast<long>(num_signals) / (8L * pool.jobs()));
@@ -40,42 +35,40 @@ RouterMetrics evaluate(const RouterDesign& design, const EvalShared& shared) {
         pool, 0, num_signals,
         [&](long i) {
           const SignalId id = static_cast<SignalId>(i);
-          losses[id] = signal_loss(ctx, id);
-          SignalReport& r = m.signals[id];
-          r.il_db = losses[id].total_db();
-          r.il_star_db = losses[id].star_db();
-          r.path_mm = losses[id].path_mm;
-          r.crossings = losses[id].crossings;
-          r.through_mrrs = losses[id].through_mrrs;
+          m.signals[id].loss = signal_loss(ctx, id);
         },
         grain);
   }
 
   // --- Per-wavelength laser power ----------------------------------------
-  const int wavelengths = std::max(1, design.mapping.wavelengths_used);
-  std::vector<double> laser_mw(wavelengths, 0.0);
+  std::vector<double>& laser_mw = m.laser_mw;
+  laser_mw.assign(std::max(1, design.mapping.wavelengths_used), 0.0);
   for (SignalId id = 0; id < num_signals; ++id) {
     const int wl = design.mapping.routes[id].wavelength;
     if (wl < 0) continue;
     laser_mw[wl] =
         std::max(laser_mw[wl],
-                 phys::laser_power_mw(m.signals[id].il_db,
+                 phys::laser_power_mw(m.signals[id].loss.total_db(),
                                       design.params.loss.receiver_sensitivity_dbm));
   }
 
   // --- Crosstalk ----------------------------------------------------------
-  const std::vector<double> noise =
-      compute_noise(ctx, losses, laser_mw, &m.xtalk_ledger);
+  // Each victim's noise is the sum of its rows, added in ledger order.
+  m.xtalk_ledger = compute_noise(ctx, m.signals, laser_mw);
+  for (const XtalkContribution& row : m.xtalk_ledger) {
+    m.signals[row.victim].noise_mw += row.noise_mw;
+  }
 
   // --- Aggregation ---------------------------------------------------------
   int worst = -1;
   for (SignalId id = 0; id < num_signals; ++id) {
     SignalReport& r = m.signals[id];
+    const double il_db = r.loss.total_db();
     const int wl = design.mapping.routes[id].wavelength;
-    r.signal_mw = wl >= 0 ? laser_mw[wl] * phys::db_to_linear(-r.il_db) : 0.0;
-    r.noise_mw = noise[id];
+    const double received_mw =
+        wl >= 0 ? laser_mw[wl] * phys::db_to_linear(-il_db) : 0.0;
     r.snr_db = r.noise_mw > design.params.crosstalk.noise_floor_mw
-                   ? 10.0 * std::log10(r.signal_mw / r.noise_mw)
+                   ? 10.0 * std::log10(received_mw / r.noise_mw)
                    : kNoNoiseSnr;
     if (r.snr_db < design.params.crosstalk.snr_warn_db) {
       obs::diagnose(obs::Severity::kWarning, "analysis.snr_below_threshold",
@@ -89,24 +82,26 @@ RouterMetrics evaluate(const RouterDesign& design, const EvalShared& shared) {
                       std::to_string(design.params.crosstalk.snr_warn_db)}});
     }
 
-    m.il_worst_db = std::max(m.il_worst_db, r.il_db);
-    if (worst < 0 || r.il_star_db > m.signals[worst].il_star_db) worst = id;
+    m.il_worst_db = std::max(m.il_worst_db, il_db);
+    if (worst < 0 || r.loss.star_db() > m.signals[worst].loss.star_db()) {
+      worst = id;
+    }
     if (r.snr_db < kNoNoiseSnr) {
       ++m.noisy_signals;
       m.snr_worst_db = std::min(m.snr_worst_db, r.snr_db);
     }
   }
   if (worst >= 0) {
-    m.il_star_worst_db = m.signals[worst].il_star_db;
-    m.worst_path_mm = m.signals[worst].path_mm;
-    m.worst_crossings = m.signals[worst].crossings;
+    const LossBreakdown& b = m.signals[worst].loss;
+    m.il_star_worst_db = b.star_db();
+    m.worst_path_mm = b.path_mm;
+    m.worst_crossings = b.crossings;
   }
 
   double total_mw = 0.0;
   for (const double p : laser_mw) total_mw += p;
   m.total_power_w =
       total_mw / 1000.0 / design.params.loss.laser_wall_plug_efficiency;
-  m.laser_mw = laser_mw;
 
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();

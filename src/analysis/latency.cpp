@@ -9,7 +9,7 @@ LatencyReport compute_latency(const RouterMetrics& metrics,
   report.per_signal_ps.reserve(metrics.signals.size());
   double sum = 0.0;
   for (const SignalReport& s : metrics.signals) {
-    const double ps = s.path_mm * group_index / kSpeedOfLightMmPerPs;
+    const double ps = s.loss.path_mm * group_index / kSpeedOfLightMmPerPs;
     report.per_signal_ps.push_back(ps);
     report.worst_ps = std::max(report.worst_ps, ps);
     sum += ps;

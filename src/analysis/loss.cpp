@@ -4,14 +4,6 @@
 
 namespace xring::analysis {
 
-namespace {
-
-bool same_orientation(const geom::Segment& a, const geom::Segment& b) {
-  return (a.horizontal() && b.horizontal()) || (a.vertical() && b.vertical());
-}
-
-}  // namespace
-
 AnalysisContext::AnalysisContext(const RouterDesign& design,
                                  const RingSubstrate* shared_ring,
                                  const mapping::ArcTable* shared_arcs)
@@ -29,26 +21,6 @@ AnalysisContext::AnalysisContext(const RouterDesign& design,
     arcs_ = &*local_arcs_;
   }
   devices_ = DeviceIndex(design, *arcs_);
-}
-
-int AnalysisContext::ring_geometry_crossings(const std::vector<int>& hops) const {
-  // A signal passes a crossing once per covered hop involved in it: if both
-  // crossing hops are covered, the physical point is traversed twice.
-  int total = 0;
-  for (const int h : hops) total += ring_->cross_row_sum(h);
-  return total;
-}
-
-int AnalysisContext::bends_on_hops(const std::vector<int>& hops) const {
-  int bends = 0;
-  const geom::Segment* prev = nullptr;
-  for (const int h : hops) {
-    for (const geom::Segment& s : ring_->hop_route(h).segments()) {
-      if (prev != nullptr && !same_orientation(*prev, s)) ++bends;
-      prev = &s;
-    }
-  }
-  return bends;
 }
 
 namespace {

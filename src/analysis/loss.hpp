@@ -4,12 +4,11 @@
 
 #include "analysis/design.hpp"
 #include "analysis/substrate.hpp"
-#include "geom/lshape.hpp"
 
 namespace xring::analysis {
 
-// LossBreakdown lives in design.hpp (RouterMetrics keeps one per signal in
-// its loss_ledger); loss.hpp re-exports it transitively.
+// LossBreakdown lives in design.hpp (each SignalReport holds its signal's);
+// loss.hpp re-exports it transitively.
 
 /// Shared precomputation for analyzing one design: the ring's geometry
 /// substrate (per-hop realized routes, sparse hop-crossing structure and
@@ -40,22 +39,6 @@ class AnalysisContext {
   mapping::ArcTable::Arc arc(SignalId id, mapping::Direction dir) const {
     return arcs_->arc(id, dir);
   }
-
-  const geom::LRoute& hop_route(int hop) const {
-    return ring_->hop_route(hop);
-  }
-
-  /// Crossings between the realized routes of two distinct hops.
-  int hop_crossings(int a, int b) const { return ring_->hop_crossings(a, b); }
-
-  /// Number of ring-geometry crossings a signal covering `hops` passes.
-  /// Generic-hop-list form kept for tests and reports; the engines use the
-  /// O(1) arc form RingSubstrate::crossings_on_arc.
-  int ring_geometry_crossings(const std::vector<int>& hops) const;
-
-  /// Direction changes (bends) along the concatenated hop routes.
-  /// Generic-hop-list walk; the engines use RingSubstrate::bends_on_arc.
-  int bends_on_hops(const std::vector<int>& hops) const;
 
  private:
   const RouterDesign* design_;

@@ -39,7 +39,7 @@ RingSubstrate::RingSubstrate(const ring::RingGeometry& ring,
   index.build();
 
   cross_rows_.assign(hops_, {});
-  row_sums_.assign(hops_, 0);
+  std::vector<int> row_sums(hops_, 0);  // Σ_g hop_crossings(h, g)
   std::vector<int> scratch(hops_, 0);
   std::vector<int> touched;
   for (int h = 0; h < hops_; ++h) {
@@ -58,7 +58,7 @@ RingSubstrate::RingSubstrate(const ring::RingGeometry& ring,
       sum += scratch[g];
       scratch[g] = 0;
     }
-    row_sums_[h] = sum;
+    row_sums[h] = sum;
   }
 
   // Cyclic prefix sums + the crossing-hop bitset.
@@ -69,8 +69,8 @@ RingSubstrate::RingSubstrate(const ring::RingGeometry& ring,
   internal_prefix_.assign(hops_ + 1, 0);
   junction_prefix_.assign(hops_ + 1, 0);
   for (int h = 0; h < hops_; ++h) {
-    cross_prefix_[h + 1] = cross_prefix_[h] + row_sums_[h];
-    if (row_sums_[h] > 0) {
+    cross_prefix_[h + 1] = cross_prefix_[h] + row_sums[h];
+    if (row_sums[h] > 0) {
       cross_mask_[h >> 6] |= std::uint64_t{1} << (h & 63);
     }
     len_prefix_[h + 1] = len_prefix_[h] + tour.hop_length(h);

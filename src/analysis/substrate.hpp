@@ -29,7 +29,6 @@ class RingSubstrate {
 
   bool empty() const { return hops_ == 0; }
   int hops() const { return hops_; }
-  const geom::LRoute& hop_route(int h) const { return hop_routes_[h]; }
 
   /// Crossings between the realized routes of hops a and b (sparse lookup;
   /// zero for the vast majority of pairs).
@@ -41,11 +40,9 @@ class RingSubstrate {
     return cross_rows_[h];
   }
 
-  /// Σ_g hop_crossings(h, g): the dense row sum.
-  int cross_row_sum(int h) const { return row_sums_[h]; }
-
-  /// Σ of cross_row_sum over the cyclic hop interval [start, start+len) —
-  /// the ring-geometry crossings a signal covering that arc passes.
+  /// Σ_g hop_crossings(h, g) summed over the cyclic hop interval
+  /// [start, start+len) — the ring-geometry crossings a signal covering
+  /// that arc passes (a crossing between two covered hops counts twice).
   int crossings_on_arc(int start, int len) const {
     return static_cast<int>(interval_sum(cross_prefix_, start, len));
   }
@@ -83,7 +80,6 @@ class RingSubstrate {
   int hops_ = 0;
   std::vector<geom::LRoute> hop_routes_;
   std::vector<std::vector<std::pair<int, int>>> cross_rows_;
-  std::vector<int> row_sums_;
   std::vector<long long> cross_prefix_;     ///< row sums, size hops_+1
   std::vector<long long> len_prefix_;       ///< hop lengths, size hops_+1
   std::vector<long long> internal_prefix_;  ///< within-route bends

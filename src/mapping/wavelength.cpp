@@ -11,6 +11,17 @@
 
 namespace xring::mapping {
 
+const char* to_string(RouteKind kind) {
+  switch (kind) {
+    case RouteKind::kRingCw: return "ring-cw";
+    case RouteKind::kRingCcw: return "ring-ccw";
+    case RouteKind::kShortcut: return "shortcut";
+    case RouteKind::kCse: return "cse";
+    case RouteKind::kUnrouted: return "unrouted";
+  }
+  return "unknown";
+}
+
 int Mapping::add_waveguide(Direction dir) {
   RingWaveguide w;
   w.dir = dir;

@@ -24,6 +24,10 @@ enum class RouteKind {
   kUnrouted,
 };
 
+/// Report name of a route kind: "ring-cw", "ring-ccw", "shortcut", "cse" or
+/// "unrouted".
+const char* to_string(RouteKind kind);
+
 /// Per-signal routing decision.
 struct SignalRoute {
   RouteKind kind = RouteKind::kUnrouted;

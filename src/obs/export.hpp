@@ -13,6 +13,10 @@ namespace xring::obs {
 /// reports in xring_report).
 std::string json_escape(const std::string& s);
 
+/// HTML text/attribute escaping (& < > ") shared by the HTML reports (run
+/// reports in xring_report, run diffs here).
+std::string html_escape(const std::string& s);
+
 /// JSON number formatting: shortest round-trippable form; NaN/Inf become
 /// null (JSON has neither).
 std::string json_num(double v);

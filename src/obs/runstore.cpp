@@ -544,21 +544,6 @@ std::string run_diff_json(const RunDiff& d) {
 
 namespace {
 
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string fmt_num(double v) {
   if (std::isnan(v)) return "null";
   char buf[64];

@@ -8,21 +8,6 @@
 
 namespace xring::report {
 
-namespace {
-
-const char* route_name(mapping::RouteKind kind) {
-  switch (kind) {
-    case mapping::RouteKind::kRingCw: return "ring-cw";
-    case mapping::RouteKind::kRingCcw: return "ring-ccw";
-    case mapping::RouteKind::kShortcut: return "shortcut";
-    case mapping::RouteKind::kCse: return "cse";
-    case mapping::RouteKind::kUnrouted: return "UNROUTED";
-  }
-  return "?";
-}
-
-}  // namespace
-
 void write_design_report(const analysis::RouterDesign& design,
                          const analysis::RouterMetrics& metrics,
                          std::ostream& out) {
@@ -136,9 +121,10 @@ void write_design_report(const analysis::RouterDesign& design,
     const auto& rep = metrics.signals[i];
     const auto& route = design.mapping.routes[i];
     t.add_row({fp.node(sig.src).name + "->" + fp.node(sig.dst).name,
-               route_name(route.kind), std::to_string(route.wavelength),
-               num(rep.il_db, 2), num(rep.il_star_db, 2), num(rep.path_mm, 1),
-               std::to_string(rep.crossings), snr(rep.snr_db)});
+               mapping::to_string(route.kind),
+               std::to_string(route.wavelength), num(rep.loss.total_db(), 2),
+               num(rep.loss.star_db(), 2), num(rep.loss.path_mm, 1),
+               std::to_string(rep.loss.crossings), snr(rep.snr_db)});
   }
   out << t.to_string();
 }

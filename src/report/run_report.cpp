@@ -11,51 +11,29 @@
 #include "obs/export.hpp"
 #include "obs/sampler.hpp"
 #include "par/pool.hpp"
+#include "report/table.hpp"
 
 namespace xring::report {
 
 namespace {
 
+using obs::html_escape;
 using obs::json_escape;
 using obs::json_num;
 
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string fmt(double v, int decimals = 2) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
+/// Caps that keep the HTML page readable: loss waterfalls for the worst-loss
+/// signals (every signal is still in the JSON report), crosstalk matrix rows
+/// for the noisiest victims, and timeline rows for the longest spans (a run
+/// with thousands of lp.solve spans still renders).
+constexpr int kMaxWaterfallSignals = 24;
+constexpr int kMaxMatrixVictims = 24;
+constexpr int kMaxTimelineSpans = 400;
 
 /// Compact scientific form for powers spanning many decades (noise mW).
 std::string fmt_sci(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3g", v);
   return buf;
-}
-
-const char* route_kind_name(mapping::RouteKind kind) {
-  switch (kind) {
-    case mapping::RouteKind::kShortcut: return "shortcut";
-    case mapping::RouteKind::kCse: return "cse";
-    case mapping::RouteKind::kRingCw: return "ring-cw";
-    case mapping::RouteKind::kRingCcw: return "ring-ccw";
-    case mapping::RouteKind::kUnrouted: return "unrouted";
-  }
-  return "unknown";
 }
 
 std::string node_name(const analysis::RouterDesign& d, netlist::NodeId v) {
@@ -129,7 +107,7 @@ void emit_diagnostics(std::ostringstream& out,
         out << "<code>" << html_escape(k) << "=" << html_escape(v)
             << "</code> ";
       }
-      out << "</td><td class=\"num\">" << fmt(d.t_us / 1000.0, 3)
+      out << "</td><td class=\"num\">" << num(d.t_us / 1000.0, 3)
           << "</td></tr>\n";
     }
     out << "</table>";
@@ -138,8 +116,7 @@ void emit_diagnostics(std::ostringstream& out,
 }
 
 void emit_timeline(std::ostringstream& out,
-                   const std::vector<obs::SpanEvent>& all,
-                   int max_spans) {
+                   const std::vector<obs::SpanEvent>& all) {
   out << "<details open id=\"timeline\"><summary>Span timeline ("
       << all.size() << " spans)</summary>\n";
   if (all.empty()) {
@@ -150,13 +127,13 @@ void emit_timeline(std::ostringstream& out,
   // Cap rows for readability: the longest spans win, then restore
   // chronological order.
   std::vector<obs::SpanEvent> spans = all;
-  if (static_cast<int>(spans.size()) > max_spans) {
+  if (static_cast<int>(spans.size()) > kMaxTimelineSpans) {
     std::sort(spans.begin(), spans.end(),
               [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
                 return a.dur_us > b.dur_us;
               });
-    spans.resize(max_spans);
-    out << "<p class=\"empty\">Showing the " << max_spans
+    spans.resize(kMaxTimelineSpans);
+    out << "<p class=\"empty\">Showing the " << kMaxTimelineSpans
         << " longest spans of " << all.size() << ".</p>";
   }
   std::sort(spans.begin(), spans.end(),
@@ -184,15 +161,15 @@ void emit_timeline(std::ostringstream& out,
         kDepthColors[ev.depth % static_cast<int>(std::size(kDepthColors))];
     out << "<text x=\"" << 4 + ev.depth * 10 << "\" y=\"" << y + 10 << "\">"
         << html_escape(ev.name) << "</text>"
-        << "<rect x=\"" << fmt(x, 1) << "\" y=\"" << y << "\" width=\""
-        << fmt(w, 1) << "\" height=\"" << kRowH - 4 << "\" fill=\"" << color
+        << "<rect x=\"" << num(x, 1) << "\" y=\"" << y << "\" width=\""
+        << num(w, 1) << "\" height=\"" << kRowH - 4 << "\" fill=\"" << color
         << "\"><title>" << html_escape(ev.name) << ": "
-        << fmt(ev.dur_us / 1000.0, 3) << " ms @ " << fmt(ev.start_us / 1000.0, 3)
+        << num(ev.dur_us / 1000.0, 3) << " ms @ " << num(ev.start_us / 1000.0, 3)
         << " ms (depth " << ev.depth << ")</title></rect>\n";
   }
   out << "<text x=\"" << kLabelW << "\" y=\"" << height - 6 << "\">0 ms</text>"
       << "<text x=\"" << kLabelW + kBarW - 60 << "\" y=\"" << height - 6
-      << "\">" << fmt(t_end / 1000.0, 1) << " ms</text>\n</svg></details>\n";
+      << "\">" << num(t_end / 1000.0, 1) << " ms</text>\n</svg></details>\n";
 }
 
 void emit_convergence(std::ostringstream& out,
@@ -222,50 +199,50 @@ void emit_convergence(std::ostringstream& out,
     return 8 + (v_max - v) / (v_max - v_min) * (kH - kPadB - 8);
   };
   out << "<p>" << pts.size() << " incumbent(s); final objective "
-      << fmt(pts.back().value, 3) << ".</p>\n<svg width=\"" << kPadL + kW + 20
+      << num(pts.back().value, 3) << ".</p>\n<svg width=\"" << kPadL + kW + 20
       << "\" height=\"" << kH << "\" font-family=\"monospace\" "
          "font-size=\"11\">\n<polyline fill=\"none\" stroke=\"#4e79a7\" "
          "stroke-width=\"1.5\" points=\"";
   // Step-after: the incumbent holds its value until the next improvement.
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (i > 0) out << fmt(px(pts[i].t_us), 1) << "," << fmt(py(pts[i - 1].value), 1) << " ";
-    out << fmt(px(pts[i].t_us), 1) << "," << fmt(py(pts[i].value), 1) << " ";
+    if (i > 0) out << num(px(pts[i].t_us), 1) << "," << num(py(pts[i - 1].value), 1) << " ";
+    out << num(px(pts[i].t_us), 1) << "," << num(py(pts[i].value), 1) << " ";
   }
-  out << fmt(px(t_max), 1) << "," << fmt(py(pts.back().value), 1) << "\"/>\n";
+  out << num(px(t_max), 1) << "," << num(py(pts.back().value), 1) << "\"/>\n";
   for (const obs::SeriesPoint& p : pts) {
-    out << "<circle cx=\"" << fmt(px(p.t_us), 1) << "\" cy=\""
-        << fmt(py(p.value), 1) << "\" r=\"2.5\" fill=\"#e15759\"><title>"
-        << fmt(p.value, 4) << " @ " << fmt(p.t_us / 1000.0, 3)
+    out << "<circle cx=\"" << num(px(p.t_us), 1) << "\" cy=\""
+        << num(py(p.value), 1) << "\" r=\"2.5\" fill=\"#e15759\"><title>"
+        << num(p.value, 4) << " @ " << num(p.t_us / 1000.0, 3)
         << " ms</title></circle>\n";
   }
-  out << "<text x=\"2\" y=\"" << fmt(py(v_max) + 4, 0) << "\">" << fmt(v_max, 2)
-      << "</text><text x=\"2\" y=\"" << fmt(py(v_min) + 4, 0) << "\">"
-      << fmt(v_min, 2) << "</text><text x=\"" << kPadL << "\" y=\"" << kH - 6
+  out << "<text x=\"2\" y=\"" << num(py(v_max) + 4, 0) << "\">" << num(v_max, 2)
+      << "</text><text x=\"2\" y=\"" << num(py(v_min) + 4, 0) << "\">"
+      << num(v_min, 2) << "</text><text x=\"" << kPadL << "\" y=\"" << kH - 6
       << "\">0 ms</text><text x=\"" << kPadL + kW - 70 << "\" y=\"" << kH - 6
-      << "\">" << fmt(t_max / 1000.0, 1) << " ms</text>\n</svg></details>\n";
+      << "\">" << num(t_max / 1000.0, 1) << " ms</text>\n</svg></details>\n";
 }
 
 void emit_waterfall(std::ostringstream& out,
                     const analysis::RouterDesign& design,
-                    const analysis::RouterMetrics& metrics, int max_signals) {
-  const std::vector<analysis::LossBreakdown>& ledger = metrics.loss_ledger;
+                    const analysis::RouterMetrics& metrics) {
+  const std::vector<analysis::SignalReport>& signals = metrics.signals;
   out << "<details open id=\"waterfall\"><summary>Per-signal loss waterfall"
       << "</summary>\n";
-  if (ledger.empty()) {
-    out << "<p class=\"empty\">No loss ledger (design not evaluated).</p>"
+  if (signals.empty()) {
+    out << "<p class=\"empty\">No signal records (design not evaluated).</p>"
         << "</details>\n";
     return;
   }
-  std::vector<int> order(ledger.size());
+  std::vector<int> order(signals.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return ledger[a].total_db() > ledger[b].total_db();
+    return signals[a].loss.total_db() > signals[b].loss.total_db();
   });
-  if (static_cast<int>(order.size()) > max_signals) {
-    out << "<p class=\"empty\">Showing the " << max_signals
+  if (static_cast<int>(order.size()) > kMaxWaterfallSignals) {
+    out << "<p class=\"empty\">Showing the " << kMaxWaterfallSignals
         << " worst-loss signals of " << order.size()
         << " (all signals are in the JSON report).</p>";
-    order.resize(max_signals);
+    order.resize(kMaxWaterfallSignals);
   }
   out << "<p class=\"legend\">";
   for (const LossComponent& c : kLossComponents) {
@@ -273,25 +250,25 @@ void emit_waterfall(std::ostringstream& out,
         << c.label << " &nbsp;";
   }
   out << "</p>\n";
-  const double max_db = ledger[order.front()].total_db();
+  const double max_db = signals[order.front()].loss.total_db();
   for (const int id : order) {
-    const analysis::LossBreakdown& b = ledger[id];
+    const analysis::LossBreakdown& b = signals[id].loss;
     const auto& sig = design.traffic.signal(id);
     const mapping::SignalRoute& route = design.mapping.routes[id];
     out << "<div class=\"wrow\"><span class=\"wlabel\">s" << id << " "
         << html_escape(node_name(design, sig.src)) << "&rarr;"
         << html_escape(node_name(design, sig.dst)) << " ("
-        << route_kind_name(route.kind) << " &lambda;" << route.wavelength
+        << mapping::to_string(route.kind) << " &lambda;" << route.wavelength
         << ")</span><span class=\"wbar\">";
     for (const LossComponent& c : kLossComponents) {
       const double db = c.get(b);
       if (db <= 0.0) continue;
       out << "<span class=\"seg\" style=\"width:"
-          << fmt(db / std::max(max_db, 1e-12) * 100.0, 2)
+          << num(db / std::max(max_db, 1e-12) * 100.0, 2)
           << "%;background:" << c.color << "\" title=\"" << c.label << " "
-          << fmt(db, 3) << " dB\"></span>";
+          << num(db, 3) << " dB\"></span>";
     }
-    out << "</span><span class=\"wtotal\">" << fmt(b.total_db(), 2)
+    out << "</span><span class=\"wtotal\">" << num(b.total_db(), 2)
         << " dB</span></div>\n";
   }
   out << "</details>\n";
@@ -299,8 +276,7 @@ void emit_waterfall(std::ostringstream& out,
 
 void emit_xtalk_matrix(std::ostringstream& out,
                        const analysis::RouterDesign& design,
-                       const analysis::RouterMetrics& metrics,
-                       int max_victims) {
+                       const analysis::RouterMetrics& metrics) {
   out << "<details open id=\"xtalk\"><summary>Crosstalk aggressor matrix ("
       << metrics.xtalk_ledger.size() << " contributions)</summary>\n";
   if (metrics.xtalk_ledger.empty()) {
@@ -330,10 +306,10 @@ void emit_xtalk_matrix(std::ostringstream& out,
   for (const auto& [v, total] : victim_total) victims.push_back(v);
   std::sort(victims.begin(), victims.end(),
             [&](int a, int b) { return victim_total[a] > victim_total[b]; });
-  if (static_cast<int>(victims.size()) > max_victims) {
-    out << "<p class=\"empty\">Showing the " << max_victims
+  if (static_cast<int>(victims.size()) > kMaxMatrixVictims) {
+    out << "<p class=\"empty\">Showing the " << kMaxMatrixVictims
         << " noisiest victims of " << victims.size() << ".</p>";
-    victims.resize(max_victims);
+    victims.resize(kMaxMatrixVictims);
   }
 
   // Column set: every aggressor contributing to a shown victim.
@@ -375,13 +351,13 @@ void emit_xtalk_matrix(std::ostringstream& out,
       const double rel =
           std::max(0.0, 1.0 + std::log10(it->second / max_cell) / 6.0);
       out << "<td class=\"num\" style=\"background:rgba(225,87,89,"
-          << fmt(0.1 + 0.75 * rel, 2) << ")\">" << fmt_sci(it->second)
+          << num(0.1 + 0.75 * rel, 2) << ")\">" << fmt_sci(it->second)
           << "</td>";
     }
     const double snr = metrics.signals[v].snr_db;
     out << "<td class=\"num\">" << fmt_sci(victim_total[v])
         << "</td><td class=\"num\">"
-        << (snr >= analysis::kNoNoiseSnr ? std::string("-") : fmt(snr, 1))
+        << (snr >= analysis::kNoNoiseSnr ? std::string("-") : num(snr, 1))
         << "</td></tr>\n";
   }
   out << "</table></details>\n";
@@ -453,7 +429,7 @@ std::vector<MemoryRow> memory_rows(const obs::Registry& reg) {
   return rows;
 }
 
-std::string fmt_mib(double bytes) { return fmt(bytes / (1024.0 * 1024.0), 1); }
+std::string fmt_mib(double bytes) { return num(bytes / (1024.0 * 1024.0), 1); }
 
 void emit_memory(std::ostringstream& out, const std::vector<MemoryRow>& rows) {
   out << "<details open id=\"memory\"><summary>Memory by phase ("
@@ -556,12 +532,12 @@ std::string run_report_html(const obs::Registry& reg,
 
   emit_environment(out);
   emit_diagnostics(out, diags);
-  emit_timeline(out, spans, options.max_timeline_spans);
+  emit_timeline(out, spans);
   emit_convergence(out, reg.series());
   emit_memory(out, memory_rows(reg));
   if (design != nullptr && metrics != nullptr) {
-    emit_waterfall(out, *design, *metrics, options.max_waterfall_signals);
-    emit_xtalk_matrix(out, *design, *metrics, options.max_matrix_victims);
+    emit_waterfall(out, *design, *metrics);
+    emit_xtalk_matrix(out, *design, *metrics);
   }
   emit_metrics(out, flat);
   out << "</body></html>\n";
@@ -645,24 +621,19 @@ std::string run_report_json(const obs::Registry& reg,
       out << (first ? "" : ",") << "\n  {\"id\":" << i << ",\"src\":\""
           << json_escape(node_name(*design, sig.src)) << "\",\"dst\":\""
           << json_escape(node_name(*design, sig.dst)) << "\",\"route\":\""
-          << route_kind_name(route.kind)
+          << mapping::to_string(route.kind)
           << "\",\"wavelength\":" << route.wavelength
-          << ",\"il_db\":" << json_num(r.il_db)
-          << ",\"il_star_db\":" << json_num(r.il_star_db)
+          << ",\"il_db\":" << json_num(r.loss.total_db())
+          << ",\"il_star_db\":" << json_num(r.loss.star_db())
           << ",\"snr_db\":" << json_num(r.snr_db)
-          << ",\"noise_mw\":" << json_num(r.noise_mw);
-      if (i < metrics->loss_ledger.size()) {
-        const analysis::LossBreakdown& b = metrics->loss_ledger[i];
-        out << ",\"loss\":{";
-        bool first_c = true;
-        for (const LossComponent& c : kLossComponents) {
-          out << (first_c ? "" : ",") << "\"" << c.key
-              << "\":" << json_num(c.get(b));
-          first_c = false;
-        }
-        out << "}";
+          << ",\"noise_mw\":" << json_num(r.noise_mw) << ",\"loss\":{";
+      bool first_c = true;
+      for (const LossComponent& c : kLossComponents) {
+        out << (first_c ? "" : ",") << "\"" << c.key
+            << "\":" << json_num(c.get(r.loss));
+        first_c = false;
       }
-      out << "}";
+      out << "}}";
       first = false;
     }
     out << "\n],\n";

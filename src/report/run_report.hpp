@@ -10,21 +10,15 @@ namespace xring::report {
 /// Options of the explainability run report.
 struct RunReportOptions {
   std::string title = "xring run report";
-  /// Loss waterfalls are rendered for the N worst-loss signals (every
-  /// signal still appears in the JSON report and the signal table).
-  int max_waterfall_signals = 24;
-  /// Crosstalk matrix rows are capped at the N noisiest victims.
-  int max_matrix_victims = 24;
-  /// Span timeline rows are capped (longest-duration spans win) so a run
-  /// with thousands of lp.solve spans still renders a readable page.
-  int max_timeline_spans = 400;
 };
 
 /// Renders one self-contained HTML page explaining a run: the span-tree
 /// timeline, the diagnostics list, the MILP incumbent-vs-time convergence,
 /// the flat metrics, and — when `design`/`metrics` are given — the
 /// per-signal loss waterfalls and the crosstalk aggressor matrix built from
-/// the provenance ledgers of analysis::evaluate. Everything is inline
+/// the signal records and crosstalk ledger of analysis::evaluate. The
+/// waterfalls, matrix rows and timeline rows are capped (worst-loss
+/// signals, noisiest victims, longest spans). Everything is inline
 /// (CSS + SVG, no scripts, no external assets), so the file can be attached
 /// to a bug report or archived with CI artifacts as-is.
 std::string run_report_html(const obs::Registry& reg,

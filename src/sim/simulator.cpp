@@ -65,7 +65,7 @@ SimReport simulate(const analysis::RouterDesign& design,
         std::min(1.0, opt.offered_load /
                           (flows_of_source[sig.src] *
                            static_cast<double>(msg_flits)));
-    const double tof_ns = metrics.signals[f].path_mm * opt.group_index /
+    const double tof_ns = metrics.signals[f].loss.path_mm * opt.group_index /
                           kSpeedOfLightMmPerNs;
     fs.ber = ber_from_snr_db(metrics.signals[f].snr_db);
 

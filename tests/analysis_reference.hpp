@@ -401,7 +401,7 @@ inline void emit_pdn_tap(const RefContext& ctx,
 }
 
 inline void emit_signal(const RefContext& ctx,
-                        const std::vector<LossBreakdown>& losses,
+                        const std::vector<SignalReport>& signals,
                         const std::vector<double>& laser_mw, std::size_t i,
                         std::vector<XtalkContribution>& rows) {
   const RouterDesign& d = ctx.design();
@@ -415,13 +415,14 @@ inline void emit_signal(const RefContext& ctx,
   const SignalId id = static_cast<SignalId>(i);
   const mapping::SignalRoute& r = d.mapping.routes[i];
   const auto& sig = d.traffic.signal(id);
+  const LossBreakdown& loss = signals[i].loss;
 
   if (r.kind == mapping::RouteKind::kShortcut) {
     const shortcut::Shortcut& sc = d.shortcuts.shortcuts[r.shortcut];
     if (sc.crossing_partner >= 0) {
       const double to_x_mm = chord_to_crossing_mm(d, r.shortcut, sig.src);
       const double p_at_x =
-          power_at_crossing(d, laser_mw, id, losses[i], to_x_mm);
+          power_at_crossing(d, laser_mw, id, loss, to_x_mm);
       const shortcut::Shortcut& partner =
           d.shortcuts.shortcuts[sc.crossing_partner];
       sink.aggressor = id;
@@ -440,7 +441,7 @@ inline void emit_signal(const RefContext& ctx,
     const shortcut::CseRoute& cse = d.shortcuts.cse_routes[r.cse];
     const shortcut::Shortcut& in = d.shortcuts.shortcuts[cse.shortcut_in];
     const double to_x_mm = chord_to_crossing_mm(d, cse.shortcut_in, cse.src);
-    const double p_at_x = power_at_crossing(d, laser_mw, id, losses[i], to_x_mm);
+    const double p_at_x = power_at_crossing(d, laser_mw, id, loss, to_x_mm);
     const NodeId far_end = in.a == cse.src ? in.b : in.a;
     const double rest_mm = in.length / 1000.0 - to_x_mm;
     sink.aggressor = id;
@@ -455,7 +456,7 @@ inline void emit_signal(const RefContext& ctx,
     const double at_receiver =
         laser_mw[r.wavelength] *
         phys::db_to_linear(
-            -(losses[i].total_db() - lp.drop_db - lp.photodetector_db));
+            -(loss.total_db() - lp.drop_db - lp.photodetector_db));
     sink.aggressor = id;
     sink.source = XtalkSource::kReceiverResidue;
     sink.node = sig.dst;
@@ -474,7 +475,7 @@ inline void emit_signal(const RefContext& ctx,
         const int crossings = ctx.hop_crossings(h, g);
         if (crossings == 0) continue;
         const double p = laser_mw[r.wavelength] *
-                         phys::db_to_linear(-losses[i].total_db() / 2.0);
+                         phys::db_to_linear(-loss.total_db() / 2.0);
         sink.node = tour.at(g);
         walk_ring_noise(ctx, r.waveguide, tour.at(g), r.wavelength,
                         p * kx * crossings, sink);
@@ -483,10 +484,9 @@ inline void emit_signal(const RefContext& ctx,
   }
 }
 
-inline std::vector<double> compute_noise(
-    const RefContext& ctx, const std::vector<LossBreakdown>& losses,
-    const std::vector<double>& laser_mw,
-    std::vector<XtalkContribution>* attribution) {
+inline std::vector<XtalkContribution> compute_noise(
+    const RefContext& ctx, const std::vector<SignalReport>& signals,
+    const std::vector<double>& laser_mw) {
   const RouterDesign& d = ctx.design();
   const long taps = d.has_pdn ? static_cast<long>(d.pdn.taps.size()) : 0;
   const long items = taps + static_cast<long>(d.mapping.routes.size());
@@ -497,17 +497,11 @@ inline std::vector<double> compute_noise(
       emit_pdn_tap(ctx, laser_mw, d.pdn.taps[static_cast<std::size_t>(k)],
                    rows);
     } else {
-      emit_signal(ctx, losses, laser_mw, static_cast<std::size_t>(k - taps),
+      emit_signal(ctx, signals, laser_mw, static_cast<std::size_t>(k - taps),
                   rows);
     }
   }
-
-  std::vector<double> noise(d.traffic.size(), 0.0);
-  for (const XtalkContribution& row : rows) {
-    noise[row.victim] += row.noise_mw;
-    if (attribution != nullptr) attribution->push_back(row);
-  }
-  return noise;
+  return rows;
 }
 
 /// Brute-force reference evaluation of `design`, run strictly serially.
@@ -519,61 +513,56 @@ inline RouterMetrics evaluate_reference(const RouterDesign& design) {
   m.wavelengths = design.mapping.wavelengths_used;
   m.waveguides = static_cast<int>(design.mapping.waveguides.size());
   m.signals.resize(num_signals);
-
-  std::vector<LossBreakdown>& losses = m.loss_ledger;
-  losses.resize(num_signals);
   for (SignalId id = 0; id < num_signals; ++id) {
-    losses[id] = signal_loss(ctx, id);
-    SignalReport& r = m.signals[id];
-    r.il_db = losses[id].total_db();
-    r.il_star_db = losses[id].star_db();
-    r.path_mm = losses[id].path_mm;
-    r.crossings = losses[id].crossings;
-    r.through_mrrs = losses[id].through_mrrs;
+    m.signals[id].loss = signal_loss(ctx, id);
   }
 
-  const int wavelengths = std::max(1, design.mapping.wavelengths_used);
-  std::vector<double> laser_mw(wavelengths, 0.0);
+  std::vector<double>& laser_mw = m.laser_mw;
+  laser_mw.assign(std::max(1, design.mapping.wavelengths_used), 0.0);
   for (SignalId id = 0; id < num_signals; ++id) {
     const int wl = design.mapping.routes[id].wavelength;
     if (wl < 0) continue;
     laser_mw[wl] = std::max(
         laser_mw[wl],
-        phys::laser_power_mw(m.signals[id].il_db,
+        phys::laser_power_mw(m.signals[id].loss.total_db(),
                              design.params.loss.receiver_sensitivity_dbm));
   }
 
-  const std::vector<double> noise =
-      compute_noise(ctx, losses, laser_mw, &m.xtalk_ledger);
+  m.xtalk_ledger = compute_noise(ctx, m.signals, laser_mw);
+  for (const XtalkContribution& row : m.xtalk_ledger) {
+    m.signals[row.victim].noise_mw += row.noise_mw;
+  }
 
   int worst = -1;
   for (SignalId id = 0; id < num_signals; ++id) {
     SignalReport& r = m.signals[id];
+    const double il_db = r.loss.total_db();
     const int wl = design.mapping.routes[id].wavelength;
-    r.signal_mw = wl >= 0 ? laser_mw[wl] * phys::db_to_linear(-r.il_db) : 0.0;
-    r.noise_mw = noise[id];
+    const double received_mw =
+        wl >= 0 ? laser_mw[wl] * phys::db_to_linear(-il_db) : 0.0;
     r.snr_db = r.noise_mw > design.params.crosstalk.noise_floor_mw
-                   ? 10.0 * std::log10(r.signal_mw / r.noise_mw)
+                   ? 10.0 * std::log10(received_mw / r.noise_mw)
                    : kNoNoiseSnr;
 
-    m.il_worst_db = std::max(m.il_worst_db, r.il_db);
-    if (worst < 0 || r.il_star_db > m.signals[worst].il_star_db) worst = id;
+    m.il_worst_db = std::max(m.il_worst_db, il_db);
+    if (worst < 0 || r.loss.star_db() > m.signals[worst].loss.star_db()) {
+      worst = id;
+    }
     if (r.snr_db < kNoNoiseSnr) {
       ++m.noisy_signals;
       m.snr_worst_db = std::min(m.snr_worst_db, r.snr_db);
     }
   }
   if (worst >= 0) {
-    m.il_star_worst_db = m.signals[worst].il_star_db;
-    m.worst_path_mm = m.signals[worst].path_mm;
-    m.worst_crossings = m.signals[worst].crossings;
+    m.il_star_worst_db = m.signals[worst].loss.star_db();
+    m.worst_path_mm = m.signals[worst].loss.path_mm;
+    m.worst_crossings = m.signals[worst].loss.crossings;
   }
 
   double total_mw = 0.0;
   for (const double p : laser_mw) total_mw += p;
   m.total_power_w =
       total_mw / 1000.0 / design.params.loss.laser_wall_plug_efficiency;
-  m.laser_mw = laser_mw;
 
   return m;
 }

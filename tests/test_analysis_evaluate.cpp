@@ -22,8 +22,8 @@ TEST(Evaluate, WorstLossIsTheMaximum) {
   const auto r = make(16);
   double max_il = 0, max_star = 0;
   for (const SignalReport& s : r.metrics.signals) {
-    max_il = std::max(max_il, s.il_db);
-    max_star = std::max(max_star, s.il_star_db);
+    max_il = std::max(max_il, s.loss.total_db());
+    max_star = std::max(max_star, s.loss.star_db());
   }
   EXPECT_DOUBLE_EQ(r.metrics.il_worst_db, max_il);
   EXPECT_DOUBLE_EQ(r.metrics.il_star_worst_db, max_star);
@@ -33,11 +33,13 @@ TEST(Evaluate, WorstPathBelongsToWorstStarSignal) {
   const auto r = make(16);
   const SignalReport* worst = nullptr;
   for (const SignalReport& s : r.metrics.signals) {
-    if (worst == nullptr || s.il_star_db > worst->il_star_db) worst = &s;
+    if (worst == nullptr || s.loss.star_db() > worst->loss.star_db()) {
+      worst = &s;
+    }
   }
   ASSERT_NE(worst, nullptr);
-  EXPECT_DOUBLE_EQ(r.metrics.worst_path_mm, worst->path_mm);
-  EXPECT_EQ(r.metrics.worst_crossings, worst->crossings);
+  EXPECT_DOUBLE_EQ(r.metrics.worst_path_mm, worst->loss.path_mm);
+  EXPECT_EQ(r.metrics.worst_crossings, worst->loss.crossings);
 }
 
 TEST(Evaluate, LaserPowerFollowsTheFormula) {
@@ -49,7 +51,7 @@ TEST(Evaluate, LaserPowerFollowsTheFormula) {
     const int wl = r.design.mapping.routes[id].wavelength;
     laser[wl] = std::max(
         laser[wl],
-        phys::laser_power_mw(r.metrics.signals[id].il_db,
+        phys::laser_power_mw(r.metrics.signals[id].loss.total_db(),
                              r.design.params.loss.receiver_sensitivity_dbm));
   }
   double total = 0;
@@ -61,10 +63,15 @@ TEST(Evaluate, LaserPowerFollowsTheFormula) {
 
 TEST(Evaluate, SignalPowerConsistentWithLaserAndLoss) {
   const auto r = make(8);
-  for (const SignalReport& s : r.metrics.signals) {
-    EXPECT_GT(s.signal_mw, 0.0);
-    // Received power can never exceed any laser's emitted power.
-    EXPECT_LT(s.signal_mw, 1e6);
+  for (SignalId id = 0; id < r.design.traffic.size(); ++id) {
+    const double laser_mw =
+        r.metrics.laser_mw[r.design.mapping.routes[id].wavelength];
+    const double received_mw =
+        laser_mw * phys::db_to_linear(-r.metrics.signals[id].loss.total_db());
+    EXPECT_GT(received_mw, 0.0);
+    // Received power can never exceed its laser's emitted power.
+    EXPECT_LT(received_mw, laser_mw);
+    EXPECT_LT(received_mw, 1e6);
   }
 }
 

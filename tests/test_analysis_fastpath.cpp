@@ -39,22 +39,8 @@ void expect_metrics_equal(const RouterMetrics& a, const RouterMetrics& b) {
 
   ASSERT_EQ(a.signals.size(), b.signals.size());
   for (std::size_t i = 0; i < a.signals.size(); ++i) {
-    const SignalReport& x = a.signals[i];
-    const SignalReport& y = b.signals[i];
-    EXPECT_EQ(x.il_db, y.il_db) << "signal " << i;
-    EXPECT_EQ(x.il_star_db, y.il_star_db) << "signal " << i;
-    EXPECT_EQ(x.path_mm, y.path_mm) << "signal " << i;
-    EXPECT_EQ(x.crossings, y.crossings) << "signal " << i;
-    EXPECT_EQ(x.through_mrrs, y.through_mrrs) << "signal " << i;
-    EXPECT_EQ(x.noise_mw, y.noise_mw) << "signal " << i;
-    EXPECT_EQ(x.signal_mw, y.signal_mw) << "signal " << i;
-    EXPECT_EQ(x.snr_db, y.snr_db) << "signal " << i;
-  }
-
-  ASSERT_EQ(a.loss_ledger.size(), b.loss_ledger.size());
-  for (std::size_t i = 0; i < a.loss_ledger.size(); ++i) {
-    const LossBreakdown& x = a.loss_ledger[i];
-    const LossBreakdown& y = b.loss_ledger[i];
+    const LossBreakdown& x = a.signals[i].loss;
+    const LossBreakdown& y = b.signals[i].loss;
     EXPECT_EQ(x.propagation_db, y.propagation_db) << "signal " << i;
     EXPECT_EQ(x.modulator_db, y.modulator_db) << "signal " << i;
     EXPECT_EQ(x.drop_db, y.drop_db) << "signal " << i;
@@ -68,10 +54,13 @@ void expect_metrics_equal(const RouterMetrics& a, const RouterMetrics& b) {
     EXPECT_EQ(x.crossings, y.crossings) << "signal " << i;
     EXPECT_EQ(x.through_mrrs, y.through_mrrs) << "signal " << i;
     EXPECT_EQ(x.bends, y.bends) << "signal " << i;
+    EXPECT_EQ(a.signals[i].noise_mw, b.signals[i].noise_mw) << "signal " << i;
+    EXPECT_EQ(a.signals[i].snr_db, b.signals[i].snr_db) << "signal " << i;
   }
 
-  // The attribution ledger must match row for row, in order: the replay
-  // that builds it is part of the determinism contract.
+  // The attribution ledger must match row for row, in order: evaluate adds
+  // the rows into noise_mw in that order, so it is part of the determinism
+  // contract.
   ASSERT_EQ(a.xtalk_ledger.size(), b.xtalk_ledger.size());
   for (std::size_t i = 0; i < a.xtalk_ledger.size(); ++i) {
     const XtalkContribution& x = a.xtalk_ledger[i];

@@ -122,12 +122,12 @@ TEST(Context, HopCrossingMatrixSymmetric) {
   const int n = r.design.ring.tour.size();
   for (int a = 0; a < n; ++a) {
     for (int b = 0; b < n; ++b) {
-      EXPECT_EQ(ctx.hop_crossings(a, b), ctx.hop_crossings(b, a));
+      EXPECT_EQ(ctx.ring().hop_crossings(a, b), ctx.ring().hop_crossings(b, a));
     }
   }
   // The constructed ring is crossing-free: matrix must be all zero.
   for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) EXPECT_EQ(ctx.hop_crossings(a, b), 0);
+    for (int b = 0; b < n; ++b) EXPECT_EQ(ctx.ring().hop_crossings(a, b), 0);
   }
 }
 
@@ -135,10 +135,9 @@ TEST(Context, BendCountingOnKnownShape) {
   const auto r = make_design(8);
   const AnalysisContext ctx(r.design);
   // Around the whole 2x4 perimeter ring: exactly 4 corner turns (the grid
-  // perimeter is a rectangle).
-  std::vector<int> all_hops(8);
-  for (int h = 0; h < 8; ++h) all_hops[h] = h;
-  EXPECT_EQ(ctx.bends_on_hops(all_hops), 3);  // open walk: 4 corners - 1
+  // perimeter is a rectangle). The arc of all 8 hops from hop 0 is an open
+  // walk: 4 corners - 1.
+  EXPECT_EQ(ctx.ring().bends_on_arc(0, 8), 3);
 }
 
 }  // namespace

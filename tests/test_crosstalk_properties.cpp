@@ -37,7 +37,7 @@ TEST(CrosstalkProperties, NoiseBoundedByInjectedLeakage) {
     const int wl = r.design.mapping.routes[i].wavelength;
     laser[wl] = std::max(
         laser[wl],
-        phys::laser_power_mw(r.metrics.signals[i].il_db,
+        phys::laser_power_mw(r.metrics.signals[i].loss.total_db(),
                              r.design.params.loss.receiver_sensitivity_dbm));
   }
   double injected = 0.0;

@@ -68,7 +68,7 @@ TEST(EdgeCases, SingleSignalTraffic) {
   opt.traffic = netlist::Traffic({netlist::Signal{0, 2, 6}});
   const SynthesisResult r = synth.run(opt);
   ASSERT_EQ(r.metrics.signals.size(), 1u);
-  EXPECT_GT(r.metrics.signals[0].path_mm, 0.0);
+  EXPECT_GT(r.metrics.signals[0].loss.path_mm, 0.0);
   EXPECT_EQ(r.metrics.noisy_signals, 0);
   EXPECT_EQ(r.metrics.wavelengths, 1);
 }

@@ -98,8 +98,8 @@ TEST(ResidueFilter, FilterCostsThroughLoss) {
   const auto a = synth.run(with);
   const auto b = synth.run(without);
   double through_with = 0, through_without = 0;
-  for (const auto& s : a.metrics.signals) through_with += s.through_mrrs;
-  for (const auto& s : b.metrics.signals) through_without += s.through_mrrs;
+  for (const auto& s : a.metrics.signals) through_with += s.loss.through_mrrs;
+  for (const auto& s : b.metrics.signals) through_without += s.loss.through_mrrs;
   EXPECT_GT(through_with, through_without);
 }
 
@@ -111,7 +111,7 @@ TEST(Latency, TimeOfFlightMatchesPathLength) {
   ASSERT_EQ(latency.per_signal_ps.size(), r.metrics.signals.size());
   for (std::size_t i = 0; i < latency.per_signal_ps.size(); ++i) {
     EXPECT_NEAR(latency.per_signal_ps[i],
-                r.metrics.signals[i].path_mm * 4.2 / 0.299792458, 1e-9);
+                r.metrics.signals[i].loss.path_mm * 4.2 / 0.299792458, 1e-9);
   }
   EXPECT_GE(latency.worst_ps, latency.mean_ps);
   // A few-cm path at group index 4.2 is tens to hundreds of picoseconds.

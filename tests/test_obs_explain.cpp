@@ -1,7 +1,8 @@
-// Tests of the run-explainability layer: the per-signal loss ledger and
-// crosstalk attribution table retained by analysis::evaluate (their sums
-// must reproduce the headline totals), the structured diagnostics emitted
-// by the pipeline stages, and the HTML/JSON run report built from them.
+// Tests of the run-explainability layer: the per-signal loss breakdowns and
+// the crosstalk attribution table retained by analysis::evaluate (their
+// sums must reproduce the headline totals), the structured diagnostics
+// emitted by the pipeline stages, and the HTML/JSON run report built from
+// them.
 
 #include <gtest/gtest.h>
 
@@ -73,17 +74,14 @@ class ObsExplainTest : public ::testing::Test {
 TEST_F(ObsExplainTest, LossLedgerTermsSumToReportedLosses) {
   const SynthesisResult r = synthesize(8);
   const analysis::RouterMetrics& m = r.metrics;
-  ASSERT_EQ(m.loss_ledger.size(), m.signals.size());
   ASSERT_FALSE(m.signals.empty());
   for (std::size_t i = 0; i < m.signals.size(); ++i) {
-    const analysis::LossBreakdown& b = m.loss_ledger[i];
-    // The itemized dB components must reproduce both headline losses.
+    const analysis::LossBreakdown& b = m.signals[i].loss;
+    // The itemized dB components must reproduce the on-path loss il*.
     const double star = b.propagation_db + b.modulator_db + b.drop_db +
                         b.through_db + b.crossing_db + b.bend_db +
                         b.photodetector_db;
     EXPECT_NEAR(star, b.star_db(), 1e-12) << "signal " << i;
-    EXPECT_NEAR(b.star_db(), m.signals[i].il_star_db, 1e-9) << "signal " << i;
-    EXPECT_NEAR(b.total_db(), m.signals[i].il_db, 1e-9) << "signal " << i;
     EXPECT_GE(b.pdn_db + b.coupler_db, 0.0) << "signal " << i;
   }
 }
@@ -211,13 +209,55 @@ TEST_F(ObsExplainTest, RunReportHtmlContainsEverySection) {
 }
 
 TEST_F(ObsExplainTest, RunReportJsonCarriesLedgersAndMetrics) {
-  const SynthesisResult r = synthesize(8);
+  const SynthesisResult r = synthesize_noisy(8);
   const std::string json =
       report::run_report_json(reg_, &r.design, &r.metrics);
   for (const char* key : {"\"title\"", "\"metrics\"", "\"spans\"",
                           "\"series\"", "\"diagnostics\"", "\"signals\"",
                           "\"xtalk\"", "\"loss\"", "\"propagation_db\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+
+  // Every signal itemizes its loss in nine components: the seven on-path
+  // ones sum to il*, and adding the PDN feed and coupler gives il.
+  const obs::JsonValue doc = obs::parse_json(json);
+  const obs::JsonValue* signals = doc.find("signals");
+  ASSERT_NE(signals, nullptr);
+  ASSERT_EQ(signals->array.size(), r.metrics.signals.size());
+  constexpr const char* kComponents[] = {
+      "propagation_db", "modulator_db", "drop_db", "through_db",
+      "crossing_db", "bend_db", "photodetector_db", "pdn_db", "coupler_db"};
+  constexpr std::size_t kOnPath = 7;  // propagation .. photodetector
+  for (std::size_t i = 0; i < signals->array.size(); ++i) {
+    const obs::JsonValue& s = signals->array[i];
+    const obs::JsonValue* loss = s.find("loss");
+    ASSERT_NE(loss, nullptr) << "signal " << i;
+    ASSERT_EQ(loss->object.size(), std::size(kComponents)) << "signal " << i;
+    double sum = 0.0;
+    for (std::size_t c = 0; c < loss->object.size(); ++c) {
+      EXPECT_EQ(loss->object[c].first, kComponents[c]) << "signal " << i;
+      sum += loss->object[c].second.number;
+      if (c + 1 == kOnPath) {
+        EXPECT_NEAR(sum, s.find("il_star_db")->number, 1e-9) << "signal " << i;
+      }
+    }
+    EXPECT_NEAR(sum, s.find("il_db")->number, 1e-9) << "signal " << i;
+  }
+
+  // Each victim's crosstalk rows sum to its reported noise power.
+  const obs::JsonValue* xtalk = doc.find("xtalk");
+  ASSERT_NE(xtalk, nullptr);
+  ASSERT_FALSE(xtalk->array.empty()) << "ORing with a comb PDN must see noise";
+  std::vector<double> noise(signals->array.size(), 0.0);
+  for (const obs::JsonValue& row : xtalk->array) {
+    const int victim = static_cast<int>(row.find("victim")->number);
+    ASSERT_GE(victim, 0);
+    ASSERT_LT(victim, static_cast<int>(noise.size()));
+    noise[victim] += row.find("noise_mw")->number;
+  }
+  for (std::size_t i = 0; i < noise.size(); ++i) {
+    const double reported = signals->array[i].find("noise_mw")->number;
+    EXPECT_NEAR(noise[i], reported, 1e-9 * reported) << "victim " << i;
   }
 }
 

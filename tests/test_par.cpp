@@ -128,7 +128,8 @@ TEST(Determinism, SweepIdenticalAt128Threads) {
     EXPECT_EQ(a.result.metrics.wavelengths, b.result.metrics.wavelengths);
     ASSERT_EQ(a.result.metrics.signals.size(), b.result.metrics.signals.size());
     for (std::size_t i = 0; i < a.result.metrics.signals.size(); ++i) {
-      EXPECT_EQ(a.result.metrics.signals[i].il_db, b.result.metrics.signals[i].il_db);
+      EXPECT_EQ(a.result.metrics.signals[i].loss.total_db(),
+                b.result.metrics.signals[i].loss.total_db());
       EXPECT_EQ(a.result.metrics.signals[i].noise_mw,
                 b.result.metrics.signals[i].noise_mw);
     }

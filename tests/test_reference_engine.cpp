@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "analysis/evaluate.hpp"
+#include "analysis_reference.hpp"
 #include "xring/synthesizer.hpp"
 
 namespace xring::analysis {
@@ -65,10 +66,10 @@ Reference reference_ring_loss(const RouterDesign& d, SignalId id) {
     }
   }
 
-  // Bends from the realized hop geometry.
+  // Bends and ring-geometry crossings from the realized hop geometry.
   int bends = 0;
   {
-    const AnalysisContext ctx(d);
+    const reference::RefContext ctx(d);
     const auto hops =
         mapping::occupied_hops(tour, sig.src, sig.dst, wg.dir);
     bends = ctx.bends_on_hops(hops);

@@ -51,7 +51,7 @@ TEST(Simulator, ContentionFreedom) {
   const double slot_ns = opt.flit_bits / opt.bitrate_gbps;
   for (std::size_t i = 0; i < r.flows.size(); ++i) {
     if (r.flows[i].flits_delivered == 0) continue;
-    const double tof_ns = f.result.metrics.signals[i].path_mm *
+    const double tof_ns = f.result.metrics.signals[i].loss.path_mm *
                           opt.group_index / 299.792458;
     EXPECT_NEAR(r.flows[i].avg_latency_ns, slot_ns + tof_ns, 1e-6);
     EXPECT_NEAR(r.flows[i].max_latency_ns, slot_ns + tof_ns, 1e-6);
@@ -144,7 +144,7 @@ TEST(Simulator, SingleFlitMessagesKeepTheLatencyFloor) {
   const double slot_ns = opt.flit_bits / opt.bitrate_gbps;
   for (std::size_t i = 0; i < r.flows.size(); ++i) {
     if (r.flows[i].flits_delivered == 0) continue;
-    const double tof_ns = f.result.metrics.signals[i].path_mm *
+    const double tof_ns = f.result.metrics.signals[i].loss.path_mm *
                           opt.group_index / 299.792458;
     EXPECT_NEAR(r.flows[i].max_latency_ns, slot_ns + tof_ns, 1e-6);
   }

@@ -78,7 +78,7 @@ TEST(Synthesizer, ShortcutsReduceMeanLossAndDetourLengths) {
   // signals that ride shortcuts travel strictly shorter paths.
   auto mean_star = [](const analysis::RouterMetrics& m) {
     double sum = 0;
-    for (const auto& s : m.signals) sum += s.il_star_db;
+    for (const auto& s : m.signals) sum += s.loss.star_db();
     return sum / static_cast<double>(m.signals.size());
   };
   EXPECT_LT(mean_star(a.metrics), mean_star(b.metrics));
@@ -88,7 +88,8 @@ TEST(Synthesizer, ShortcutsReduceMeanLossAndDetourLengths) {
     if (kind == mapping::RouteKind::kShortcut ||
         kind == mapping::RouteKind::kCse) {
       ++on_shortcut;
-      EXPECT_LT(a.metrics.signals[id].path_mm, b.metrics.signals[id].path_mm);
+      EXPECT_LT(a.metrics.signals[id].loss.path_mm,
+                b.metrics.signals[id].loss.path_mm);
     }
   }
   EXPECT_GT(on_shortcut, 0);

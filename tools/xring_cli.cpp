@@ -318,20 +318,15 @@ int cmd_synth(Args& args) {
                      "il_db", "il_star_db", "path_mm", "crossings", "snr_db"});
     for (std::size_t i = 0; i < r.metrics.signals.size(); ++i) {
       const auto& sig = r.design.traffic.signal(static_cast<int>(i));
-      const auto& rep = r.metrics.signals[i];
-      const auto kind = r.design.mapping.routes[i].kind;
-      const char* route =
-          kind == mapping::RouteKind::kShortcut  ? "shortcut"
-          : kind == mapping::RouteKind::kCse     ? "cse"
-          : kind == mapping::RouteKind::kRingCw  ? "ring-cw"
-          : kind == mapping::RouteKind::kRingCcw ? "ring-ccw"
-                                                 : "unrouted";
+      const analysis::SignalReport& rep = r.metrics.signals[i];
+      const mapping::SignalRoute& route = r.design.mapping.routes[i];
       t.add_row({std::to_string(i), fp.node(sig.src).name,
-                 fp.node(sig.dst).name, route,
-                 std::to_string(r.design.mapping.routes[i].wavelength),
-                 report::num(rep.il_db, 3), report::num(rep.il_star_db, 3),
-                 report::num(rep.path_mm, 3), std::to_string(rep.crossings),
-                 report::snr(rep.snr_db)});
+                 fp.node(sig.dst).name, mapping::to_string(route.kind),
+                 std::to_string(route.wavelength),
+                 report::num(rep.loss.total_db(), 3),
+                 report::num(rep.loss.star_db(), 3),
+                 report::num(rep.loss.path_mm, 3),
+                 std::to_string(rep.loss.crossings), report::snr(rep.snr_db)});
     }
     std::fputs(t.to_csv().c_str(), stdout);
   } else {
