@@ -147,41 +147,6 @@ void BM_CreateOpenings(benchmark::State& state) {
 }
 BENCHMARK(BM_CreateOpenings)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
-/// The opening phase's inner loop in isolation: transactional relocation of
-/// every signal of each waveguide through find_first_fit (cursor-resumed,
-/// gap-tree-pruned probes), rolled back so every iteration replays the
-/// same searches. This is the path the Step-3 fast paths target.
-void BM_RelocateSearch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto fp = netlist::Floorplan::standard(n);
-  const auto traffic = netlist::Traffic::all_to_all(n);
-  const auto ring = ring::build_ring(fp).geometry;
-  const auto plan = shortcut::build_shortcuts(ring, fp);
-  const mapping::ArcTable arcs(ring.tour, traffic);
-  mapping::MappingOptions mo;
-  mo.max_wavelengths = n;
-  mapping::Mapping m =
-      mapping::assign_wavelengths(ring.tour, traffic, plan, mo, &arcs);
-  mapping::OccupancyIndex index(arcs, m, mo.max_wavelengths);
-  long long searches = 0;
-  for (auto _ : state) {
-    for (int w = 0; w < static_cast<int>(m.waveguides.size()); ++w) {
-      const auto signals = m.waveguides[w].signals;
-      index.begin_transaction();
-      for (const mapping::SignalId id : signals) {
-        const auto slot = index.find_first_fit(m.waveguides[w].dir, id, w);
-        if (slot.waveguide >= 0) {
-          index.relocate(id, slot.waveguide, slot.wavelength);
-        }
-        ++searches;
-      }
-      index.rollback();
-    }
-  }
-  state.SetItemsProcessed(searches);
-}
-BENCHMARK(BM_RelocateSearch)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
-
 void BM_FullXRingSynthesis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto fp = netlist::Floorplan::standard(n);

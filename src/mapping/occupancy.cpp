@@ -240,12 +240,6 @@ void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
   SlotBits& slot = wg_slots[wavelength];
   if (slot.bits.empty()) slot.bits.assign(arcs_->words(), 0);
   const ArcTable::Arc a = arcs_->arc(id, dir);
-  if (sign < 0) {
-    // Bit removals are the one mutation that can turn a failed first-fit
-    // probe fitting; log them so resuming cursors re-probe exactly the
-    // dirtied slots.
-    removal_log_.push_back({++epoch_, waveguide, wavelength});
-  }
   slot.live += sign * a.len;
   const int n = arcs_->nodes();
   const int B = (n + 63) / 64;
@@ -322,16 +316,10 @@ bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
 }
 
 OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
-                                                    int from_waveguide) {
-  if (from_waveguide >= 0) ++stats_.reloc_attempts;
+                                                    int from_waveguide,
+                                                    int start) const {
   const int L = stride_;
-  const int W = static_cast<int>(mapping_->waveguides.size());
-  const long long nslots = static_cast<long long>(W) * L;
-  if (cursors_.empty()) {
-    cursors_.assign(static_cast<std::size_t>(2) * arcs_->signals(), Cursor{});
-  }
-  Cursor& cur =
-      cursors_[(dir == Direction::kCw ? 0 : arcs_->signals()) + id];
+  const int nslots = static_cast<int>(mapping_->waveguides.size()) * L;
   // The gap-tree skip below is sound only for non-resident probes (a
   // resident fit needs containment, not a free run). Callers always pass
   // the searched signal's residence as `from_waveguide` (or search an
@@ -365,90 +353,30 @@ OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
   const GapTree& tree = gap_[dir == Direction::kCw ? 0 : 1];
   assert(tree.size_ == nslots && "gap tree out of sync with slot space");
 
-  const auto record = [&](long long pos) {
-    cur.pos = pos;
-    cur.epoch = epoch_;
-    cur.from = from_waveguide;
-  };
-  const auto probe_from = [&](long long start) -> Slot {
-    for (long long k = start; k < nslots;) {
-      // Jump to the next slot that could possibly host the arc: longest
-      // free run >= len, and none of the arc's fully-covered buckets live.
-      // Everything skipped provably fails `fits`, so the first accepted
-      // slot is exactly the linear scan's. Other-direction waveguides
-      // carry -1/~0 leaves and are never returned.
-      const int nk = tree.next_fit(static_cast<int>(k), need, full);
-      if (nk < 0) break;
-      k = nk;
-      const int w = static_cast<int>(k / L);
-      const RingWaveguide& wg = mapping_->waveguides[w];
-      assert(wg.dir == dir);
-      if (w == from_waveguide) {
-        k = static_cast<long long>(w + 1) * L;
-        continue;
-      }
-      if (wg.opening != -1 &&
-          arcs_->interior_contains(id, dir, arcs_->position(wg.opening))) {
-        // Every slot of this waveguide fails on the opening check alone;
-        // skipping them keeps the cursor invariant (they are known-failed,
-        // and openings are never cleared).
-        k = static_cast<long long>(w + 1) * L;
-        continue;
-      }
-      const int wl = static_cast<int>(k % L);
-      if (fits(w, wl, id)) {
-        record(k);
-        return {w, wl};
-      }
-      ++k;
+  for (int k = start; k < nslots;) {
+    // Jump to the next slot that could possibly host the arc: longest free
+    // run >= len, and none of the arc's fully-covered buckets live.
+    // Everything skipped provably fails `fits`, so the first accepted slot
+    // is exactly the linear scan's. Other-direction waveguides carry -1/~0
+    // leaves and are never returned.
+    k = tree.next_fit(k, need, full);
+    if (k < 0) break;
+    const int w = k / L;
+    const RingWaveguide& wg = mapping_->waveguides[w];
+    assert(wg.dir == dir);
+    if (w == from_waveguide ||
+        (wg.opening != -1 &&
+         arcs_->interior_contains(id, dir, arcs_->position(wg.opening)))) {
+      // The excluded waveguide, or one whose fixed opening the arc passes:
+      // none of its slots can be the answer.
+      k = (w + 1) * L;
+      continue;
     }
-    record(nslots);
-    return {};
-  };
-
-  // A cursor is reusable only for the same probe skeleton (same skipped
-  // `from` waveguide — the signal's residence determines it, and relocating
-  // the signal changes `from` for its next search).
-  if (cur.pos <= 0 || cur.from != from_waveguide) return probe_from(0);
-
-  // Re-probe the slots dirtied by bit removals since the cursor's epoch;
-  // all other slots below it still fail (additions and opening insertions
-  // are monotone). The log is epoch-ascending: binary search the suffix.
-  dirty_scratch_.clear();
-  std::size_t lo = 0, hi = removal_log_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (removal_log_[mid].epoch > cur.epoch) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+    const int wl = k % L;
+    if (fits(w, wl, id)) return {w, wl};
+    ++k;
   }
-  for (std::size_t i = lo; i < removal_log_.size(); ++i) {
-    const Removal& rm = removal_log_[i];
-    if (rm.wavelength >= L || rm.waveguide == from_waveguide) continue;
-    if (mapping_->waveguides[rm.waveguide].dir != dir) continue;
-    const long long k = static_cast<long long>(rm.waveguide) * L +
-                        rm.wavelength;
-    if (k < cur.pos) dirty_scratch_.push_back(k);
-  }
-  if (dirty_scratch_.size() >
-      static_cast<std::size_t>(cur.pos < 64 ? 0 : cur.pos)) {
-    return probe_from(0);  // dirtier than the prefix is long: just rescan
-  }
-  std::sort(dirty_scratch_.begin(), dirty_scratch_.end());
-  dirty_scratch_.erase(
-      std::unique(dirty_scratch_.begin(), dirty_scratch_.end()),
-      dirty_scratch_.end());
-  for (const long long k : dirty_scratch_) {
-    const int w = static_cast<int>(k / L);
-    const int wl = static_cast<int>(k % L);
-    if (fits(w, wl, id)) {
-      record(k);
-      return {w, wl};
-    }
-  }
-  return probe_from(cur.pos);
+  return {};
 }
 
 std::vector<SignalId> OccupancyIndex::signals_passing(int waveguide,
@@ -463,7 +391,6 @@ std::vector<SignalId> OccupancyIndex::signals_passing(int waveguide,
 }
 
 void OccupancyIndex::place(SignalId id, int waveguide, int wavelength) {
-  assert(!in_transaction_ && "place() is not journaled; use relocate()");
   Mapping& m = *mapping_;
   RingWaveguide& wg = m.waveguides[waveguide];
   SignalRoute& r = m.routes[id];
@@ -481,21 +408,11 @@ void OccupancyIndex::relocate(SignalId id, int to_waveguide,
   const int from_waveguide = r.waveguide;
   const int from_wavelength = r.wavelength;
   auto& from_signals = m.waveguides[from_waveguide].signals;
-  int from_index = -1;
-  for (std::size_t i = 0; i < from_signals.size(); ++i) {
-    if (from_signals[i] == id) {
-      from_index = static_cast<int>(i);
-      break;
-    }
-  }
-  if (from_index < 0) {
+  const auto it = std::find(from_signals.begin(), from_signals.end(), id);
+  if (it == from_signals.end()) {
     throw std::logic_error("relocate: signal not on its route's waveguide");
   }
-  if (in_transaction_) {
-    journal_.push_back(
-        {id, from_waveguide, from_wavelength, from_index, to_waveguide});
-  }
-  from_signals.erase(from_signals.begin() + from_index);
+  from_signals.erase(it);
   add_to_slots(from_waveguide, from_wavelength, id, -1);
   m.waveguides[to_waveguide].signals.push_back(id);
   r.waveguide = to_waveguide;
@@ -504,43 +421,11 @@ void OccupancyIndex::relocate(SignalId id, int to_waveguide,
 }
 
 int OccupancyIndex::add_waveguide(Direction dir) {
-  assert(!in_transaction_ && "add_waveguide inside a transaction");
   const int w = mapping_->add_waveguide(dir);
   slots_.emplace_back();
   passing_.emplace_back(arcs_->nodes(), 0);
   append_gap_slots(dir);
   return w;
-}
-
-void OccupancyIndex::begin_transaction() {
-  assert(!in_transaction_);
-  in_transaction_ = true;
-  journal_.clear();
-}
-
-void OccupancyIndex::commit() {
-  in_transaction_ = false;
-  journal_.clear();
-}
-
-void OccupancyIndex::rollback() {
-  Mapping& m = *mapping_;
-  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-    const Relocation& rec = *it;
-    // The forward op push_back'd onto the target; undoing in reverse order
-    // guarantees the signal is still at the back.
-    auto& to_signals = m.waveguides[rec.to_waveguide].signals;
-    assert(!to_signals.empty() && to_signals.back() == rec.id);
-    add_to_slots(rec.to_waveguide, m.routes[rec.id].wavelength, rec.id, -1);
-    to_signals.pop_back();
-    auto& from_signals = m.waveguides[rec.from_waveguide].signals;
-    from_signals.insert(from_signals.begin() + rec.from_index, rec.id);
-    m.routes[rec.id].waveguide = rec.from_waveguide;
-    m.routes[rec.id].wavelength = rec.from_wavelength;
-    add_to_slots(rec.from_waveguide, rec.from_wavelength, rec.id, +1);
-  }
-  in_transaction_ = false;
-  journal_.clear();
 }
 
 }  // namespace xring::mapping

@@ -100,13 +100,6 @@ class ArcTable {
 ///     `fits` answers empty slots, resident signals and the pigeonhole
 ///     reject `live + len > n` without reading the bits, and otherwise
 ///     runs one `ArcTable::overlaps` range query over the arc's words;
-///   - per-signal first-fit cursors per direction: `find_first_fit` resumes
-///     where the same signal's previous search failed instead of from slot
-///     0. A cursor stays sound because failed probes are monotone under bit
-///     additions and opening insertions; only bit *removals* can turn a
-///     failed slot fitting, so every removal is logged with an epoch and a
-///     resuming search re-probes exactly the slots dirtied since its
-///     cursor's epoch;
 ///   - a per-direction segment tree over the probe-order slot sequence,
 ///     keyed by each slot's longest free *circular* hop run and its
 ///     64-bucket occupancy mask: a slot whose longest free run is shorter
@@ -122,10 +115,7 @@ class ArcTable {
 ///     free space;
 ///   - per-waveguide per-tour-position passing-signal counts, making the
 ///     opening phase's candidate scoring an array read instead of an
-///     O(signals × path) recount per node;
-///   - an undo journal, so the opening phase can attempt a batch of
-///     relocations directly on the real Mapping and roll them back on
-///     failure instead of deep-copying the whole Mapping per candidate.
+///     O(signals × path) recount per node.
 ///
 /// All mutations of the mapping's ring state must go through this class
 /// while an index is live. Predicates are *bit-identical* to the brute-force
@@ -151,13 +141,15 @@ class OccupancyIndex {
     int wavelength = -1;
   };
 
-  /// First (waveguide, wavelength) in probe order — waveguide index
-  /// ascending over waveguides of `dir` (skipping `from_waveguide`),
-  /// wavelength 0..max_wavelengths-1 within each — whose slot fits the
-  /// signal; exactly the slot the brute-force first-fit loops of
-  /// `place_on_ring` / the opening relocation find. Resumes from the
-  /// signal's cursor when it is still sound (see class comment).
-  Slot find_first_fit(Direction dir, SignalId id, int from_waveguide);
+  /// First (waveguide, wavelength) at or after probe position `start` whose
+  /// slot fits the signal. Probe order is waveguide index ascending over
+  /// waveguides of `dir` (skipping `from_waveguide`), wavelength
+  /// 0..max_wavelengths-1 within each; slot (w, wl) sits at probe position
+  /// w * max_wavelengths + wl. From 0 this is exactly the slot the
+  /// brute-force first-fit loops of `place_on_ring` / the opening
+  /// relocation find.
+  Slot find_first_fit(Direction dir, SignalId id, int from_waveguide,
+                      int start = 0) const;
 
   /// Number of signals on `waveguide` whose arcs pass through the node at
   /// tour position `pos` (the brute-force reference's passing count).
@@ -177,32 +169,20 @@ class OccupancyIndex {
   /// Moves a placed signal onto another same-direction waveguide: erases it
   /// from its current waveguide's signal list (preserving the order of the
   /// remaining entries), appends it to the target, and updates the route —
-  /// exactly the mutation sequence of the reference relocation. Journaled
-  /// when a transaction is open.
+  /// exactly the mutation sequence of the reference relocation.
   void relocate(SignalId id, int to_waveguide, int to_wavelength);
 
   /// Adds a fresh empty waveguide of the direction; returns its index.
-  /// Not allowed inside a transaction (the opening phase only appends
-  /// waveguides on its non-transactional last-resort path).
   int add_waveguide(Direction dir);
-
-  /// Transaction over relocate(): all relocations between begin and
-  /// rollback are undone in reverse, restoring the mapping and the index to
-  /// their exact pre-transaction state (including signal-vector order).
-  void begin_transaction();
-  void commit();
-  void rollback();
 
   /// Search-path instrumentation, accumulated locally (the hot loops never
   /// touch the obs registry) and flushed by the phase drivers into the
-  /// `mapping.fits_probes` / `mapping.fits_summary_hits` /
-  /// `mapping.reloc_attempts` counters. The searches are serial, so the
-  /// counts are a deterministic function of the input, identical at every
-  /// pool size.
+  /// `mapping.fits_probes` / `mapping.fits_summary_hits` counters. The
+  /// searches are serial, so the counts are a deterministic function of the
+  /// input, identical at every pool size.
   struct SearchStats {
     long long fits_probes = 0;       ///< fits() evaluations
     long long fits_summary_hits = 0; ///< probes answered without slot bits
-    long long reloc_attempts = 0;    ///< find_first_fit calls with a `from`
   };
 
   const SearchStats& search_stats() const { return stats_; }
@@ -220,30 +200,6 @@ class OccupancyIndex {
     /// the gap tree's occupancy filter.
     std::uint64_t buckets = 0;
     int live = 0;
-  };
-
-  /// Per-(signal, direction) first-fit cursor: every probe-order slot
-  /// strictly below `pos` (same stride, same `from`) failed as of `epoch`.
-  /// pos < 0 = no cursor recorded yet.
-  struct Cursor {
-    long long pos = -1;
-    std::uint32_t epoch = 0;
-    int from = -1;
-  };
-
-  /// One logged bit removal; epochs ascend with log order.
-  struct Removal {
-    std::uint32_t epoch = 0;
-    int waveguide = 0;
-    int wavelength = 0;
-  };
-
-  struct Relocation {
-    SignalId id;
-    int from_waveguide;
-    int from_wavelength;
-    int from_index;  ///< position in the source waveguide's signal vector
-    int to_waveguide;
   };
 
   /// Pruned search tree over the linear slot order k = waveguide * stride +
@@ -308,14 +264,8 @@ class OccupancyIndex {
   std::vector<std::vector<SlotBits>> slots_;
   /// passing_[w][pos]: # signals on w whose arc interior covers position pos.
   std::vector<std::vector<int>> passing_;
-  bool in_transaction_ = false;
-  std::vector<Relocation> journal_;
 
   mutable SearchStats stats_;
-  std::vector<Cursor> cursors_;  ///< [direction][signal], sized on first use
-  std::uint32_t epoch_ = 0;      ///< bumps once per logged removal
-  std::vector<Removal> removal_log_;
-  std::vector<long long> dirty_scratch_;
   std::array<GapTree, 2> gap_;  ///< [kCw, kCcw]
 };
 

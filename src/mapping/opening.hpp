@@ -30,11 +30,12 @@ struct OpeningStats {
 /// PDN reaches the senders without crossing any ring waveguide.
 ///
 /// Runs on the incremental OccupancyIndex (occupancy.hpp): candidate
-/// scoring reads maintained passing counts, and failed relocation attempts
-/// are rolled back through the index's undo journal instead of deep-copying
-/// the Mapping per candidate. `shared_arcs` (optional) is the sweep-shared
-/// ArcTable over the same (tour, traffic); results are bit-identical with
-/// or without it.
+/// scoring reads maintained passing counts, and each candidate's relocations
+/// are tried against the unchanged index, from per-signal lists of fitting
+/// slots, and written only when every moving signal fits — a failed
+/// candidate leaves nothing to undo. `shared_arcs` (optional) is the
+/// sweep-shared ArcTable over the same (tour, traffic); results are
+/// bit-identical with or without it.
 OpeningStats create_openings(const ring::Tour& tour,
                              const netlist::Traffic& traffic, Mapping& mapping,
                              const MappingOptions& mapping_options,

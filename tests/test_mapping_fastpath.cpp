@@ -1,6 +1,7 @@
 // Differential test of the Step-3 incremental-search fast paths
-// (mapping/occupancy.hpp): the indexed `fits`, the cursor-resuming
-// `find_first_fit`, the counting-sort opening-candidate order, and the
+// (mapping/occupancy.hpp): the indexed `fits`, the gap-tree-pruned
+// `find_first_fit` from any start position (the opening search's fit lists
+// resume it there), the counting-sort opening-candidate order, and the
 // memoized-candidate skip of the opening search.
 //
 // The production paths are compared against the brute-force reference
@@ -166,15 +167,16 @@ TEST(FastpathRandom, FitsThreeLevelAgreementSeeded) {
   }
 }
 
-// Warm-vs-cold search agreement: after arbitrary interleavings of
-// transactions, rollbacks, and commits, a cursor-resuming find_first_fit
-// must return exactly the slot a cold full scan over the brute-force
-// reference returns. This drives the removal-log dirty-reprobe path hard:
-// every rollback logs bit removals that can turn previously failed slots
-// fitting. n=32 fits one occupancy word with one-hop buckets; n=70 and
-// n=130 span two and three words with buckets two and three hops wide; at
-// n=200 arcs cover whole middle words, so a removal flips entire words.
-TEST(FastpathCursor, WarmSearchMatchesColdScanAcrossRollbacks) {
+// find_first_fit from a start position returns exactly the brute-force
+// scan from that position, after a seeded series of committed relocations
+// (bit removals and additions all over the slot space) and openings. The
+// opening search resumes each signal's fit list from the slot after its
+// last fit, so every such start is checked, plus 0 and a random one. n=32
+// fits one occupancy word with one-hop buckets; n=70 and n=130 span two and
+// three words with buckets two and three hops wide; at n=200 arcs cover
+// whole middle words. This keeps the gap-tree skip covered on multi-word
+// rings.
+TEST(FastpathFirstFit, SearchFromStartMatchesBruteForceScan) {
   for (const int n : {32, 70, 130, 200}) {
     const Traffic traffic = n == 32 ? Traffic::all_to_all(n)
                                     : random_traffic(n, 10 * n, 7u);
@@ -182,50 +184,73 @@ TEST(FastpathCursor, WarmSearchMatchesColdScanAcrossRollbacks) {
     const ring::Tour& tour = inst.ring.tour;
     MappingOptions mo;
     mo.max_wavelengths = n == 32 ? n / 2 : 8;
+    const int L = mo.max_wavelengths;
     Mapping mapping = assign_wavelengths(tour, inst.traffic, inst.plan, mo);
     const ArcTable arcs(tour, inst.traffic);
-    OccupancyIndex index(arcs, mapping, mo.max_wavelengths);
+    OccupancyIndex index(arcs, mapping, L);
+    const int nslots = static_cast<int>(mapping.waveguides.size()) * L;
 
-    const auto cold_first_fit = [&](Direction dir, SignalId id, int from) {
-      OccupancyIndex::Slot slot;
-      for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
+    const auto brute_first_fit = [&](Direction dir, SignalId id, int from,
+                                     int start) {
+      for (int k = start; k < nslots; ++k) {
+        const int w = k / L;
         if (mapping.waveguides[w].dir != dir || w == from) continue;
-        for (int wl = 0; wl < mo.max_wavelengths; ++wl) {
-          if (reference::fits(tour, inst.traffic, mapping, w, wl, id)) {
-            return OccupancyIndex::Slot{w, wl};
-          }
+        if (reference::fits(tour, inst.traffic, mapping, w, k % L, id)) {
+          return OccupancyIndex::Slot{w, k % L};
         }
       }
-      return slot;
+      return OccupancyIndex::Slot{};
+    };
+
+    const auto check = [&](Direction dir, SignalId id, int from, int start) {
+      const OccupancyIndex::Slot got =
+          index.find_first_fit(dir, id, from, start);
+      const OccupancyIndex::Slot want = brute_first_fit(dir, id, from, start);
+      EXPECT_TRUE(got.waveguide == want.waveguide &&
+                  got.wavelength == want.wavelength)
+          << "n=" << n << " signal " << id << " start " << start << ": got ("
+          << got.waveguide << ", " << got.wavelength << "), want ("
+          << want.waveguide << ", " << want.wavelength << ")";
+      return got;
     };
 
     std::mt19937 rng(2024);
-    int warm_hits = 0;
-    for (int round = 0; round < 80; ++round) {
+    int resumed = 0;
+    int moved = 0;
+    for (int round = 0; round < 40; ++round) {
       const int w = static_cast<int>(rng() % mapping.waveguides.size());
-      auto signals = mapping.waveguides[w].signals;
-      if (signals.empty()) continue;
-      const bool keep = (rng() % 2) == 0;
-      index.begin_transaction();
+      if (round % 10 == 9) {
+        // A fixed opening: later searches skip the waveguide for every
+        // signal passing it.
+        mapping.waveguides[w].opening = tour.at(static_cast<int>(rng() % n));
+        continue;
+      }
+      const Direction dir = mapping.waveguides[w].dir;
+      const std::vector<SignalId> signals = mapping.waveguides[w].signals;
       for (const SignalId id : signals) {
-        const Direction dir = mapping.waveguides[w].dir;
-        const OccupancyIndex::Slot cold = cold_first_fit(dir, id, w);
-        const OccupancyIndex::Slot warm = index.find_first_fit(dir, id, w);
-        ASSERT_EQ(warm.waveguide, cold.waveguide)
-            << "n=" << n << " round " << round << " signal " << id;
-        ASSERT_EQ(warm.wavelength, cold.wavelength)
-            << "n=" << n << " round " << round << " signal " << id;
-        if (warm.waveguide < 0) continue;
-        index.relocate(id, warm.waveguide, warm.wavelength);
-        ++warm_hits;
+        // The signal's whole fit list, grown as the opening search grows
+        // it, then one random start.
+        OccupancyIndex::Slot first;
+        for (int start = 0;;) {
+          const OccupancyIndex::Slot got = check(dir, id, w, start);
+          if (got.waveguide < 0) break;
+          if (start == 0) {
+            first = got;
+          } else {
+            ++resumed;
+          }
+          start = got.waveguide * L + got.wavelength + 1;
+        }
+        check(dir, id, w, static_cast<int>(rng() % (nslots + 1)));
+        if (first.waveguide >= 0 && rng() % 2 == 0) {
+          index.relocate(id, first.waveguide, first.wavelength);
+          ++moved;
+        }
       }
-      if (keep) {
-        index.commit();
-      } else {
-        index.rollback();
-      }
+      ASSERT_FALSE(HasFailure()) << "n=" << n << " round " << round;
     }
-    ASSERT_GT(warm_hits, 0) << "n=" << n;
+    ASSERT_GT(resumed, 0) << "n=" << n;
+    ASSERT_GT(moved, 0) << "n=" << n;
   }
 }
 
@@ -359,7 +384,7 @@ TEST(FastpathOverflow, ExtraWaveguidePathMatchesReference) {
         create_openings(inst.ring.tour, inst.traffic, fast, mo);
 
     // Reference: the same pipeline at 1 job; brute-force agreement of the
-    // transaction path is covered exhaustively by test_mapping_index. Here
+    // candidate search is covered exhaustively by test_mapping_index. Here
     // the pool size must not change the overflow outcome.
     par::set_jobs(1);
     Mapping serial = assign_wavelengths(inst.ring.tour, inst.traffic,
