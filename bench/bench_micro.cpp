@@ -6,9 +6,9 @@
 // Besides the console table, results are exported machine-readably to
 // BENCH_micro.json (override with --bench_report=FILE, disable with
 // --bench_report=) through the obs metrics exporter, so successive runs
-// form a perf trajectory that tooling can diff. Tracing stays DISABLED
-// during the timed loops — the file records the benchmark results
-// themselves, not pipeline telemetry.
+// form a perf trajectory that tooling can diff. No obs::Context is
+// installed, so tracing stays off during the timed loops — the file records
+// the benchmark results themselves, not pipeline telemetry.
 
 #include <benchmark/benchmark.h>
 
@@ -407,8 +407,9 @@ void BM_DeviceIndex(benchmark::State& state) {
 BENCHMARK(BM_DeviceIndex)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every finished run recorded as gauges
-/// (`bench.<name>.real_time_ns` / `.cpu_time_ns` / `.iterations`) in the
-/// global obs registry for the JSON export below.
+/// (`bench.<name>.real_time_ns` / `.cpu_time_ns` / `.iterations`) in a
+/// registry of its own for the JSON export below. No context installs it,
+/// so the benchmarked code runs untraced.
 class ObsReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -416,15 +417,19 @@ class ObsReporter : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       if (run.error_occurred || run.iterations <= 0) continue;
       const std::string base = "bench." + run.benchmark_name();
-      obs::Registry& reg = obs::registry();
       const double iters = static_cast<double>(run.iterations);
-      reg.gauge(base + ".real_time_ns")
+      reg_.gauge(base + ".real_time_ns")
           .set(run.real_accumulated_time / iters * 1e9);
-      reg.gauge(base + ".cpu_time_ns")
+      reg_.gauge(base + ".cpu_time_ns")
           .set(run.cpu_accumulated_time / iters * 1e9);
-      reg.gauge(base + ".iterations").set(iters);
+      reg_.gauge(base + ".iterations").set(iters);
     }
   }
+
+  const obs::Registry& registry() const { return reg_; }
+
+ private:
+  obs::Registry reg_;
 };
 
 }  // namespace
@@ -449,7 +454,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!report_path.empty()) {
-    obs::write_metrics_json(report_path);
+    obs::write_metrics_json(report_path, reporter.registry());
     std::fprintf(stderr, "benchmark report written to %s\n",
                  report_path.c_str());
   }

@@ -35,6 +35,7 @@
 
 #include "obs/context.hpp"
 #include "obs/events.hpp"
+#include "obs/memprof.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
 #include "par/pool.hpp"
@@ -135,16 +136,19 @@ struct RingRun {
   double cuts = 0.0;
   double peak_rss_bytes = 0.0;
   double rss_growth_bytes = 0.0;
+  std::size_t events = 0;  ///< records written to the events file
 };
 
 /// `lns_budget > 0` runs the budgeted LNS instead of the exact solve.
-/// `events`, when given, captures the solver telemetry of this run.
+/// `events_file`, when given, receives the solver telemetry of this run as
+/// JSON lines.
 RingRun run_ring_milp(int n, double time_limit, double lns_budget = 0.0,
-                      obs::EventLog* events = nullptr) {
-  obs::set_enabled(true);
-  obs::registry().reset();
-  if (events != nullptr) obs::events::swap_log(events);
-  obs::PhaseSampler sampler;
+                      const char* events_file = nullptr) {
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
+  obs::EventLog* events =
+      events_file != nullptr ? &ctx.make_event_log() : nullptr;
+  obs::PhaseSampler sampler(&ctx.registry());
   sampler.start();
   ring::RingBuildOptions opt;
   opt.use_milp = true;
@@ -160,8 +164,11 @@ RingRun run_ring_milp(int n, double time_limit, double lns_budget = 0.0,
   RingRun out;
   out.result = ring::build_ring(ring_floorplan(n), opt);
   sampler.stop();
-  if (events != nullptr) obs::events::swap_log(nullptr);
-  const auto flat = obs::registry().flatten();
+  if (events != nullptr) {
+    events->write(events_file);
+    out.events = events->size();
+  }
+  const auto flat = ctx.registry().flatten();
   auto get = [&](const char* key) {
     const auto it = flat.find(key);
     return it == flat.end() ? 0.0 : it->second;
@@ -170,28 +177,25 @@ RingRun run_ring_milp(int n, double time_limit, double lns_budget = 0.0,
   out.refactorizations = get("lp.refactorizations");
   out.warm_pivots = get("milp.warm_pivots");
   out.cuts = get("milp.cuts_added");
-  for (const auto& [name, pts] : obs::registry().series()) {
+  for (const auto& [name, pts] : ctx.registry().series()) {
     if (name != "mem.rss_bytes" || pts.empty()) continue;
     double first = pts.front().value;
     for (const auto& p : pts) out.peak_rss_bytes = std::max(out.peak_rss_bytes, p.value);
     out.rss_growth_bytes = std::max(0.0, out.peak_rss_bytes - first);
   }
-  obs::set_enabled(false);
   return out;
 }
 
-void maybe_write_events(const obs::EventLog& events, const char* path) {
+void report_events(const RingRun& run, const char* path) {
   if (path == nullptr) return;
-  events.write(path);
-  std::printf("events: %s (%zu records)\n", path, events.size());
+  std::printf("events: %s (%zu records)\n", path, run.events);
 }
 
 /// CI smoke mode (`--ring N`): a single ring-construction MILP must reach a
 /// solver-certified optimum inside the caller's timeout. Exercises the
 /// sparse kernel at a size the dense inverse could not touch.
 int ring_smoke(int n, const char* events_file) {
-  obs::EventLog events;
-  const RingRun run = run_ring_milp(n, 300.0, 0.0, &events);
+  const RingRun run = run_ring_milp(n, 300.0, 0.0, events_file);
   std::printf("ring-construction MILP n=%d: status=%s nodes=%ld pivots=%.0f "
               "refactorizations=%.0f cuts=%.0f gap=%.4f%% length=%.0fum "
               "in %.2fs\n",
@@ -200,7 +204,7 @@ int ring_smoke(int n, const char* events_file) {
               run.cuts, run.result.certified_gap * 100.0,
               static_cast<double>(run.result.geometry.tour.total_length()),
               run.result.seconds);
-  maybe_write_events(events, events_file);
+  report_events(run, events_file);
   return run.result.mip_status == milp::MipStatus::kOptimal ? EXIT_SUCCESS
                                                             : EXIT_FAILURE;
 }
@@ -209,8 +213,7 @@ int ring_smoke(int n, const char* events_file) {
 /// hard 300 s budget. Gates on a finite certified gap of at most 5% — the
 /// budgeted mode's contract at sizes where the exact solve is off the table.
 int ring_smoke_budgeted(int n, const char* events_file) {
-  obs::EventLog events;
-  const RingRun run = run_ring_milp(n, 300.0, 300.0, &events);
+  const RingRun run = run_ring_milp(n, 300.0, 300.0, events_file);
   const double gap = run.result.certified_gap;
   std::printf("ring-construction LNS n=%d: status=%s repairs=%d gap=%.4f%% "
               "lower_bound=%.0fum length=%.0fum budget_exhausted=%d in %.2fs\n",
@@ -219,7 +222,7 @@ int ring_smoke_budgeted(int n, const char* events_file) {
               static_cast<double>(run.result.lower_bound_um),
               static_cast<double>(run.result.geometry.tour.total_length()),
               run.result.lns_budget_exhausted ? 1 : 0, run.result.seconds);
-  maybe_write_events(events, events_file);
+  report_events(run, events_file);
   const bool ok = run.result.mip_status == milp::MipStatus::kFeasible &&
                   std::isfinite(gap) && gap <= 0.05;
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;
@@ -381,7 +384,6 @@ ProfileRun run_profile(int n, bool profiled) {
   SynthesisOptions opt;
   ProfileRun out;
   if (!profiled) {
-    obs::set_enabled(false);
     const SweepCache cache = synth.make_sweep_cache(opt, ring);
     const SynthesisResult r = synth.run_with_ring(opt, ring, &cache);
     out.signals = static_cast<int>(r.design.traffic.size());
@@ -392,16 +394,14 @@ ProfileRun run_profile(int n, bool profiled) {
     out.wavelengths = r.metrics.wavelengths;
     return out;
   }
-  obs::Registry reg;
-  obs::Registry* prev = obs::swap_registry(&reg);
-  obs::set_enabled(true);
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
+  obs::Registry& reg = ctx.registry();
   obs::PhaseSampler sampler(&reg, 1000);
   sampler.start();
   const SweepCache cache = synth.make_sweep_cache(opt, ring);
   const SynthesisResult r = synth.run_with_ring(opt, ring, &cache);
   sampler.stop();
-  obs::set_enabled(false);
-  obs::swap_registry(prev);
 
   out.signals = static_cast<int>(r.design.traffic.size());
   out.total_seconds = r.seconds;

@@ -10,6 +10,7 @@
 #include "baseline/oring.hpp"
 #include "baseline/ornoc.hpp"
 #include "crossbar/physical.hpp"
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "report/run_report.hpp"
 #include "report/table.hpp"
@@ -114,17 +115,19 @@ void run_network(int n) {
 }  // namespace
 
 int main() {
-  obs::set_enabled(true);  // record spans/series for the HTML run report
+  // Record spans/series for the HTML run report.
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
   std::printf("=== Table I: WRONoC routers without PDNs ===\n");
   std::printf("il_w: worst-case insertion loss (dB); L: path length of the\n");
   std::printf("max-loss signal (mm); C: crossings on that path; T: time (s)\n\n");
   run_network(8);
   run_network(16);
-  obs::write_metrics_json("BENCH_table1.json");
+  obs::write_metrics_json("BENCH_table1.json", ctx.registry());
   std::fprintf(stderr, "machine-readable report written to BENCH_table1.json\n");
   report::RunReportOptions ropt;
   ropt.title = "Table I bench: WRONoC routers without PDNs";
-  report::write_run_report_html("BENCH_table1.html", obs::registry(), nullptr,
+  report::write_run_report_html("BENCH_table1.html", ctx.registry(), nullptr,
                                 nullptr, ropt);
   std::fprintf(stderr, "run report written to BENCH_table1.html\n");
   return 0;

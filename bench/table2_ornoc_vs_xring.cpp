@@ -12,6 +12,7 @@
 #include <string>
 
 #include "baseline/ornoc.hpp"
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "report/run_report.hpp"
 #include "report/table.hpp"
@@ -75,7 +76,9 @@ void run_network(int n) {
 }  // namespace
 
 int main() {
-  obs::set_enabled(true);  // record spans/series for the HTML run report
+  // Record spans/series for the HTML run report.
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
   std::printf("=== Table II: ORNoC vs XRing with PDNs ===\n");
   std::printf("il*_w excludes PDN losses; P: total electrical laser power\n");
   std::printf("(W); #s: signals suffering first-order noise; SNR_w: worst\n");
@@ -83,11 +86,11 @@ int main() {
   run_network(8);
   run_network(16);
   run_network(32);
-  obs::write_metrics_json("BENCH_table2.json");
+  obs::write_metrics_json("BENCH_table2.json", ctx.registry());
   std::fprintf(stderr, "machine-readable report written to BENCH_table2.json\n");
   report::RunReportOptions ropt;
   ropt.title = "Table II bench: ORNoC vs XRing with PDNs";
-  report::write_run_report_html("BENCH_table2.html", obs::registry(), nullptr,
+  report::write_run_report_html("BENCH_table2.html", ctx.registry(), nullptr,
                                 nullptr, ropt);
   std::fprintf(stderr, "run report written to BENCH_table2.html\n");
   return 0;

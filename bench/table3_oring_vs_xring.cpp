@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "baseline/oring.hpp"
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "report/run_report.hpp"
 #include "report/table.hpp"
@@ -32,7 +33,9 @@ void add_row(report::Table& t, const char* name, const SweepResult& r,
 }  // namespace
 
 int main() {
-  obs::set_enabled(true);  // record spans/series for the HTML run report
+  // Record spans/series for the HTML run report.
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
   std::printf("=== Table III: ORing vs XRing, 16-node network ===\n\n");
   const int n = 16;
   const auto params = phys::Parameters::oring();
@@ -82,13 +85,13 @@ int main() {
               100.0 * oring.result.metrics.noisy_signals / total);
   std::printf("  XRing signals w/ noise:  %.0f%% (paper: 1%%)\n",
               100.0 * xr.result.metrics.noisy_signals / total);
-  obs::write_metrics_json("BENCH_table3.json");
+  obs::write_metrics_json("BENCH_table3.json", ctx.registry());
   std::fprintf(stderr, "machine-readable report written to BENCH_table3.json\n");
   report::RunReportOptions ropt;
   ropt.title = "Table III bench: ORing vs XRing, 16 nodes";
   // The min-power XRing design is in scope: include its loss waterfall and
   // crosstalk attribution in the report.
-  report::write_run_report_html("BENCH_table3.html", obs::registry(),
+  report::write_run_report_html("BENCH_table3.html", ctx.registry(),
                                 &xr.result.design, &xr.result.metrics, ropt);
   std::fprintf(stderr, "run report written to BENCH_table3.html\n");
   return 0;

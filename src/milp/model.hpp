@@ -42,8 +42,8 @@ class Model {
   /// Adds a constraint. Terms are canonicalized once at insert: sorted by
   /// variable index with duplicate variables accumulated into a single
   /// coefficient (zero-sum duplicates are dropped). Every consumer —
-  /// lp_format, presolve, the LP build — can therefore assume sorted,
-  /// duplicate-free rows instead of rescanning for repeats.
+  /// presolve, the LP build — can therefore assume sorted, duplicate-free
+  /// rows instead of rescanning for repeats.
   int add_constraint(Constraint c);
   int add_constraint(Terms terms, Sense sense, double rhs) {
     return add_constraint(Constraint{std::move(terms), sense, rhs});

@@ -1,5 +1,7 @@
 #include "obs/context.hpp"
 
+#include <stdexcept>
+
 #include "obs/events.hpp"
 #include "obs/obs.hpp"
 
@@ -7,7 +9,7 @@ namespace xring::obs {
 
 namespace {
 
-/// The thread's installed context; nullptr = root. Written only by
+/// The thread's installed context; nullptr = none. Written only by
 /// ScopedContext on the owning thread, read by the instrumentation
 /// accessors on the same thread — no synchronization needed.
 thread_local Context* t_context = nullptr;
@@ -22,22 +24,25 @@ Context::Context(Registry* reg) : reg_(reg) {}
 
 Context::~Context() = default;
 
-void Context::set_event_log(EventLog* log) {
-  if (log != nullptr) log->pin_clock(reg_);
-  events_.store(log, std::memory_order_release);
-}
-
 EventLog& Context::make_event_log() {
-  auto log = std::make_unique<EventLog>();
-  set_event_log(log.get());
-  owned_log_ = std::move(log);
-  return *owned_log_;
+  log_ = std::make_unique<EventLog>(*reg_);
+  return *log_;
 }
 
 Context* current_context() { return t_context; }
 
-ScopedContext::ScopedContext(Context& ctx) : prev_(t_context) {
-  t_context = &ctx;
+bool enabled() { return t_context != nullptr; }
+
+Registry& registry() {
+  if (t_context == nullptr) {
+    throw std::logic_error(
+        "obs::registry() called with no obs::Context installed");
+  }
+  return t_context->registry();
+}
+
+ScopedContext::ScopedContext(Context* ctx) : prev_(t_context) {
+  t_context = ctx;
 }
 
 ScopedContext::~ScopedContext() { t_context = prev_; }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 namespace xring::obs {
@@ -8,34 +7,32 @@ namespace xring::obs {
 class Registry;
 class EventLog;
 
-/// One run's observability bundle: a metrics/span `Registry`, an optional
-/// solver-event sink, and the tracing master switch — everything the
-/// process-global layer used to hold once, scoped so two synthesis runs in
-/// one process record into fully disjoint state.
+/// One run's observability bundle: a metrics/span `Registry` and an
+/// optional solver-event sink, so two synthesis runs in one process record
+/// into fully disjoint state.
 ///
-/// A context is *installed* on a thread with `ScopedContext`; every
-/// instrumentation accessor (`obs::registry()`, `obs::enabled()`,
-/// `events::log()`/`events::emit()`) resolves through the calling thread's
-/// installed context first and falls back to the process-global root state
-/// (the classic `swap_registry`/`swap_log`/`set_enabled` globals) when none
-/// is installed. The thread pool propagates the submitter's installed
-/// context into every task it runs (see par/pool.hpp), so a context scoped
-/// around a synthesis call captures the whole run — including work executed
-/// by shared pool workers and by unrelated threads helping while they wait.
+/// A context is *installed* on a thread with `ScopedContext`, and recording
+/// happens only there: `obs::enabled()` is true exactly while a context is
+/// installed, and `obs::registry()` and `events::emit()` resolve through
+/// it. The thread pool carries each task's submitting context with the
+/// task (see par/pool.hpp), so a context scoped around a synthesis call
+/// captures the whole run — including work executed by shared pool
+/// workers and by unrelated threads helping while they wait. A thread the
+/// caller starts itself records only after installing a context.
 ///
 /// Ownership rules: the context owns its registry (unless constructed over a
-/// borrowed one) and any event log made with `make_event_log()`. A context
-/// must outlive every pool task submitted while it was current; the
-/// library's parallel constructs (`parallel_for`, `parallel_reduce`) wait
-/// for their tasks before returning, so scoping a context around a
-/// synthesis call is always safe.
+/// borrowed one) and the event log made with `make_event_log()`. A context
+/// must stay alive until every pool task submitted while it was current has
+/// started, and while any of them records into it; the library's parallel
+/// constructs (`parallel_for`, `parallel_reduce`) return only once all
+/// their work is done and all their helper tasks have started, so scoping
+/// a context around a synthesis call is always safe.
 class Context {
  public:
-  /// Owns a fresh Registry; tracing starts enabled (a context exists to
-  /// record — the global `set_enabled` switch only governs the root).
+  /// Owns a fresh Registry.
   Context();
 
-  /// Borrows `reg` (the caller keeps ownership); tracing starts enabled.
+  /// Borrows `reg` (the caller keeps ownership).
   explicit Context(Registry* reg);
 
   ~Context();
@@ -45,49 +42,35 @@ class Context {
 
   Registry& registry() const { return *reg_; }
 
-  /// This context's tracing switch — what `obs::enabled()` returns on
-  /// threads where the context is installed.
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   /// The context's event sink, or nullptr. While the context is installed,
-  /// `events::emit` goes here and *only* here — a non-root context without a
-  /// sink drops events rather than leak them into the process-global log.
-  EventLog* event_log() const {
-    return events_.load(std::memory_order_acquire);
-  }
+  /// `events::emit` goes here; a context without a sink drops events.
+  EventLog* event_log() const { return log_.get(); }
 
-  /// Installs a borrowed sink (nullptr uninstalls) and pins its clock to
-  /// this context's registry so event timestamps share the span epoch.
-  void set_event_log(EventLog* log);
-
-  /// Creates an owned EventLog, installs it, and returns it. Replaces a
-  /// previously made one.
+  /// Creates the context's event log, timestamped off this context's
+  /// registry so event times share the span epoch, and returns it. Call it
+  /// before the run starts; a second call replaces the first log.
   EventLog& make_event_log();
 
  private:
   std::unique_ptr<Registry> owned_reg_;
   Registry* reg_;
-  std::unique_ptr<EventLog> owned_log_;
-  std::atomic<EventLog*> events_{nullptr};
-  std::atomic<bool> enabled_{true};
+  std::unique_ptr<EventLog> log_;
 };
 
-/// The calling thread's installed context, or nullptr when the thread runs
-/// in the root (process-global) context.
+/// The calling thread's installed context, or nullptr when none is.
 Context* current_context();
 
 /// RAII context installer. Saves the thread's current context and installs
-/// `ctx` for the scope's lifetime; nests freely (the previous context —
-/// root or another scope — is restored on destruction). The pool's task
-/// wrapper uses exactly this to run each task under its submitter's
-/// context, so a thread helping another run while blocked records that
-/// work into the other run's context and returns to its own afterwards.
+/// `ctx` for the scope's lifetime; nests freely (the previous context, or
+/// none, is restored on destruction). The pool runs every task under one
+/// of these with the task's submitting context, so a thread helping
+/// another run while blocked records that work into the other run's
+/// context and returns to its own afterwards.
 class ScopedContext {
  public:
-  explicit ScopedContext(Context& ctx);
+  explicit ScopedContext(Context& ctx) : ScopedContext(&ctx) {}
+  /// Installs `ctx`, or no context at all when it is nullptr.
+  explicit ScopedContext(Context* ctx);
   ~ScopedContext();
 
   ScopedContext(const ScopedContext&) = delete;

@@ -1,6 +1,5 @@
 #include "obs/events.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -12,18 +11,22 @@ namespace xring::obs {
 
 namespace {
 
-std::atomic<EventLog*> g_event_log{nullptr};
-
 bool starts_with(const char* s, const char* prefix) {
   return std::strncmp(s, prefix, std::strlen(prefix)) == 0;
+}
+
+/// The calling thread's sink: the installed context's event log, or
+/// nullptr when no context (or a context without a log) is installed.
+EventLog* installed_log() {
+  const Context* c = current_context();
+  return c != nullptr ? c->event_log() : nullptr;
 }
 
 }  // namespace
 
 void EventLog::record(const char* kind,
                       std::initializer_list<events::Field> fields) {
-  const Registry* clock = clock_.load(std::memory_order_acquire);
-  const double t_us = clock != nullptr ? clock->now_us() : registry().now_us();
+  const double t_us = clock_.now_us();
   std::string line = "{\"t_us\":" + json_num(t_us) + ",\"kind\":\"" +
                      json_escape(kind) + "\"";
   for (const events::Field& f : fields) {
@@ -128,35 +131,12 @@ void EventLog::update_progress_locked(const char* kind, double t_us) {
   std::fflush(progress_to_);
 }
 
-void EventLog::pin_clock(const Registry* reg) {
-  clock_.store(reg, std::memory_order_release);
-}
-
-const Registry* EventLog::clock() const {
-  return clock_.load(std::memory_order_acquire);
-}
-
 namespace events {
 
-bool enabled() {
-  if (const Context* c = current_context()) return c->event_log() != nullptr;
-  return g_event_log.load(std::memory_order_relaxed) != nullptr;
-}
-
-EventLog* swap_log(EventLog* log) {
-  // Pin the new sink's timebase to the registry it is installed over, so a
-  // later swap_registry from any thread cannot shift its timestamps.
-  if (log != nullptr) log->pin_clock(&registry());
-  return g_event_log.exchange(log, std::memory_order_acq_rel);
-}
-
-EventLog* log() {
-  if (const Context* c = current_context()) return c->event_log();
-  return g_event_log.load(std::memory_order_acquire);
-}
+bool enabled() { return installed_log() != nullptr; }
 
 void emit(const char* kind, std::initializer_list<Field> fields) {
-  EventLog* sink = log();
+  EventLog* sink = installed_log();
   if (sink != nullptr) sink->record(kind, fields);
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdio>
 #include <initializer_list>
@@ -27,19 +26,15 @@ struct Field {
 /// Append-only JSONL stream of solver progress events.
 ///
 /// Each record() call serializes one line
-/// `{"t_us":<now>,"kind":"<kind>",<fields...>}` — timestamped off the
-/// pinned clock registry's epoch so event times line up with the span
-/// trace of the run the log belongs to. The clock is pinned when the log
-/// is installed (`events::swap_log` pins the then-current registry;
-/// `Context::set_event_log` pins the context's registry), mirroring the
-/// Span registry capture: a mid-run `swap_registry` from another thread
-/// can no longer shift this log's timebase.
+/// `{"t_us":<now>,"kind":"<kind>",<fields...>}` — timestamped off the clock
+/// registry's epoch so event times line up with the span trace of the run
+/// the log belongs to. `Context::make_event_log` builds every installed log
+/// with its context's registry as the clock.
 ///
 /// Emission sites reach the log through `events::emit`, which resolves the
-/// calling thread's installed obs::Context first (obs/context.hpp) and
-/// falls back to the swappable process-global pointer: installing a log
-/// turns the instrumentation on, removing it reduces every site to one
-/// thread-local read plus one relaxed atomic load.
+/// calling thread's installed obs::Context (obs/context.hpp): a context
+/// with a log turns the instrumentation on, and without one every site
+/// costs one thread-local read.
 ///
 /// The same stream can drive a throttled single-line stderr progress
 /// display (enable_progress): B&B events update incumbent/bound/gap/node
@@ -47,7 +42,8 @@ struct Field {
 /// interval is rewritten in place with '\r'.
 class EventLog {
  public:
-  EventLog() = default;
+  /// Timestamps every record off `clock`, which must outlive the log.
+  explicit EventLog(const Registry& clock) : clock_(clock) {}
 
   /// Serializes and appends one event (thread-safe), and updates the
   /// progress display when one is enabled.
@@ -67,21 +63,12 @@ class EventLog {
   void enable_progress(std::FILE* to, double min_interval_s = 0.25);
   void finish_progress();
 
-  /// Pins the registry whose epoch timestamps every subsequent record()
-  /// (nullptr unpins — records fall back to the thread's current
-  /// `obs::registry()`). Installers call this so the log keeps one timebase
-  /// for its whole life, whatever other threads swap mid-run.
-  void pin_clock(const Registry* reg);
-
-  /// The pinned clock registry, or nullptr when unpinned.
-  const Registry* clock() const;
-
  private:
   void update_progress_locked(const char* kind, double t_us);
 
+  const Registry& clock_;
   mutable std::mutex mu_;
   std::vector<std::string> lines_;
-  std::atomic<const Registry*> clock_{nullptr};
 
   // Progress display state (guarded by mu_).
   std::FILE* progress_to_ = nullptr;
@@ -102,21 +89,9 @@ class EventLog {
 namespace events {
 
 /// True when the calling thread has an event sink — the cheap gate
-/// emission sites check before building field lists. With an obs::Context
-/// installed, this is whether *that context* has a sink; the root global
-/// sink otherwise.
+/// emission sites check before building field lists: an installed
+/// obs::Context with an event log.
 bool enabled();
-
-/// Installs `log` as the *root* (process-global) event sink (nullptr
-/// uninstalls) and pins its clock to the then-current registry. Returns
-/// the previous sink; the caller keeps ownership of both. Threads running
-/// under an installed context route to the context's sink instead — a root
-/// swap never bleeds events into (or out of) a scoped run.
-EventLog* swap_log(EventLog* log);
-
-/// The calling thread's sink: the installed context's event log when a
-/// context is installed (nullptr if it has none), else the root sink.
-EventLog* log();
 
 /// Records into the calling thread's sink; no-op without one.
 void emit(const char* kind, std::initializer_list<Field> fields);

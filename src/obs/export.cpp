@@ -70,18 +70,6 @@ void write_text_file(const std::string& path, const std::string& content) {
   if (out.fail()) throw std::runtime_error("error writing " + path);
 }
 
-namespace {
-
-// Short local aliases: this file predates the public names.
-std::string num(double v) { return json_num(v); }
-std::string escape(const std::string& s) { return json_escape(s); }
-
-void write_file(const std::string& path, const std::string& content) {
-  write_text_file(path, content);
-}
-
-}  // namespace
-
 std::string trace_json(const Registry& reg) {
   // Compact small-integer thread ids in order of first appearance.
   std::map<std::uint64_t, int> tids;
@@ -97,27 +85,19 @@ std::string trace_json(const Registry& reg) {
   for (const SpanEvent& ev : reg.spans()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << escape(ev.name) << "\",\"cat\":\"xring\""
-        << ",\"ph\":\"X\",\"ts\":" << num(ev.start_us)
-        << ",\"dur\":" << num(ev.dur_us) << ",\"pid\":1,\"tid\":"
-        << tid_of(ev.thread_id) << ",\"args\":{\"depth\":" << ev.depth;
-    // Allocation attribution travels in args, but only when the tracker
-    // recorded any — default builds emit byte-identical traces.
-    if (ev.alloc_bytes != 0 || ev.freed_bytes != 0 || ev.alloc_count != 0) {
-      out << ",\"alloc_bytes\":" << ev.alloc_bytes
-          << ",\"freed_bytes\":" << ev.freed_bytes
-          << ",\"alloc_count\":" << ev.alloc_count
-          << ",\"peak_delta_bytes\":" << ev.peak_delta_bytes;
-    }
-    out << "}}";
+    out << "{\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\"xring\""
+        << ",\"ph\":\"X\",\"ts\":" << json_num(ev.start_us)
+        << ",\"dur\":" << json_num(ev.dur_us) << ",\"pid\":1,\"tid\":"
+        << tid_of(ev.thread_id) << ",\"args\":{\"depth\":" << ev.depth
+        << "}}";
   }
   for (const auto& [name, points] : reg.series()) {
     for (const SeriesPoint& p : points) {
       if (!first) out << ",";
       first = false;
-      out << "{\"name\":\"" << escape(name) << "\",\"cat\":\"xring\""
-          << ",\"ph\":\"C\",\"ts\":" << num(p.t_us)
-          << ",\"pid\":1,\"args\":{\"value\":" << num(p.value) << "}}";
+      out << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\"xring\""
+          << ",\"ph\":\"C\",\"ts\":" << json_num(p.t_us)
+          << ",\"pid\":1,\"args\":{\"value\":" << json_num(p.value) << "}}";
     }
   }
   out << "],\"displayTimeUnit\":\"ms\"}";
@@ -131,7 +111,7 @@ std::string metrics_json(const Registry& reg) {
   for (const auto& [name, value] : reg.flatten()) {
     if (!first) out << ",";
     first = false;
-    out << "\n  \"" << escape(name) << "\": " << num(value);
+    out << "\n  \"" << json_escape(name) << "\": " << json_num(value);
   }
   out << "\n}\n";
   return out.str();
@@ -141,29 +121,9 @@ std::string metrics_csv(const Registry& reg) {
   std::ostringstream out;
   out << "name,value\n";
   for (const auto& [name, value] : reg.flatten()) {
-    out << name << "," << num(value) << "\n";
+    out << name << "," << json_num(value) << "\n";
   }
   return out.str();
-}
-
-std::map<std::string, double> metrics_from_csv(const std::string& csv) {
-  std::map<std::string, double> out;
-  std::istringstream in(csv);
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (header) {  // skip the "name,value" header if present
-      header = false;
-      if (line == "name,value") continue;
-    }
-    const std::size_t comma = line.rfind(',');
-    if (comma == std::string::npos) {
-      throw std::invalid_argument("malformed metrics CSV line: " + line);
-    }
-    out[line.substr(0, comma)] = std::strtod(line.c_str() + comma + 1, nullptr);
-  }
-  return out;
 }
 
 namespace {
@@ -202,31 +162,81 @@ struct JsonCursor {
     expect('"');
     std::string out;
     while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) fail("unterminated escape");
-        const char esc = text[pos++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) fail("truncated \\u escape");
-            c = static_cast<char>(
-                std::strtol(text.substr(pos, 4).c_str(), nullptr, 16));
-            pos += 4;
-            break;
-          }
-          default: fail("unsupported escape");
-        }
+      const char c = text[pos++];
+      if (c != '\\') {
+        out += c;
+        continue;
       }
-      out += c;
+      if (pos >= text.size()) fail("unterminated escape");
+      switch (text[pos++]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': append_utf8(out, parse_code_point()); break;
+        default: fail("unsupported escape");
+      }
     }
     if (pos >= text.size()) fail("unterminated string");
     ++pos;  // closing quote
     return out;
+  }
+
+  /// The four hex digits after "\u".
+  unsigned parse_hex4() {
+    if (pos + 4 > text.size()) fail("truncated \\u escape");
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text[pos++];
+      v <<= 4;
+      if (h >= '0' && h <= '9') {
+        v |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        v |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        v |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("non-hex digit in \\u escape");
+      }
+    }
+    return v;
+  }
+
+  /// The code point of a "\u" escape whose "\u" was consumed; a high
+  /// surrogate must be followed by an escaped low one, and the pair
+  /// combines into one code point.
+  unsigned parse_code_point() {
+    const unsigned hi = parse_hex4();
+    if (hi >= 0xDC00 && hi <= 0xDFFF) fail("lone low surrogate");
+    if (hi < 0xD800 || hi > 0xDBFF) return hi;
+    if (text.compare(pos, 2, "\\u") != 0) fail("lone high surrogate");
+    pos += 2;
+    const unsigned lo = parse_hex4();
+    if (lo < 0xDC00 || lo > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+  }
+
+  /// Appends code point `cp` as one to four UTF-8 bytes.
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (cp >> 18));
+      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
   }
 
   double parse_number_or_null() {
@@ -354,13 +364,13 @@ std::string diagnostics_json(const Registry& reg) {
     if (!first) out << ",";
     first = false;
     out << "\n  {\"severity\":\"" << to_string(d.severity) << "\",\"code\":\""
-        << escape(d.code) << "\",\"message\":\"" << escape(d.message)
-        << "\",\"t_us\":" << num(d.t_us) << ",\"context\":{";
+        << json_escape(d.code) << "\",\"message\":\"" << json_escape(d.message)
+        << "\",\"t_us\":" << json_num(d.t_us) << ",\"context\":{";
     bool first_ctx = true;
     for (const auto& [key, value] : d.context) {
       if (!first_ctx) out << ",";
       first_ctx = false;
-      out << "\"" << escape(key) << "\":\"" << escape(value) << "\"";
+      out << "\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
     }
     out << "}}";
   }
@@ -369,15 +379,15 @@ std::string diagnostics_json(const Registry& reg) {
 }
 
 void write_trace_json(const std::string& path, const Registry& reg) {
-  write_file(path, trace_json(reg));
+  write_text_file(path, trace_json(reg));
 }
 
 void write_metrics_json(const std::string& path, const Registry& reg) {
-  write_file(path, metrics_json(reg));
+  write_text_file(path, metrics_json(reg));
 }
 
 void write_metrics_csv(const std::string& path, const Registry& reg) {
-  write_file(path, metrics_csv(reg));
+  write_text_file(path, metrics_csv(reg));
 }
 
 }  // namespace xring::obs

@@ -31,10 +31,6 @@ std::string metrics_json(const Registry& reg);
 /// Two-column `name,value` CSV (header row included) of Registry::flatten().
 std::string metrics_csv(const Registry& reg);
 
-/// Inverse of metrics_csv; also accepts any `name,value` two-column CSV.
-/// Used by the exporter round-trip tests and by report-diffing tools.
-std::map<std::string, double> metrics_from_csv(const std::string& csv);
-
 /// Inverse of metrics_json: parses a flat `{"name": value, ...}` object
 /// (string keys, numeric or null values; null becomes NaN). This is the
 /// reader side of the BENCH_*.json reports — `xring_runs diff` diffs two
@@ -78,11 +74,9 @@ void write_text_file(const std::string& path, const std::string& content);
 
 // File-writing wrappers; throw std::runtime_error when the file can't be
 // opened or the write doesn't reach the disk intact (full disk, closed
-// pipe). All default to the global registry.
-void write_trace_json(const std::string& path, const Registry& reg = registry());
-void write_metrics_json(const std::string& path,
-                        const Registry& reg = registry());
-void write_metrics_csv(const std::string& path,
-                       const Registry& reg = registry());
+// pipe).
+void write_trace_json(const std::string& path, const Registry& reg);
+void write_metrics_json(const std::string& path, const Registry& reg);
+void write_metrics_csv(const std::string& path, const Registry& reg);
 
 }  // namespace xring::obs

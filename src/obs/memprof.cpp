@@ -1,116 +1,15 @@
 #include "obs/memprof.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/obs.hpp"
 
-#if defined(__linux__)
+#if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
-#elif defined(__APPLE__)
-#include <sys/resource.h>
-#include <unistd.h>
-#endif
-
-#ifdef XRING_PROFILE_ALLOC
-#include <new>
-#if defined(__GLIBC__) || defined(__linux__)
-#include <malloc.h>
-#define XRING_HAVE_MALLOC_USABLE_SIZE 1
-#endif
 #endif
 
 namespace xring::obs::memprof {
-
-namespace {
-
-/// The thread's cumulative allocator totals. Written only by the owning
-/// thread (from the interposed operators), read only by the owning thread
-/// (from span marks) — no synchronization needed. Blocks freed on a
-/// different thread than they were allocated on are charged to the freeing
-/// thread, which can drive a thread's live_bytes negative; totals stay
-/// exact process-wide.
-thread_local ThreadAllocTotals t_mem;
-
-}  // namespace
-
-#ifdef XRING_PROFILE_ALLOC
-
-namespace detail {
-
-namespace {
-
-long long block_size(void* p, std::size_t requested) noexcept {
-#ifdef XRING_HAVE_MALLOC_USABLE_SIZE
-  const std::size_t usable = ::malloc_usable_size(p);
-  if (usable != 0) return static_cast<long long>(usable);
-#endif
-  (void)p;
-  return static_cast<long long>(requested);
-}
-
-}  // namespace
-
-void on_alloc(void* p, std::size_t requested) noexcept {
-  if (p == nullptr) return;
-  const long long sz = block_size(p, requested);
-  t_mem.alloc_bytes += sz;
-  t_mem.alloc_count += 1;
-  t_mem.live_bytes += sz;
-  if (t_mem.live_bytes > t_mem.peak_live_bytes) {
-    t_mem.peak_live_bytes = t_mem.live_bytes;
-  }
-}
-
-void on_free(void* p, std::size_t size_hint) noexcept {
-  if (p == nullptr) return;
-  const long long sz = block_size(p, size_hint);
-  t_mem.freed_bytes += sz;
-  t_mem.live_bytes -= sz;
-}
-
-}  // namespace detail
-
-#endif  // XRING_PROFILE_ALLOC
-
-bool alloc_tracking() noexcept {
-#ifdef XRING_PROFILE_ALLOC
-  return true;
-#else
-  return false;
-#endif
-}
-
-ThreadAllocTotals thread_alloc_totals() noexcept { return t_mem; }
-
-AllocMark open_mark() noexcept {
-  AllocMark mark;
-  mark.alloc_bytes = t_mem.alloc_bytes;
-  mark.freed_bytes = t_mem.freed_bytes;
-  mark.alloc_count = t_mem.alloc_count;
-  mark.live_bytes = t_mem.live_bytes;
-  // Reset the watermark to the current level so the span measures its own
-  // peak, not one inherited from before it opened; close_mark() merges the
-  // saved watermark back for the enclosing span.
-  mark.saved_peak = t_mem.peak_live_bytes;
-  t_mem.peak_live_bytes = t_mem.live_bytes;
-  return mark;
-}
-
-AllocDelta close_mark(const AllocMark& mark) noexcept {
-  AllocDelta delta;
-  delta.alloc_bytes = t_mem.alloc_bytes - mark.alloc_bytes;
-  delta.freed_bytes = t_mem.freed_bytes - mark.freed_bytes;
-  delta.alloc_count = t_mem.alloc_count - mark.alloc_count;
-  delta.peak_delta_bytes = t_mem.peak_live_bytes - mark.live_bytes;
-  if (delta.peak_delta_bytes < 0) delta.peak_delta_bytes = 0;
-  if (mark.saved_peak > t_mem.peak_live_bytes) {
-    t_mem.peak_live_bytes = mark.saved_peak;
-  }
-  return delta;
-}
 
 long long rss_bytes() noexcept {
 #if defined(__linux__)
@@ -150,114 +49,6 @@ long long peak_rss_bytes() noexcept {
 void publish(Registry& reg) {
   reg.gauge("mem.rss_bytes").set(static_cast<double>(rss_bytes()));
   reg.gauge("mem.peak_rss_bytes").set(static_cast<double>(peak_rss_bytes()));
-  if (alloc_tracking()) {
-    const ThreadAllocTotals t = thread_alloc_totals();
-    reg.gauge("mem.alloc_bytes").set(static_cast<double>(t.alloc_bytes));
-    reg.gauge("mem.freed_bytes").set(static_cast<double>(t.freed_bytes));
-    reg.gauge("mem.alloc_count").set(static_cast<double>(t.alloc_count));
-  }
 }
 
 }  // namespace xring::obs::memprof
-
-#ifdef XRING_PROFILE_ALLOC
-
-// ---------------------------------------------------------------------------
-// Global allocator interposition. Every C++ allocation in the process runs
-// through these, so they must be infallible observers: malloc/free do the
-// real work, the hooks only adjust the calling thread's totals. The aligned
-// forms use posix_memalign, whose blocks ordinary free() releases on every
-// platform this builds on. All delete forms funnel through free(), so a
-// block may be allocated by one form and released by another (as the
-// standard allows for new/new[] pairs matched correctly at the call site).
-
-namespace {
-
-namespace memprof = xring::obs::memprof;
-
-void* checked_alloc(std::size_t size) {
-  void* p = std::malloc(size != 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  memprof::detail::on_alloc(p, size);
-  return p;
-}
-
-void* checked_aligned_alloc(std::size_t size, std::align_val_t al) {
-  void* p = nullptr;
-  std::size_t alignment = static_cast<std::size_t>(al);
-  if (alignment < sizeof(void*)) alignment = sizeof(void*);
-  if (::posix_memalign(&p, alignment, size != 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  memprof::detail::on_alloc(p, size);
-  return p;
-}
-
-void release(void* p, std::size_t size_hint) noexcept {
-  if (p == nullptr) return;
-  memprof::detail::on_free(p, size_hint);
-  std::free(p);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return checked_alloc(size); }
-void* operator new[](std::size_t size) { return checked_alloc(size); }
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  void* p = std::malloc(size != 0 ? size : 1);
-  if (p != nullptr) memprof::detail::on_alloc(p, size);
-  return p;
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return operator new(size, std::nothrow);
-}
-
-void* operator new(std::size_t size, std::align_val_t al) {
-  return checked_aligned_alloc(size, al);
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return checked_aligned_alloc(size, al);
-}
-void* operator new(std::size_t size, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  try {
-    return checked_aligned_alloc(size, al);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return operator new(size, al, std::nothrow);
-}
-
-void operator delete(void* p) noexcept { release(p, 0); }
-void operator delete[](void* p) noexcept { release(p, 0); }
-void operator delete(void* p, std::size_t size) noexcept { release(p, size); }
-void operator delete[](void* p, std::size_t size) noexcept {
-  release(p, size);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  release(p, 0);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  release(p, 0);
-}
-void operator delete(void* p, std::align_val_t) noexcept { release(p, 0); }
-void operator delete[](void* p, std::align_val_t) noexcept { release(p, 0); }
-void operator delete(void* p, std::size_t size, std::align_val_t) noexcept {
-  release(p, size);
-}
-void operator delete[](void* p, std::size_t size, std::align_val_t) noexcept {
-  release(p, size);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  release(p, 0);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  release(p, 0);
-}
-
-#endif  // XRING_PROFILE_ALLOC

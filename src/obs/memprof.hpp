@@ -1,70 +1,15 @@
 #pragma once
 
-#include <cstddef>
-
 namespace xring::obs {
 
 class Registry;
 
-/// Memory-resource accounting for the profiling layer.
-///
-/// Two independent sources, by cost and availability:
-///
-///  1. **Peak-RSS sampling** — always available, zero per-allocation cost.
-///     `rss_bytes()` / `peak_rss_bytes()` read the OS's resident-set
-///     accounting; the background `PhaseSampler` turns them into a
-///     `mem.rss_bytes` time series whose per-span peaks attribute the
-///     process's memory wall to pipeline stages.
-///
-///  2. **Allocation tracking** — opt-in at build time
-///     (`cmake -DXRING_PROFILE_ALLOC=ON`), which interposes the global
-///     `operator new`/`operator delete` and charges every allocation to
-///     thread-local totals. `obs::Span` snapshots those totals at open and
-///     close, so each span event carries the exact bytes allocated/freed
-///     (and the peak of live bytes) while it — the innermost open span of
-///     its thread — was running. Without the build flag every query below
-///     returns zeros and spans record no allocation data.
+/// Memory accounting for the profiling layer: the OS's resident-set
+/// readings, at zero per-allocation cost. The background `PhaseSampler`
+/// turns `rss_bytes()` into a `mem.rss_bytes` time series whose per-span
+/// peaks (`rss_by_span`) attribute the process's memory wall to pipeline
+/// stages.
 namespace memprof {
-
-/// True when the build interposes operator new/delete
-/// (`-DXRING_PROFILE_ALLOC=ON`); allocation totals are all zero otherwise.
-bool alloc_tracking() noexcept;
-
-/// Cumulative allocator traffic of the calling thread. `live_bytes` can go
-/// negative on threads that free blocks allocated elsewhere (the bytes are
-/// charged to the freeing thread); `peak_live_bytes` is the watermark since
-/// the innermost open span's start (spans reset and restore it).
-struct ThreadAllocTotals {
-  long long alloc_bytes = 0;
-  long long freed_bytes = 0;
-  long long alloc_count = 0;
-  long long live_bytes = 0;
-  long long peak_live_bytes = 0;
-};
-ThreadAllocTotals thread_alloc_totals() noexcept;
-
-/// Snapshot taken when a span opens; close_mark() turns it into the span's
-/// allocation deltas. Spans nest: the saved watermark is restored (merged)
-/// at close, so a parent's peak covers its children's.
-struct AllocMark {
-  long long alloc_bytes = 0;
-  long long freed_bytes = 0;
-  long long alloc_count = 0;
-  long long live_bytes = 0;
-  long long saved_peak = 0;
-};
-
-/// Per-span allocation outcome: bytes/blocks allocated and freed while the
-/// mark was open, and how far live bytes rose above the open-time level.
-struct AllocDelta {
-  long long alloc_bytes = 0;
-  long long freed_bytes = 0;
-  long long alloc_count = 0;
-  long long peak_delta_bytes = 0;
-};
-
-AllocMark open_mark() noexcept;
-AllocDelta close_mark(const AllocMark& mark) noexcept;
 
 /// Current resident-set size of the process in bytes (0 when the platform
 /// offers no way to read it).
@@ -73,11 +18,8 @@ long long rss_bytes() noexcept;
 /// High-water-mark RSS of the process in bytes (0 when unknown).
 long long peak_rss_bytes() noexcept;
 
-/// Publishes the process-wide gauges into `reg`: `mem.rss_bytes`,
-/// `mem.peak_rss_bytes`, and — when allocation tracking is compiled in —
-/// the calling thread's `mem.alloc_bytes` / `mem.freed_bytes` /
-/// `mem.alloc_count`. The sampler calls this on stop(); artifact writers
-/// call it before exporting.
+/// Publishes the process-wide gauges `mem.rss_bytes` and
+/// `mem.peak_rss_bytes` into `reg`. The sampler calls this on stop().
 void publish(Registry& reg);
 
 }  // namespace memprof

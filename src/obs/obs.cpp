@@ -12,14 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::atomic<bool> g_enabled{false};
-std::atomic<Registry*> g_override{nullptr};
-
-Registry& default_registry() {
-  static Registry r;
-  return r;
-}
-
 /// Per-thread span nesting level; roots open at depth 0.
 thread_local int t_depth = 0;
 
@@ -140,11 +132,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap_;
 }
 
-void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  snap_ = HistogramSnapshot{};
-}
-
 const char* to_string(Severity s) {
   switch (s) {
     case Severity::kInfo: return "info";
@@ -253,38 +240,20 @@ std::map<std::string, double> Registry::flatten() const {
     out[name + ".count"] = static_cast<double>(points.size());
     if (!points.empty()) out[name + ".last"] = points.back().value;
   }
-  // Aggregate spans by name: total wall time and invocation count, plus —
-  // when the allocation tracker recorded anything — memory attribution
-  // (total bytes allocated/freed, worst single-invocation peak delta). The
-  // mem.* keys appear only for spans with allocator traffic, so default
-  // (uninstrumented) builds flatten to exactly the same key set as before.
+  // Aggregate spans by name: invocation count and total wall time.
   struct SpanAgg {
     long long count = 0;
     double total_us = 0.0;
-    long long alloc_bytes = 0;
-    long long freed_bytes = 0;
-    long long peak_delta_bytes = 0;
   };
   std::map<std::string, SpanAgg> by_name;
   for (const SpanEvent& ev : spans_) {
     SpanAgg& agg = by_name[ev.name];
     ++agg.count;
     agg.total_us += ev.dur_us;
-    agg.alloc_bytes += ev.alloc_bytes;
-    agg.freed_bytes += ev.freed_bytes;
-    agg.peak_delta_bytes = std::max(agg.peak_delta_bytes, ev.peak_delta_bytes);
   }
   for (const auto& [name, agg] : by_name) {
     out["span." + name + ".count"] = static_cast<double>(agg.count);
     out["span." + name + ".total_s"] = agg.total_us * 1e-6;
-    if (agg.alloc_bytes != 0 || agg.freed_bytes != 0) {
-      out["mem.span." + name + ".alloc_bytes"] =
-          static_cast<double>(agg.alloc_bytes);
-      out["mem.span." + name + ".freed_bytes"] =
-          static_cast<double>(agg.freed_bytes);
-      out["mem.span." + name + ".peak_delta_bytes"] =
-          static_cast<double>(agg.peak_delta_bytes);
-    }
   }
   if (!diagnostics_.empty()) {
     for (const Diagnostic& d : diagnostics_) {
@@ -294,52 +263,23 @@ std::map<std::string, double> Registry::flatten() const {
   return out;
 }
 
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  series_.clear();
-  spans_.clear();
-  diagnostics_.clear();
-  epoch_ = Clock::now();
-}
-
-bool enabled() {
-  if (const Context* c = current_context()) return c->enabled();
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
-Registry& registry() {
-  if (const Context* c = current_context()) return c->registry();
-  Registry* r = g_override.load(std::memory_order_acquire);
-  return r ? *r : default_registry();
-}
-
-Registry* swap_registry(Registry* r) {
-  return g_override.exchange(r, std::memory_order_acq_rel);
-}
-
 void diagnose(Severity severity, std::string code, std::string message,
               std::vector<std::pair<std::string, std::string>> context) {
-  if (!enabled()) return;
+  Context* ctx = current_context();
+  if (ctx == nullptr) return;
   Diagnostic d;
   d.severity = severity;
   d.code = std::move(code);
   d.message = std::move(message);
   d.context = std::move(context);
-  registry().diagnose(std::move(d));
+  ctx->registry().diagnose(std::move(d));
 }
 
-Span::Span(const char* name)
-    : name_(name), start_(Clock::now()), active_(enabled()) {
-  if (active_) {
-    reg_ = &registry();
+Span::Span(const char* name) : name_(name), start_(Clock::now()) {
+  if (Context* ctx = current_context()) {
+    reg_ = &ctx->registry();
     depth_ = t_depth++;
     push_open_span(name_);
-    if (memprof::alloc_tracking()) mark_ = memprof::open_mark();
   }
 }
 
@@ -348,26 +288,18 @@ double Span::elapsed_seconds() const {
 }
 
 void Span::close() {
-  if (!active_) return;
-  active_ = false;
+  if (reg_ == nullptr) return;
+  Registry* reg = std::exchange(reg_, nullptr);
   --t_depth;
   pop_open_span();
   const Clock::time_point end = Clock::now();
   SpanEvent ev;
   ev.name = name_;
-  // Clamp: a span opened before a registry reset() predates the new epoch.
-  ev.start_us = std::max(0.0, reg_->to_epoch_us(start_));
+  ev.start_us = reg->to_epoch_us(start_);
   ev.dur_us = std::chrono::duration<double, std::micro>(end - start_).count();
   ev.depth = depth_;
   ev.thread_id = this_thread_id();
-  if (memprof::alloc_tracking()) {
-    const memprof::AllocDelta delta = memprof::close_mark(mark_);
-    ev.alloc_bytes = delta.alloc_bytes;
-    ev.freed_bytes = delta.freed_bytes;
-    ev.alloc_count = delta.alloc_count;
-    ev.peak_delta_bytes = delta.peak_delta_bytes;
-  }
-  reg_->record_span(std::move(ev));
+  reg->record_span(std::move(ev));
 }
 
 }  // namespace xring::obs

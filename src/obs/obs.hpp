@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/memprof.hpp"
-
 namespace xring::obs {
 
 /// Monotonically increasing event count. Thread-safe; cheap enough to sit in
@@ -21,7 +19,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   long long value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<long long> value_{0};
@@ -41,7 +38,6 @@ class Gauge {
     }
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -61,7 +57,6 @@ class Histogram {
  public:
   void observe(double v);
   HistogramSnapshot snapshot() const;
-  void reset();
 
  private:
   mutable std::mutex mu_;
@@ -71,21 +66,12 @@ class Histogram {
 /// One closed span, timestamped in microseconds relative to the registry
 /// epoch. `depth` is the nesting level on the recording thread (0 = root);
 /// Chrome tracing reconstructs the same hierarchy from ts/dur containment.
-///
-/// The `alloc_*`/`peak_delta_bytes` fields carry the span's allocation
-/// accounting (inclusive of children, from the recording thread's
-/// perspective) and stay 0 unless the build interposes the allocator
-/// (`-DXRING_PROFILE_ALLOC=ON`, see obs/memprof.hpp).
 struct SpanEvent {
   std::string name;
   double start_us = 0.0;
   double dur_us = 0.0;
   int depth = 0;
   std::uint64_t thread_id = 0;
-  long long alloc_bytes = 0;       ///< bytes allocated while the span was open
-  long long freed_bytes = 0;       ///< bytes freed while the span was open
-  long long alloc_count = 0;       ///< allocation calls while open
-  long long peak_delta_bytes = 0;  ///< peak of live bytes above the open level
 };
 
 /// One sample of a timestamped series (e.g. the MILP incumbent timeline).
@@ -116,8 +102,8 @@ struct Diagnostic {
 /// Owns every metric and span of one run. Metric accessors return stable
 /// references (map nodes never move), so instrumentation sites may cache
 /// them. All methods are thread-safe. The registry itself always works;
-/// the global `enabled()` flag only gates the *instrumentation sites*, so a
-/// bench can record its own results into a disabled-tracing registry.
+/// `enabled()` only gates the *instrumentation sites*, so a bench can
+/// record its own results into a registry no context installs.
 class Registry {
  public:
   Registry();
@@ -129,13 +115,13 @@ class Registry {
   /// Appends a point (timestamped now) to the named series.
   void append_series(const std::string& name, double value);
 
-  /// Records a diagnostic (timestamped now). Emission sites gate on
-  /// `enabled()` like every other instrumentation site.
+  /// Records a diagnostic (timestamped now). Emission sites go through
+  /// `obs::diagnose`, which gates on `enabled()`.
   void diagnose(Diagnostic d);
 
   void record_span(SpanEvent ev);
 
-  /// Microseconds elapsed since construction / last reset().
+  /// Microseconds elapsed since construction.
   double now_us() const;
 
   /// Converts a steady_clock instant to microseconds since the epoch.
@@ -158,10 +144,6 @@ class Registry {
   /// is what the metrics exporters serialize.
   std::map<std::string, double> flatten() const;
 
-  /// Drops all metrics, spans, and buffered diagnostics and restarts the
-  /// epoch.
-  void reset();
-
  private:
   mutable std::mutex mu_;
   std::chrono::steady_clock::time_point epoch_;
@@ -173,48 +155,36 @@ class Registry {
   std::vector<Diagnostic> diagnostics_;
 };
 
-/// Tracing/metrics master switch of the calling thread. With an
-/// obs::Context installed (obs/context.hpp) this is the context's own flag;
-/// otherwise the process-global root flag, off by default. Every
-/// instrumentation site checks it before touching the registry, so a
-/// disabled path costs one thread-local read plus one relaxed atomic load.
+/// Whether the calling thread records: true exactly while an obs::Context
+/// is installed on it (obs/context.hpp). Every instrumentation site checks
+/// it before touching the registry, so an untraced path costs one
+/// thread-local read.
 bool enabled();
 
-/// Sets the process-global root flag (an installed context's flag is set
-/// via Context::set_enabled instead).
-void set_enabled(bool on);
-
-/// The registry instrumentation sites write to: the calling thread's
-/// installed context's registry (obs/context.hpp), or — when no context is
-/// installed — the process-global root registry. The thread pool installs
-/// the submitting thread's context in its workers for each task's
-/// duration, so an instrumentation site never needs to know which case it
-/// is in.
+/// The installed context's registry — where instrumentation sites write.
+/// The thread pool installs each task's submitting context around the task
+/// (par/pool.hpp), so a site never needs to know which thread it runs on.
+/// Throws std::logic_error when no context is installed: call it only
+/// behind `enabled()`.
 Registry& registry();
 
-/// Swaps the *root* registry (tests install a fresh one; pass nullptr to
-/// restore the built-in default). Returns the previous override, or nullptr
-/// if the default was active. The caller keeps ownership of both. Threads
-/// running under an installed context are unaffected — scoped runs do not
-/// see root swaps, and vice versa.
-Registry* swap_registry(Registry* r);
-
 /// Emission helper for instrumentation sites: records the diagnostic into
-/// the global registry, but only when tracing is enabled (the same gate the
-/// metric sites use), so a disabled run pays one relaxed atomic load.
+/// the installed context's registry, or does nothing when none is
+/// installed.
 void diagnose(Severity severity, std::string code, std::string message,
               std::vector<std::pair<std::string, std::string>> context = {});
 
 /// RAII wall-clock span. Construction always stamps the start time (so
-/// `elapsed_seconds()` works even with tracing disabled — the synthesizer
-/// derives its reported `seconds` from the root span); an event is recorded
-/// into the registry only when tracing was enabled at construction.
+/// `elapsed_seconds()` works untraced too — the synthesizer derives its
+/// reported `seconds` from the root span); an event is recorded only when a
+/// context was installed at construction.
 ///
-/// The target registry is captured at construction: a span that straddles a
-/// `swap_registry()` call records into the registry it started in, never
-/// half into one run's registry and half into the next's. An active span
-/// also publishes its name into the thread's open-span stack so the phase
-/// sampler (obs/sampler.hpp) can observe where each thread currently is.
+/// The target registry is captured at construction: a span that closes
+/// under a different `ScopedContext` records into the registry it started
+/// in, never half into one run's registry and half into the next's. An
+/// active span also publishes its name into the thread's open-span stack so
+/// the phase sampler (obs/sampler.hpp) can observe where each thread
+/// currently is.
 class Span {
  public:
   explicit Span(const char* name);
@@ -223,7 +193,7 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Seconds since construction; independent of the enabled flag.
+  /// Seconds since construction; recorded or not.
   double elapsed_seconds() const;
 
   /// Records the event now (idempotent; the destructor calls it too).
@@ -232,10 +202,8 @@ class Span {
  private:
   const char* name_;
   std::chrono::steady_clock::time_point start_;
-  Registry* reg_ = nullptr;  ///< captured at construction (see class comment)
-  memprof::AllocMark mark_;  ///< allocation snapshot at open
+  Registry* reg_ = nullptr;  ///< captured at construction; null = untraced
   int depth_ = 0;
-  bool active_ = false;  ///< tracing was enabled when the span opened
 };
 
 /// Snapshot of one thread's currently-open span stack, outermost first.

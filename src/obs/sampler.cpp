@@ -16,10 +16,6 @@ PhaseSampler::~PhaseSampler() { stop(); }
 
 void PhaseSampler::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  // Pin the target registry now: the sampler thread must keep recording
-  // into the run it was started for, not whatever the root registry is
-  // swapped to mid-run.
-  pinned_ = reg_ != nullptr ? reg_ : &registry();
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = false;
@@ -40,7 +36,7 @@ void PhaseSampler::stop() {
   // One final sample so even sub-interval runs record at least one point,
   // then the process-wide gauges for the exporters.
   sample_once();
-  memprof::publish(pinned_ != nullptr ? *pinned_ : registry());
+  memprof::publish(*reg_);
 }
 
 void PhaseSampler::run() {
@@ -55,9 +51,8 @@ void PhaseSampler::run() {
 }
 
 void PhaseSampler::sample_once() {
-  Registry& reg = pinned_ != nullptr ? *pinned_ : registry();
-  reg.append_series("mem.rss_bytes",
-                    static_cast<double>(memprof::rss_bytes()));
+  reg_->append_series("mem.rss_bytes",
+                      static_cast<double>(memprof::rss_bytes()));
   const std::vector<ThreadPath> paths = open_span_paths();
   std::lock_guard<std::mutex> lock(mu_);
   for (const ThreadPath& path : paths) {

@@ -29,12 +29,9 @@ namespace xring::obs {
 /// tallied — nothing to attribute.
 class PhaseSampler {
  public:
-  /// Samples into `reg` every `interval_us` microseconds. When `reg` is
-  /// null, start() resolves the calling thread's `obs::registry()` (context
-  /// or root) once and pins it for the whole sampling run — mirroring the
-  /// Span registry capture, so a mid-run `swap_registry` (or a context
-  /// installed later on some other thread) never misroutes samples.
-  explicit PhaseSampler(Registry* reg = nullptr, long long interval_us = 2000);
+  /// Samples into `reg` (non-null; it must outlive the sampler) every
+  /// `interval_us` microseconds.
+  explicit PhaseSampler(Registry* reg, long long interval_us = 2000);
   ~PhaseSampler();
 
   PhaseSampler(const PhaseSampler&) = delete;
@@ -51,13 +48,6 @@ class PhaseSampler {
   /// Samples recorded so far.
   long long samples() const { return samples_.load(std::memory_order_acquire); }
 
-  /// The registry samples are recorded into: pinned by start(), or the
-  /// constructor-supplied target before the first start (null when neither
-  /// has resolved yet).
-  const Registry* target() const {
-    return pinned_ != nullptr ? pinned_ : reg_;
-  }
-
   /// Folded-stack tallies, sorted by path for deterministic output.
   std::map<std::string, long long> folded_counts() const;
 
@@ -72,7 +62,6 @@ class PhaseSampler {
   void sample_once();
 
   Registry* reg_;
-  Registry* pinned_ = nullptr;  ///< resolved once per start() (see ctor doc)
   const long long interval_us_;
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -62,27 +62,16 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  // Capture the submitter's observability context (nullptr = root) and
-  // install it around the task body, so whichever thread eventually runs
-  // the task — a pool worker, or an unrelated thread helping while it
-  // waits — records the task's spans/metrics/events into the run that
-  // submitted it. The root path stays wrapper-free: single-run behavior is
-  // byte-identical to the pre-context pool.
-  if (obs::Context* ctx = obs::current_context()) {
-    task = [ctx, inner = std::move(task)] {
-      obs::ScopedContext scope(*ctx);
-      inner();
-    };
-  }
+  obs::Context* ctx = obs::current_context();
   const std::size_t q =
       (t_pool == this) ? t_queue : 0;  // 0 = shared injection queue
   {
     std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
+    queues_[q]->tasks.push_back(Task{std::move(task), ctx});
   }
   const long depth = pending_.fetch_add(1, std::memory_order_release) + 1;
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::registry();
+  if (ctx != nullptr) {
+    obs::Registry& reg = ctx->registry();
     reg.counter("par.tasks").add();
     reg.histogram("par.queue_depth").observe(static_cast<double>(depth));
   }
@@ -92,7 +81,7 @@ void ThreadPool::submit(std::function<void()> task) {
   sleep_cv_.notify_one();
 }
 
-bool ThreadPool::pop_from(std::size_t q, bool steal, std::function<void()>& task) {
+bool ThreadPool::pop_from(std::size_t q, bool steal, Task& task) {
   Queue& queue = *queues_[q];
   std::lock_guard<std::mutex> lk(queue.mu);
   if (queue.tasks.empty()) return false;
@@ -106,7 +95,7 @@ bool ThreadPool::pop_from(std::size_t q, bool steal, std::function<void()>& task
   return true;
 }
 
-bool ThreadPool::next_task(std::size_t self, std::function<void()>& task) {
+bool ThreadPool::next_task(std::size_t self, Task& task) {
   // Own deque, newest first.
   if (self > 0 && pop_from(self, /*steal=*/false, task)) {
     pending_.fetch_sub(1, std::memory_order_relaxed);
@@ -123,18 +112,25 @@ bool ThreadPool::next_task(std::size_t self, std::function<void()>& task) {
     if (victim == self) continue;
     if (pop_from(victim, /*steal=*/true, task)) {
       pending_.fetch_sub(1, std::memory_order_relaxed);
-      if (obs::enabled()) obs::registry().counter("par.steals").add();
+      // Charged to the stolen task's run: the thief may be an idle worker
+      // with no context, or a helper recording another run.
+      if (task.ctx != nullptr) task.ctx->registry().counter("par.steals").add();
       return true;
     }
   }
   return false;
 }
 
+void ThreadPool::run(Task& task) {
+  const obs::ScopedContext scope(task.ctx);
+  task.fn();
+}
+
 bool ThreadPool::try_run_one() {
   const std::size_t self = (t_pool == this) ? t_queue : 0;
-  std::function<void()> task;
+  Task task;
   if (!next_task(self, task)) return false;
-  task();
+  run(task);
   return true;
 }
 
@@ -144,11 +140,11 @@ void ThreadPool::worker_loop(std::size_t self) {
   // Root the phase sampler's stacks for pool threads: samples taken while a
   // worker runs tasks fold under "par.worker" instead of an anonymous tid.
   obs::set_thread_label("par.worker");
-  std::function<void()> task;
+  Task task;
   for (;;) {
     if (next_task(t_queue, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
+      run(task);
+      task = Task{};  // release captures before sleeping
       continue;
     }
     std::unique_lock<std::mutex> lk(sleep_mu_);
@@ -225,18 +221,30 @@ void drive(const std::shared_ptr<ForState>& st) {
 void run_for(ThreadPool& pool, const std::shared_ptr<ForState>& st) {
   const long helpers =
       std::min<long>(pool.workers(), st->chunks - 1);
+  st->unstarted.store(helpers, std::memory_order_relaxed);
   for (long h = 0; h < helpers; ++h) {
-    pool.submit([st] { drive(st); });
+    pool.submit([st] {
+      if (st->unstarted.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lk(st->mu);
+        st->cv.notify_all();
+      }
+      drive(st);
+    });
   }
   drive(st);
   // The caller ran out of chunks to claim; others may still be running
-  // theirs. Help with unrelated pool work while waiting (nested loops).
-  while (st->done.load(std::memory_order_acquire) != st->chunks) {
+  // theirs, and helper tasks may still be queued. Wait until every chunk is
+  // done and every helper has started: the pool reads a queued task's obs
+  // context when it steals the task, and that context may end right after
+  // this call. Help with unrelated pool work while waiting (nested loops).
+  const auto finished = [&] {
+    return st->done.load(std::memory_order_acquire) == st->chunks &&
+           st->unstarted.load(std::memory_order_acquire) == 0;
+  };
+  while (!finished()) {
     if (pool.try_run_one()) continue;
     std::unique_lock<std::mutex> lk(st->mu);
-    st->cv.wait_for(lk, std::chrono::milliseconds(1), [&] {
-      return st->done.load(std::memory_order_acquire) == st->chunks;
-    });
+    st->cv.wait_for(lk, std::chrono::milliseconds(1), finished);
   }
   if (st->error) std::rethrow_exception(st->error);
 }

@@ -11,6 +11,10 @@
 #include <thread>
 #include <vector>
 
+namespace xring::obs {
+class Context;
+}  // namespace xring::obs
+
 namespace xring::par {
 
 /// A small work-stealing thread pool.
@@ -26,18 +30,22 @@ namespace xring::par {
 ///
 /// Destruction finishes: workers drain every queued task before exiting, and
 /// whatever is still queued after they are joined runs on the destructing
-/// thread. Steal counts and queue depth are recorded into the obs registry
-/// (`par.steals`, `par.tasks`, `par.queue_depth`) when tracing is enabled.
+/// thread.
 ///
-/// Observability contexts propagate across the pool boundary: submit()
-/// captures the submitting thread's installed obs::Context (obs/context.hpp)
-/// and installs it in the executing thread for exactly the task's duration.
-/// parallel_for and parallel_reduce funnel through submit(), so two runs
-/// scoped in different contexts can share one pool and still record into
-/// fully disjoint registries — including when one run's blocked thread
-/// helps execute the other run's tasks. The submitter's context must
-/// outlive its tasks; both constructs wait for their tasks, so a context
-/// scoped around the parallel section (or the whole synthesis call) always
+/// Observability contexts travel with the tasks: each queue entry carries
+/// the submitting thread's installed obs::Context (obs/context.hpp, null
+/// when none), and whichever thread runs the task — a worker, a thread
+/// helping while it waits, or the destructor's drain — installs that
+/// context for exactly the task's duration. parallel_for and
+/// parallel_reduce funnel through submit(), so two runs scoped in
+/// different contexts can share one pool and still record into fully
+/// disjoint registries. The submitting context also receives the task's
+/// scheduling counts: `par.tasks` and `par.queue_depth` at submit, and
+/// `par.steals` when another thread steals the task. The submitter's
+/// context must stay alive until each of its tasks has started and while
+/// any of them records into it. Both constructs return only once every
+/// chunk is done and every helper task has started, so a context scoped
+/// around the parallel section (or the whole synthesis call) always
 /// satisfies that.
 class ThreadPool {
  public:
@@ -64,16 +72,23 @@ class ThreadPool {
   bool try_run_one();
 
  private:
+  /// A queued task and its submitter's observability context.
+  struct Task {
+    std::function<void()> fn;
+    obs::Context* ctx = nullptr;
+  };
   struct Queue {
     std::mutex mu;
-    std::deque<std::function<void()>> tasks;
+    std::deque<Task> tasks;
   };
 
   void worker_loop(std::size_t self);
   /// Pops from queue `q`; `steal` takes the FIFO end, own-pop the LIFO end.
-  bool pop_from(std::size_t q, bool steal, std::function<void()>& task);
+  bool pop_from(std::size_t q, bool steal, Task& task);
   /// Own deque first, then the injection queue, then steal round-robin.
-  bool next_task(std::size_t self, std::function<void()>& task);
+  bool next_task(std::size_t self, Task& task);
+  /// Runs `task` under its submitter's context.
+  static void run(Task& task);
 
   int jobs_ = 1;
   // queues_[0] is the injection queue; queues_[1 + i] belongs to worker i.
@@ -107,8 +122,10 @@ namespace detail {
 
 /// Shared state of one parallel_for: chunks are claimed with an atomic
 /// counter, so any mix of caller and helper threads makes progress, and a
-/// helper task that runs after the loop finished sees the counter exhausted
-/// and returns without touching the (by then dead) body.
+/// helper task that starts after every chunk was claimed sees the counter
+/// exhausted and returns without touching the body. run_for returns only
+/// once every helper task has started, so none is still queued — carrying
+/// the caller's obs context into a later steal — after the call.
 struct ForState {
   long begin = 0;
   long end = 0;
@@ -116,6 +133,7 @@ struct ForState {
   long chunks = 0;
   std::atomic<long> next{0};
   std::atomic<long> done{0};
+  std::atomic<long> unstarted{0};  // helper tasks not yet started
   std::function<void(long, long)> run_range;  // [lo, hi)
   std::mutex mu;
   std::condition_variable cv;
@@ -151,8 +169,8 @@ void parallel_for(ThreadPool& pool, long begin, long end, Body&& body,
   st->end = end;
   st->grain = grain;
   st->chunks = chunks;
-  // Safe to capture the body by reference: every valid chunk is claimed and
-  // finished before run_for returns, and late helper tasks never reach it.
+  // Safe to capture the body by reference: every chunk is finished before
+  // run_for returns, and a helper that starts late never reaches it.
   st->run_range = [&body](long lo, long hi) {
     for (long i = lo; i < hi; ++i) body(i);
   };

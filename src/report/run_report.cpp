@@ -380,49 +380,24 @@ void emit_environment(std::ostringstream& out) {
       << "</td></tr>\n</table></details>\n";
 }
 
-/// One row of the memory-by-phase attribution, merging both sources: RSS
-/// sampling (peak/entry RSS per span interval, when the phase sampler ran)
-/// and allocation tracking (exact per-span bytes, when the build interposes
-/// the allocator). Either half can be absent.
+/// One row of the memory-by-phase attribution: the peak and entry RSS the
+/// phase sampler saw inside the span's intervals.
 struct MemoryRow {
   std::string span;
   double peak_rss_bytes = 0.0;
   double start_rss_bytes = 0.0;
   long long rss_samples = 0;
-  long long alloc_bytes = 0;
-  long long freed_bytes = 0;
-  long long peak_delta_bytes = 0;
 };
 
 std::vector<MemoryRow> memory_rows(const obs::Registry& reg) {
-  std::map<std::string, MemoryRow> by_name;
-  for (const auto& [name, rss] : obs::rss_by_span(reg)) {
-    MemoryRow& row = by_name[name];
-    row.span = name;
-    row.peak_rss_bytes = rss.peak_bytes;
-    row.start_rss_bytes = rss.start_bytes;
-    row.rss_samples = rss.samples;
-  }
-  for (const obs::SpanEvent& ev : reg.spans()) {
-    if (ev.alloc_bytes == 0 && ev.freed_bytes == 0 && ev.alloc_count == 0) {
-      continue;
-    }
-    MemoryRow& row = by_name[ev.name];
-    row.span = ev.name;
-    row.alloc_bytes += ev.alloc_bytes;
-    row.freed_bytes += ev.freed_bytes;
-    row.peak_delta_bytes = std::max(row.peak_delta_bytes, ev.peak_delta_bytes);
-  }
   std::vector<MemoryRow> rows;
-  rows.reserve(by_name.size());
-  for (auto& [name, row] : by_name) rows.push_back(std::move(row));
+  for (const auto& [name, rss] : obs::rss_by_span(reg)) {
+    rows.push_back({name, rss.peak_bytes, rss.start_bytes, rss.samples});
+  }
   std::sort(rows.begin(), rows.end(),
             [](const MemoryRow& a, const MemoryRow& b) {
               if (a.peak_rss_bytes != b.peak_rss_bytes) {
                 return a.peak_rss_bytes > b.peak_rss_bytes;
-              }
-              if (a.peak_delta_bytes != b.peak_delta_bytes) {
-                return a.peak_delta_bytes > b.peak_delta_bytes;
               }
               return a.span < b.span;
             });
@@ -436,35 +411,17 @@ void emit_memory(std::ostringstream& out, const std::vector<MemoryRow>& rows) {
       << rows.size() << " spans)</summary>\n";
   if (rows.empty()) {
     out << "<p class=\"empty\">no memory data recorded &mdash; run with the "
-           "phase sampler (<code>--profile</code>) for RSS attribution, or "
-           "build with <code>-DXRING_PROFILE_ALLOC=ON</code> for exact "
-           "per-span allocation accounting</p></details>\n";
+           "phase sampler (<code>--profile</code>) for RSS "
+           "attribution</p></details>\n";
     return;
   }
   out << "<table><tr><th>span</th><th>peak RSS (MiB)</th>"
-         "<th>RSS growth (MiB)</th><th>allocated (MiB)</th>"
-         "<th>freed (MiB)</th><th>peak live &Delta; (MiB)</th></tr>\n";
+         "<th>RSS growth (MiB)</th></tr>\n";
   for (const MemoryRow& row : rows) {
-    out << "<tr><td><code>" << html_escape(row.span) << "</code></td>";
-    if (row.rss_samples > 0) {
-      out << "<td class=\"num\">" << fmt_mib(row.peak_rss_bytes)
-          << "</td><td class=\"num\">"
-          << fmt_mib(row.peak_rss_bytes - row.start_rss_bytes) << "</td>";
-    } else {
-      out << "<td class=\"num dim\">-</td><td class=\"num dim\">-</td>";
-    }
-    if (row.alloc_bytes != 0 || row.freed_bytes != 0) {
-      out << "<td class=\"num\">"
-          << fmt_mib(static_cast<double>(row.alloc_bytes))
-          << "</td><td class=\"num\">"
-          << fmt_mib(static_cast<double>(row.freed_bytes))
-          << "</td><td class=\"num\">"
-          << fmt_mib(static_cast<double>(row.peak_delta_bytes)) << "</td>";
-    } else {
-      out << "<td class=\"num dim\">-</td><td class=\"num dim\">-</td>"
-             "<td class=\"num dim\">-</td>";
-    }
-    out << "</tr>\n";
+    out << "<tr><td><code>" << html_escape(row.span) << "</code></td>"
+        << "<td class=\"num\">" << fmt_mib(row.peak_rss_bytes)
+        << "</td><td class=\"num\">"
+        << fmt_mib(row.peak_rss_bytes - row.start_rss_bytes) << "</td></tr>\n";
   }
   out << "</table></details>\n";
 }
@@ -556,13 +513,8 @@ std::string run_report_json(const obs::Registry& reg,
   for (const obs::SpanEvent& ev : reg.spans()) {
     out << (first ? "" : ",") << "\n  {\"name\":\"" << json_escape(ev.name)
         << "\",\"start_us\":" << json_num(ev.start_us)
-        << ",\"dur_us\":" << json_num(ev.dur_us) << ",\"depth\":" << ev.depth;
-    if (ev.alloc_bytes != 0 || ev.freed_bytes != 0 || ev.alloc_count != 0) {
-      out << ",\"alloc_bytes\":" << ev.alloc_bytes
-          << ",\"freed_bytes\":" << ev.freed_bytes
-          << ",\"peak_delta_bytes\":" << ev.peak_delta_bytes;
-    }
-    out << "}";
+        << ",\"dur_us\":" << json_num(ev.dur_us) << ",\"depth\":" << ev.depth
+        << "}";
     first = false;
   }
   out << "\n],\n";
@@ -603,10 +555,7 @@ std::string run_report_json(const obs::Registry& reg,
     out << (first ? "" : ",") << "\n  {\"span\":\"" << json_escape(row.span)
         << "\",\"peak_rss_bytes\":" << json_num(row.peak_rss_bytes)
         << ",\"start_rss_bytes\":" << json_num(row.start_rss_bytes)
-        << ",\"rss_samples\":" << row.rss_samples
-        << ",\"alloc_bytes\":" << row.alloc_bytes
-        << ",\"freed_bytes\":" << row.freed_bytes
-        << ",\"peak_delta_bytes\":" << row.peak_delta_bytes << "}";
+        << ",\"rss_samples\":" << row.rss_samples << "}";
     first = false;
   }
   out << "\n],\n";

@@ -35,13 +35,11 @@ std::string run_report_json(const obs::Registry& reg,
 
 // File-writing wrappers (same failure semantics as the obs exporters:
 // throw std::runtime_error when the file can't be opened or written).
-void write_run_report_html(const std::string& path,
-                           const obs::Registry& reg = obs::registry(),
+void write_run_report_html(const std::string& path, const obs::Registry& reg,
                            const analysis::RouterDesign* design = nullptr,
                            const analysis::RouterMetrics* metrics = nullptr,
                            const RunReportOptions& options = {});
-void write_run_report_json(const std::string& path,
-                           const obs::Registry& reg = obs::registry(),
+void write_run_report_json(const std::string& path, const obs::Registry& reg,
                            const analysis::RouterDesign* design = nullptr,
                            const analysis::RouterMetrics* metrics = nullptr,
                            const RunReportOptions& options = {});

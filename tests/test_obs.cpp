@@ -1,13 +1,16 @@
 // Unit tests of the obs layer: span nesting and ordering, metric
-// arithmetic, the disabled-mode no-recording path, and the JSON/CSV
+// arithmetic, the no-context no-recording path, and the JSON/CSV
 // exporter round trips.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
+#include "obs/context.hpp"
+#include "obs/events.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "report/run_report.hpp"
@@ -15,21 +18,14 @@
 namespace xring::obs {
 namespace {
 
-/// Installs a fresh registry and enables tracing for one test, restoring
-/// both on destruction so tests never leak state into each other.
+/// Records one test into a fresh registry: a context over `reg_` is
+/// installed on the test thread for the fixture's lifetime, so tests never
+/// leak state into each other.
 class ObsFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
-    prev_ = swap_registry(&reg_);
-    set_enabled(true);
-  }
-  void TearDown() override {
-    set_enabled(false);
-    swap_registry(prev_);
-  }
-
   Registry reg_;
-  Registry* prev_ = nullptr;
+  Context ctx_{&reg_};
+  ScopedContext scope_{ctx_};
 };
 
 using ObsSpans = ObsFixture;
@@ -127,18 +123,6 @@ TEST_F(ObsMetrics, SeriesKeepsOrderAndTimestamps) {
   EXPECT_EQ(reg_.flatten().at("inc.last"), 3.0);
 }
 
-TEST_F(ObsMetrics, ResetClearsEverything) {
-  reg_.counter("a").add();
-  reg_.gauge("b").set(1);
-  { Span s("c"); }
-  reg_.append_series("d", 1.0);
-  diagnose(Severity::kWarning, "e.code", "message");
-  reg_.reset();
-  EXPECT_TRUE(reg_.flatten().empty());
-  EXPECT_TRUE(reg_.spans().empty());
-  EXPECT_TRUE(reg_.diagnostics().empty());
-}
-
 TEST_F(ObsMetrics, EmptyHistogramFlattensToCountOnly) {
   // An observed-but-empty histogram must not fabricate min/max/sum/mean
   // zeros that read as real observations; only .count=0 is emitted.
@@ -179,12 +163,9 @@ TEST_F(ObsMetrics, DiagnosticsRecordSeverityCodeAndContext) {
 }
 
 TEST(ObsDiagnostics, NotRecordedWhenDisabled) {
-  Registry reg;
-  Registry* prev = swap_registry(&reg);
-  set_enabled(false);
+  Context ctx;  // never installed
   diagnose(Severity::kError, "code", "message");
-  EXPECT_TRUE(reg.diagnostics().empty());
-  swap_registry(prev);
+  EXPECT_TRUE(ctx.registry().diagnostics().empty());
 }
 
 TEST_F(ObsMetrics, CountersAreThreadSafe) {
@@ -204,7 +185,8 @@ TEST_F(ObsMetrics, SpansAreThreadSafe) {
   constexpr int kThreads = 4, kPerThread = 100;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
+    threads.emplace_back([this] {
+      ScopedContext scope(ctx_);
       for (int i = 0; i < kPerThread; ++i) Span span("worker");
     });
   }
@@ -216,43 +198,45 @@ TEST_F(ObsMetrics, SpansAreThreadSafe) {
 }
 
 TEST(ObsDisabled, NothingIsRecorded) {
-  Registry reg;
-  Registry* prev = swap_registry(&reg);
-  set_enabled(false);
+  // A context with an event log exists but is not installed on this
+  // thread, so nothing may reach it.
+  Context ctx;
+  const EventLog& log = ctx.make_event_log();
+  ASSERT_EQ(current_context(), nullptr);
+  EXPECT_FALSE(enabled());
+  EXPECT_FALSE(events::enabled());
   {
     Span outer("outer");
     Span inner("inner");
     EXPECT_GE(outer.elapsed_seconds(), 0.0);  // timing still works
+    diagnose(Severity::kError, "code", "message");
+    events::emit("dropped", {{"x", 1.0}});
     // Instrumentation sites guard on enabled() before touching the
     // registry; mimic the pipeline's pattern.
     if (enabled()) registry().counter("milp.nodes").add(5);
   }
-  EXPECT_TRUE(reg.spans().empty());
-  EXPECT_TRUE(reg.flatten().empty());
-  swap_registry(prev);
+  EXPECT_THROW(registry(), std::logic_error);
+  EXPECT_TRUE(ctx.registry().spans().empty());
+  EXPECT_TRUE(ctx.registry().diagnostics().empty());
+  EXPECT_TRUE(ctx.registry().flatten().empty());
+  EXPECT_EQ(log.size(), 0u);
 }
 
 TEST(ObsDisabled, ReenablingResumesRecording) {
-  Registry reg;
-  Registry* prev = swap_registry(&reg);
-  set_enabled(false);
+  Context ctx;
+  {
+    ScopedContext scope(ctx);
+    Span s("first");
+  }
   { Span s("off"); }
-  set_enabled(true);
-  { Span s("on"); }
-  set_enabled(false);
-  const auto spans = reg.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "on");
-  swap_registry(prev);
-}
-
-TEST(ObsGlobal, SwapRegistryRedirectsAndRestores) {
-  Registry mine;
-  Registry* prev = swap_registry(&mine);
-  registry().counter("probe").add();
-  EXPECT_EQ(mine.counters().at("probe"), 1);
-  swap_registry(prev);
-  EXPECT_NE(&registry(), &mine);
+  {
+    ScopedContext scope(ctx);
+    Span s("again");
+  }
+  const auto spans = ctx.registry().spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "first");
+  EXPECT_EQ(spans[1].name, "again");
 }
 
 TEST_F(ObsExport, CsvRoundTrip) {
@@ -262,18 +246,17 @@ TEST_F(ObsExport, CsvRoundTrip) {
   reg_.append_series("milp.incumbent", -3.25);
   { Span s("synth"); }
 
+  // A header line, then one `name,value` line per flattened entry, in
+  // name order, with the values in the JSON exporters' number format.
   const std::string csv = metrics_csv(reg_);
-  const std::map<std::string, double> parsed = metrics_from_csv(csv);
-  const std::map<std::string, double> flat = reg_.flatten();
-  ASSERT_EQ(parsed.size(), flat.size());
-  for (const auto& [name, value] : flat) {
-    ASSERT_TRUE(parsed.count(name)) << name;
-    EXPECT_DOUBLE_EQ(parsed.at(name), value) << name;
+  std::string expected = "name,value\n";
+  for (const auto& [name, value] : reg_.flatten()) {
+    expected += name + "," + json_num(value) + "\n";
   }
-}
-
-TEST_F(ObsExport, CsvParserRejectsGarbage) {
-  EXPECT_THROW(metrics_from_csv("no comma here\n"), std::invalid_argument);
+  EXPECT_EQ(csv, expected);
+  EXPECT_NE(csv.find("\nmilp.nodes,17\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\nmilp.incumbent.last,-3.25\n"), std::string::npos)
+      << csv;
 }
 
 TEST_F(ObsExport, MetricsJsonContainsEveryFlattenedEntry) {
@@ -331,25 +314,6 @@ TEST_F(ObsExport, JsonEscapesSpecialCharacters) {
       << json;
 }
 
-// --- Registry capture: spans straddling swap_registry() ------------------
-
-TEST(ObsGlobal, SpanStraddlingSwapRecordsIntoOriginRegistry) {
-  Registry first, second;
-  Registry* prev = swap_registry(&first);
-  set_enabled(true);
-  {
-    Span s("straddler");
-    // The registry is swapped while the span is open; the span must still
-    // record into the registry it started in.
-    swap_registry(&second);
-  }
-  set_enabled(false);
-  swap_registry(prev);
-  ASSERT_EQ(first.spans().size(), 1u);
-  EXPECT_EQ(first.spans()[0].name, "straddler");
-  EXPECT_TRUE(second.spans().empty());
-}
-
 // --- Exporter round trips through the JSON parser ------------------------
 
 TEST(ObsJsonParser, ParsesScalarsContainersAndRejectsGarbage) {
@@ -370,6 +334,23 @@ TEST(ObsJsonParser, ParsesScalarsContainersAndRejectsGarbage) {
   EXPECT_THROW(parse_json("{\"unterminated\": "), std::invalid_argument);
   EXPECT_THROW(parse_json("[1, 2] trailing"), std::invalid_argument);
   EXPECT_THROW(parse_json("nope"), std::invalid_argument);
+
+  // Every JSON string escape; \u decodes to UTF-8, surrogate pairs combine.
+  EXPECT_EQ(parse_json(R"("a\rb")").string, "a\rb");
+  EXPECT_EQ(parse_json(R"("a\bb")").string, "a\bb");
+  EXPECT_EQ(parse_json(R"("a\fb")").string, "a\fb");
+  EXPECT_EQ(parse_json(R"("\"\\\/\n\t")").string, "\"\\/\n\t");
+  EXPECT_EQ(parse_json(R"("\u0041\u000d")").string, "A\r");
+  EXPECT_EQ(parse_json(R"("\u00e9")").string, "\xC3\xA9");
+  EXPECT_EQ(parse_json(R"("\u20AC")").string, "\xE2\x82\xAC");
+  EXPECT_EQ(parse_json(R"("\ud83d\ude00")").string, "\xF0\x9F\x98\x80");
+  EXPECT_THROW(parse_json(R"("\uzzzz")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\u12")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\ud83d")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\ud83dx")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\ud83d\u0041")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\ude00")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\q")"), std::invalid_argument);
 }
 
 /// One "X" (complete-span) event parsed back from a Chrome trace.
@@ -437,7 +418,8 @@ TEST_F(ObsExport, TraceJsonRoundTripsUnderEightThreads) {
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
+    threads.emplace_back([this] {
+      ScopedContext scope(ctx_);
       Span outer("t.outer");
       Span inner("t.inner");
     });

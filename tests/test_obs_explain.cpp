@@ -13,6 +13,7 @@
 
 #include "baseline/oring.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "report/run_report.hpp"
@@ -22,19 +23,11 @@
 namespace xring {
 namespace {
 
-/// Installs a fresh registry and enables tracing for one test, restoring
-/// both on destruction (same pattern as test_obs.cpp).
+/// Records one test into a fresh registry through a context installed on
+/// the test thread for the fixture's lifetime (same pattern as
+/// test_obs.cpp).
 class ObsExplainTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    prev_ = obs::swap_registry(&reg_);
-    obs::set_enabled(true);
-  }
-  void TearDown() override {
-    obs::set_enabled(false);
-    obs::swap_registry(prev_);
-  }
-
   bool has_diagnostic(const std::string& code) const {
     for (const obs::Diagnostic& d : reg_.diagnostics()) {
       if (d.code == code) return true;
@@ -66,7 +59,8 @@ class ObsExplainTest : public ::testing::Test {
 
   netlist::Floorplan fp_;
   obs::Registry reg_;
-  obs::Registry* prev_ = nullptr;
+  obs::Context ctx_{&reg_};
+  obs::ScopedContext scope_{ctx_};
 };
 
 // --- Provenance ledgers --------------------------------------------------

@@ -1,9 +1,6 @@
-// Resource-attribution profiling: per-span allocation accounting (memprof),
-// the phase sampler's folded stacks and RSS-by-span alignment, and the
-// solver progress event stream. Allocation-counter assertions are
-// conditional on XRING_PROFILE_ALLOC (a CMake option, off by default); the
-// RSS sampler and event log have no build-flag dependency and are asserted
-// unconditionally.
+// Resource-attribution profiling: the RSS readings (memprof), the phase
+// sampler's folded stacks and RSS-by-span alignment, and the solver
+// progress event stream.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +13,7 @@
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
+#include "obs/context.hpp"
 #include "obs/events.hpp"
 #include "obs/export.hpp"
 #include "obs/memprof.hpp"
@@ -27,19 +25,13 @@
 namespace xring {
 namespace {
 
+/// Records one test into a fresh registry through a context installed on
+/// the test thread for the fixture's lifetime.
 class ObsProfileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    prev_ = obs::swap_registry(&reg_);
-    obs::set_enabled(true);
-  }
-  void TearDown() override {
-    obs::set_enabled(false);
-    obs::swap_registry(prev_);
-  }
-
   obs::Registry reg_;
-  obs::Registry* prev_ = nullptr;
+  obs::Context ctx_{&reg_};
+  obs::ScopedContext scope_{ctx_};
 };
 
 // --- memprof -------------------------------------------------------------
@@ -53,61 +45,6 @@ TEST(MemProf, RssReadingsArePositiveAndOrdered) {
   // sources (getrusage vs /proc/self/statm) count shared pages differently
   // — allow a generous accounting gap rather than asserting strict order.
   EXPECT_GE(peak + (1 << 20), rss);
-}
-
-TEST(MemProf, AllocTrackingMatchesBuildConfiguration) {
-#ifdef XRING_PROFILE_ALLOC
-  EXPECT_TRUE(obs::memprof::alloc_tracking());
-#else
-  EXPECT_FALSE(obs::memprof::alloc_tracking());
-#endif
-}
-
-TEST(MemProf, MarksCaptureAllocationsBetweenOpenAndClose) {
-  const obs::memprof::AllocMark mark = obs::memprof::open_mark();
-  {
-    std::vector<char> block(1 << 20);  // 1 MiB charged to this window
-    block[0] = 1;
-    block[block.size() - 1] = 1;
-  }
-  const obs::memprof::AllocDelta delta = obs::memprof::close_mark(mark);
-  if (obs::memprof::alloc_tracking()) {
-    EXPECT_GE(delta.alloc_bytes, 1 << 20);
-    EXPECT_GE(delta.freed_bytes, 1 << 20);
-    EXPECT_GE(delta.alloc_count, 1);
-    // The vector lived inside the window, so the live-bytes watermark rose
-    // by at least its size even though it was freed before close.
-    EXPECT_GE(delta.peak_delta_bytes, 1 << 20);
-  } else {
-    EXPECT_EQ(delta.alloc_bytes, 0);
-    EXPECT_EQ(delta.freed_bytes, 0);
-    EXPECT_EQ(delta.alloc_count, 0);
-    EXPECT_EQ(delta.peak_delta_bytes, 0);
-  }
-}
-
-TEST_F(ObsProfileTest, SpansChargeAllocationsWhenTrackingIsOn) {
-  {
-    obs::Span span("allocating");
-    std::vector<char> block(1 << 20);
-    block[0] = 1;
-  }
-  const auto spans = reg_.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  if (obs::memprof::alloc_tracking()) {
-    EXPECT_GE(spans[0].alloc_bytes, 1 << 20);
-    EXPECT_GE(spans[0].peak_delta_bytes, 1 << 20);
-    // flatten() surfaces the per-span aggregate only when traffic exists.
-    const auto flat = reg_.flatten();
-    EXPECT_GE(flat.at("mem.span.allocating.alloc_bytes"), double(1 << 20));
-  } else {
-    EXPECT_EQ(spans[0].alloc_bytes, 0);
-    EXPECT_EQ(spans[0].peak_delta_bytes, 0);
-    // Byte-identical default contract: no mem.span.* keys appear.
-    for (const auto& [name, value] : reg_.flatten()) {
-      EXPECT_NE(name.compare(0, 4, "mem."), 0) << name << " = " << value;
-    }
-  }
 }
 
 // --- phase sampler -------------------------------------------------------
@@ -195,6 +132,7 @@ TEST_F(ObsProfileTest, OpenSpanPathsSeeLiveSpansAcrossThreads) {
   obs::Span here("observer_root");
   std::vector<obs::ThreadPath> seen;
   std::thread worker([&] {
+    obs::ScopedContext scope(ctx_);
     obs::set_thread_label("test.worker");
     obs::Span deep("worker_span");
     seen = obs::open_span_paths();
@@ -218,7 +156,7 @@ TEST_F(ObsProfileTest, OpenSpanPathsSeeLiveSpansAcrossThreads) {
 // --- event log -----------------------------------------------------------
 
 TEST_F(ObsProfileTest, EventLogRecordsJsonlWithTimestamps) {
-  obs::EventLog log;
+  obs::EventLog& log = ctx_.make_event_log();
   log.record("test.event", {{"value", 3.5}, {"count", 2.0}});
   log.record("test.nan", {{"gap", std::nan("")}});
   EXPECT_EQ(log.size(), 2u);
@@ -241,12 +179,14 @@ TEST_F(ObsProfileTest, EventLogRecordsJsonlWithTimestamps) {
 TEST_F(ObsProfileTest, EmitIsSilentWithoutALogAndRoutedWithOne) {
   EXPECT_FALSE(obs::events::enabled());
   obs::events::emit("dropped.event", {{"x", 1.0}});  // must not crash
-  obs::EventLog log;
-  obs::EventLog* prev = obs::events::swap_log(&log);
+  obs::EventLog& log = ctx_.make_event_log();
   EXPECT_TRUE(obs::events::enabled());
   obs::events::emit("routed.event", {{"x", 1.0}});
-  obs::events::swap_log(prev);
-  EXPECT_FALSE(obs::events::enabled());
+  {
+    const obs::ScopedContext none(nullptr);
+    EXPECT_FALSE(obs::events::enabled());
+    obs::events::emit("dropped.event", {{"x", 2.0}});
+  }
   ASSERT_EQ(log.size(), 1u);
   EXPECT_NE(log.jsonl().find("routed.event"), std::string::npos);
 }
@@ -263,10 +203,8 @@ milp::Model cover_model() {
 }
 
 TEST_F(ObsProfileTest, BranchAndBoundEmitsProgressEvents) {
-  obs::EventLog log;
-  obs::EventLog* prev = obs::events::swap_log(&log);
+  const obs::EventLog& log = ctx_.make_event_log();
   const milp::MipResult result = milp::solve(cover_model());
-  obs::events::swap_log(prev);
   ASSERT_EQ(result.status, milp::MipStatus::kOptimal);
 
   int incumbents = 0, done = 0;
@@ -294,10 +232,10 @@ TEST_F(ObsProfileTest, BranchAndBoundEmitsProgressEvents) {
 TEST_F(ObsProfileTest, EventStreamIsIdenticalAcrossThreadCounts) {
   auto run = [&](int jobs) {
     par::set_jobs(jobs);
-    obs::EventLog log;
-    obs::EventLog* prev = obs::events::swap_log(&log);
+    obs::Context ctx;
+    const obs::ScopedContext scope(ctx);
+    const obs::EventLog& log = ctx.make_event_log();
     (void)milp::solve(cover_model());
-    obs::events::swap_log(prev);
     par::set_jobs(0);
     // Strip timestamps: wall clock differs, the event sequence must not.
     std::ostringstream stripped;
@@ -317,7 +255,7 @@ TEST_F(ObsProfileTest, EventStreamIsIdenticalAcrossThreadCounts) {
 TEST_F(ObsProfileTest, ProgressLineRendersAndTerminates) {
   std::FILE* sink = std::tmpfile();
   ASSERT_NE(sink, nullptr);
-  obs::EventLog log;
+  obs::EventLog& log = ctx_.make_event_log();
   log.enable_progress(sink, 0.0);
   log.record("milp.node", {{"nodes", 3.0}, {"open", 2.0}});
   log.record("milp.done", {{"nodes", 5.0}, {"open", 0.0}});
@@ -343,21 +281,15 @@ TEST(ObsProfileInvariance, ProfiledAndUnprofiledSynthesesAgreeExactly) {
   SynthesisOptions opt;
   opt.ring.use_milp = false;
 
-  obs::set_enabled(false);
   const SynthesisResult plain = Synthesizer(fp).run(opt);
 
-  obs::Registry reg;
-  obs::Registry* prev = obs::swap_registry(&reg);
-  obs::set_enabled(true);
-  obs::PhaseSampler sampler(&reg, 500);
-  obs::EventLog log;
-  obs::EventLog* prev_log = obs::events::swap_log(&log);
+  obs::Context ctx;
+  const obs::ScopedContext scope(ctx);
+  obs::PhaseSampler sampler(&ctx.registry(), 500);
+  ctx.make_event_log();
   sampler.start();
   const SynthesisResult profiled = Synthesizer(fp).run(opt);
   sampler.stop();
-  obs::events::swap_log(prev_log);
-  obs::set_enabled(false);
-  obs::swap_registry(prev);
 
   EXPECT_EQ(plain.metrics.wavelengths, profiled.metrics.wavelengths);
   EXPECT_EQ(plain.metrics.waveguides, profiled.metrics.waveguides);

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "milp/branch_and_bound.hpp"
+#include "obs/context.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "xring/synthesizer.hpp"
@@ -15,19 +16,13 @@
 namespace xring {
 namespace {
 
+/// Records one test into a fresh registry through a context installed on
+/// the test thread for the fixture's lifetime.
 class ObsSolverTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    prev_ = obs::swap_registry(&reg_);
-    obs::set_enabled(true);
-  }
-  void TearDown() override {
-    obs::set_enabled(false);
-    obs::swap_registry(prev_);
-  }
-
   obs::Registry reg_;
-  obs::Registry* prev_ = nullptr;
+  obs::Context ctx_{&reg_};
+  obs::ScopedContext scope_{ctx_};
 };
 
 /// A small knapsack-flavored minimization with a lazy no-good handler, so
@@ -185,7 +180,7 @@ TEST_F(ObsSolverTest, SimulatorReportsFlitCounters) {
 }
 
 TEST_F(ObsSolverTest, DisabledTracingStillReportsSeconds) {
-  obs::set_enabled(false);
+  const obs::ScopedContext untraced(nullptr);
   const auto fp = netlist::Floorplan::standard(8);
   const Synthesizer synth(fp);
   const SynthesisResult r = synth.run({});

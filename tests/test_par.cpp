@@ -8,9 +8,11 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
+#include "obs/context.hpp"
 #include "obs/obs.hpp"
 #include "par/pool.hpp"
 #include "xring/sweep.hpp"
@@ -57,6 +59,28 @@ TEST(ParallelFor, ExceptionPropagatesAndPoolSurvives) {
   std::atomic<int> sum{0};
   par::parallel_for(pool, 0, 10, [&](long i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum.load(), 45);
+}
+
+TEST(ParallelFor, NoHelperTaskOutlivesTheCall) {
+  // Every worker is blocked, so the caller runs all chunks itself while its
+  // helper tasks wait in the queue. The loop may not return while they are
+  // queued: each carries the caller's obs context, which may end right
+  // after the call.
+  std::atomic<int> blocked{0};
+  std::atomic<bool> release{false};
+  par::ThreadPool pool(4);
+  for (int w = 0; w < pool.workers(); ++w) {
+    pool.submit([&] {
+      blocked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (blocked.load() < pool.workers()) std::this_thread::yield();
+  std::atomic<int> iters{0};
+  par::parallel_for(pool, 0, 8, [&](long) { iters.fetch_add(1); });
+  EXPECT_EQ(iters.load(), 8);
+  EXPECT_FALSE(pool.try_run_one());  // nothing of the loop is still queued
+  release.store(true);
 }
 
 TEST(ParallelFor, NestedLoopsComplete) {
@@ -188,12 +212,10 @@ TEST(Determinism, WarmStartCountersIdenticalAt128Threads) {
   m.add_constraint({{x[0], 1.0}, {x[7], 1.0}}, milp::Sense::kLe, 1.0);
 
   auto run = [&] {
-    obs::set_enabled(true);
-    obs::registry().reset();
+    obs::Context ctx;
+    const obs::ScopedContext scope(ctx);
     const milp::MipResult r = milp::solve(m, milp::BnbOptions{});
-    auto flat = obs::registry().flatten();
-    obs::set_enabled(false);
-    return std::make_pair(r, flat);
+    return std::make_pair(r, ctx.registry().flatten());
   };
   expect_identical_at_1_2_8(run, [](const auto& a, const auto& b) {
     ASSERT_EQ(a.first.status, b.first.status);

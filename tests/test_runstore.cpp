@@ -130,9 +130,9 @@ TEST(Runstore, RunRecordJsonRoundTrips) {
 
 TEST(Runstore, SpanTreeParentsByDepthAndContainment) {
   Registry reg;
-  Registry* prev = swap_registry(&reg);
-  set_enabled(true);
   {
+    Context ctx(&reg);
+    ScopedContext scope(ctx);
     Span synth("synth");
     {
       Span mapping("mapping");
@@ -141,8 +141,6 @@ TEST(Runstore, SpanTreeParentsByDepthAndContainment) {
     }
     { Span pdn("pdn"); }
   }
-  set_enabled(false);
-  swap_registry(prev);
 
   const auto tree = span_tree(reg);
   std::map<std::string, long long> counts;
@@ -313,10 +311,9 @@ TEST(Runstore, DiffReportsSerializeBothWays) {
 }
 
 TEST_F(RunStoreFixture, AggregateComputesPerMetricStatistics) {
-  Registry reg;
   RunStore store(root_);
   for (const double length : {100.0, 102.0, 104.0}) {
-    reg.reset();
+    Registry reg;
     reg.gauge("ring.length_mm").set(length);
     reg.gauge("other.metric").set(1.0);
     store.record(reg, {});

@@ -85,5 +85,7 @@ cmake --build "$tsan_dir" -j
   XRING_JOBS=8 ./test_mapping_index &&
   XRING_JOBS=8 ./test_mapping_fastpath &&
   XRING_JOBS=8 ./test_analysis_fastpath &&
-  XRING_JOBS=8 ./test_obs_context)
+  XRING_JOBS=8 ./test_obs_context &&
+  XRING_JOBS=8 ./test_obs &&
+  XRING_JOBS=8 ./test_obs_profile)
 echo "tsan OK"

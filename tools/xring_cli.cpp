@@ -67,12 +67,14 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
 
 #include "analysis/latency.hpp"
 #include "netlist/io.hpp"
+#include "obs/context.hpp"
 #include "obs/events.hpp"
 #include "obs/export.hpp"
 #include "obs/runstore.hpp"
@@ -249,63 +251,70 @@ int cmd_synth(Args& args) {
     if (report_json.empty()) report_json = under("report.json");
   }
 
+  // The run records only when an artifact or --progress asks for it: then
+  // a context is installed for the rest of the command and every artifact
+  // is written from its registry.
+  std::optional<obs::Context> ctx;
+  std::optional<obs::ScopedContext> scope;
   if (!trace_file.empty() || !metrics_file.empty() || !report_html.empty() ||
       !report_json.empty() || !profile_file.empty() || !events_file.empty() ||
       progress) {
-    obs::registry().reset();
-    obs::set_enabled(true);
+    ctx.emplace();
+    scope.emplace(*ctx);
   }
 
-  // Profiling/telemetry sinks live for exactly the synthesis call: the
-  // sampler thread stops (and the event log uninstalls) before any artifact
-  // is written, so the files capture a complete, quiescent run.
-  obs::PhaseSampler sampler;
-  if (!profile_file.empty()) sampler.start();
-  obs::EventLog events;
+  // The sampler runs for exactly the synthesis call: its thread stops
+  // before any artifact is written, so the files capture a complete,
+  // quiescent run.
+  std::optional<obs::PhaseSampler> sampler;
+  if (!profile_file.empty()) {
+    sampler.emplace(&ctx->registry());
+    sampler->start();
+  }
+  obs::EventLog* events = nullptr;
   if (!events_file.empty() || progress) {
-    if (progress) events.enable_progress(stderr);
-    obs::events::swap_log(&events);
+    events = &ctx->make_event_log();
+    if (progress) events->enable_progress(stderr);
   }
 
   const Synthesizer synth(fp);
   const SynthesisResult r = synth.run(opt);
 
-  obs::events::swap_log(nullptr);
-  if (progress) events.finish_progress();
-  sampler.stop();
+  if (progress) events->finish_progress();
+  if (sampler) sampler->stop();
 
   // Artifact paths are collected and printed together once the run report
   // ends, so they are easy to find after the (long) textual output.
   std::vector<std::pair<std::string, std::string>> artifacts;
   if (!trace_file.empty()) {
-    obs::write_trace_json(trace_file);
+    obs::write_trace_json(trace_file, ctx->registry());
     artifacts.emplace_back("trace", trace_file);
   }
   if (!metrics_file.empty()) {
     if (has_suffix_nocase(metrics_file, ".csv")) {
-      obs::write_metrics_csv(metrics_file);
+      obs::write_metrics_csv(metrics_file, ctx->registry());
     } else {
-      obs::write_metrics_json(metrics_file);
+      obs::write_metrics_json(metrics_file, ctx->registry());
     }
     artifacts.emplace_back("metrics", metrics_file);
   }
   if (!profile_file.empty()) {
-    sampler.write_folded(profile_file);
+    sampler->write_folded(profile_file);
     artifacts.emplace_back("profile (folded stacks)", profile_file);
   }
   if (!events_file.empty()) {
-    events.write(events_file);
+    events->write(events_file);
     artifacts.emplace_back("events (jsonl)", events_file);
   }
   report::RunReportOptions report_opt;
   report_opt.title = "xring synth (" + std::to_string(fp.size()) + " nodes)";
   if (!report_html.empty()) {
-    report::write_run_report_html(report_html, obs::registry(), &r.design,
+    report::write_run_report_html(report_html, ctx->registry(), &r.design,
                                   &r.metrics, report_opt);
     artifacts.emplace_back("run report (html)", report_html);
   }
   if (!report_json.empty()) {
-    report::write_run_report_json(report_json, obs::registry(), &r.design,
+    report::write_run_report_json(report_json, ctx->registry(), &r.design,
                                   &r.metrics, report_opt);
     artifacts.emplace_back("run report (json)", report_json);
   }
@@ -380,7 +389,7 @@ int cmd_synth(Args& args) {
         {"config_hash", obs::config_hash(cfg.str())},
     };
     rec.artifacts = artifacts;
-    store.record(obs::registry(), rec);
+    store.record(ctx->registry(), rec);
     artifacts.emplace_back("run record (json)",
                            (rd / "run.json").string());
   }
