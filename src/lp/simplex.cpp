@@ -65,6 +65,11 @@ void Problem::set_bounds(int var, double lo, double hi) {
 
 namespace {
 
+/// Pivot-loop passes per solve (primal + dual) before kIterationLimit.
+constexpr int kMaxIterations = 200000;
+/// Feasibility and optimality tolerance of the ratio tests and pricing.
+constexpr double kTol = 1e-8;
+
 /// Where a nonbasic variable currently rests.
 enum class At { kLower, kUpper, kBasic };
 
@@ -88,8 +93,6 @@ struct State {
   std::vector<int> basis;          // basis[i] = column basic in slot i
   std::unique_ptr<BasisRep> rep;   // factorized representation of B
   bool need_phase1 = false;        // an artificial ended up basic in the crash
-
-  double tol = 1e-8;
 
   std::vector<double> cb;          // scratch: objective of the basic columns
 };
@@ -155,7 +158,7 @@ constexpr int kCandidateListSize = 32;
 
 /// One bounded-variable primal simplex phase on the current `cost` vector.
 /// Returns kOptimal when no improving column exists.
-Status iterate(State& s, int& iterations, int max_iterations) {
+Status iterate(State& s, int& iterations) {
   const int m = s.m;
   std::vector<double> y(m), w(m);
   std::vector<int> wnz, cand;
@@ -169,18 +172,18 @@ Status iterate(State& s, int& iterations, int max_iterations) {
   auto eligible = [&s](int j, double d, int& direction) {
     if (s.where[j] == At::kBasic) return false;
     if (s.lo[j] == s.hi[j]) return false;  // fixed, never enters
-    if (s.where[j] == At::kLower && d < -s.tol) {
+    if (s.where[j] == At::kLower && d < -kTol) {
       direction = +1;
       return true;
     }
-    if (s.where[j] == At::kUpper && d > s.tol) {
+    if (s.where[j] == At::kUpper && d > kTol) {
       direction = -1;
       return true;
     }
     return false;
   };
 
-  while (iterations < max_iterations) {
+  while (iterations < kMaxIterations) {
     ++iterations;
     btran_cost(s, y);
 
@@ -201,7 +204,7 @@ Status iterate(State& s, int& iterations, int max_iterations) {
         }
       }
     } else {
-      double best = s.tol;
+      double best = kTol;
       auto pick_from = [&](const std::vector<int>& js) {
         for (const int j : js) {
           const double d = reduced_cost(s, y, j);
@@ -254,19 +257,19 @@ Status iterate(State& s, int& iterations, int max_iterations) {
     for (const int i : wnz) {
       const double wi = direction * w[i];
       const int bi = s.basis[i];
-      if (wi > s.tol) {
+      if (wi > kTol) {
         const double room = s.value[bi] - s.lo[bi];
         const double t = room / wi;
-        if (t < t_max - s.tol || (t < t_max + s.tol && leave >= 0 && bi < s.basis[leave])) {
+        if (t < t_max - kTol || (t < t_max + kTol && leave >= 0 && bi < s.basis[leave])) {
           t_max = std::max(t, 0.0);
           leave = i;
           leave_to = -1;
         }
-      } else if (wi < -s.tol) {
+      } else if (wi < -kTol) {
         if (s.hi[bi] == kInfinity) continue;
         const double room = s.hi[bi] - s.value[bi];
         const double t = room / (-wi);
-        if (t < t_max - s.tol || (t < t_max + s.tol && leave >= 0 && bi < s.basis[leave])) {
+        if (t < t_max - kTol || (t < t_max + kTol && leave >= 0 && bi < s.basis[leave])) {
           t_max = std::max(t, 0.0);
           leave = i;
           leave_to = +1;
@@ -275,7 +278,7 @@ Status iterate(State& s, int& iterations, int max_iterations) {
     }
 
     if (t_max == kInfinity) return Status::kUnbounded;
-    stall = t_max > s.tol ? 0 : stall + 1;
+    stall = t_max > kTol ? 0 : stall + 1;
 
     // Apply the step to the affected basic variables and the entering one.
     if (t_max > 0.0) {
@@ -324,8 +327,8 @@ Status iterate(State& s, int& iterations, int max_iterations) {
 /// largest bound violation (ties to the lowest slot); entering variable: the
 /// bounded dual ratio test (ties to the lowest column), which preserves dual
 /// feasibility.
-Status dual_iterate(State& s, int& iterations, int max_iterations,
-                    int max_dual_pivots, int& dual_pivots) {
+Status dual_iterate(State& s, int& iterations, int max_dual_pivots,
+                    int& dual_pivots) {
   const int m = s.m;
   std::vector<double> y(m), w(m), rho(m), er(m);
   std::vector<int> wnz;
@@ -336,7 +339,7 @@ Status dual_iterate(State& s, int& iterations, int max_iterations,
     // Leaving slot: the most infeasible basic variable.
     int r = -1;
     int dir = 0;  // +1: below lower bound, -1: above upper bound
-    double worst = s.tol;
+    double worst = kTol;
     for (int i = 0; i < m; ++i) {
       const int bi = s.basis[i];
       const double v = s.value[bi];
@@ -355,7 +358,7 @@ Status dual_iterate(State& s, int& iterations, int max_iterations,
     }
     if (r < 0) return Status::kOptimal;  // primal feasible again
 
-    if (iterations >= max_iterations || local >= max_dual_pivots) {
+    if (iterations >= kMaxIterations || local >= max_dual_pivots) {
       return Status::kIterationLimit;
     }
     ++iterations;
@@ -376,9 +379,9 @@ Status dual_iterate(State& s, int& iterations, int max_iterations,
       for (const auto& [rr, a] : s.cols[j]) alpha += rho[rr] * a;
       const double abar = dir * alpha;
       double ratio;
-      if (s.where[j] == At::kLower && abar < -s.tol) {
+      if (s.where[j] == At::kLower && abar < -kTol) {
         ratio = std::max(reduced_cost(s, y, j), 0.0) / (-abar);
-      } else if (s.where[j] == At::kUpper && abar > s.tol) {
+      } else if (s.where[j] == At::kUpper && abar > kTol) {
         ratio = std::max(-reduced_cost(s, y, j), 0.0) / abar;
       } else {
         continue;
@@ -393,7 +396,7 @@ Status dual_iterate(State& s, int& iterations, int max_iterations,
 
     ftran(s, enter, w, wnz);
     const double piv = w[r];
-    if (std::abs(piv) < s.tol) {
+    if (std::abs(piv) < kTol) {
       // The row computed via rho disagrees with the ftran column: the
       // representation has drifted. Refactorize and retry the violation.
       if (!refactorize(s)) return Status::kIterationLimit;
@@ -447,7 +450,6 @@ std::unique_ptr<BasisRep> make_rep(Kernel kernel, int m) {
 void build_state(const Problem& p, const SolveOptions& options, State& s) {
   s.m = p.num_constraints();
   s.n_struct = p.num_variables();
-  s.tol = options.tolerance;
   s.b = p.rhs();
 
   // Structural columns.
@@ -603,7 +605,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
     // Phase 1: minimize the sum of artificials.
     s.cost.assign(s.n, 0.0);
     for (int i = 0; i < s.m; ++i) s.cost[s.first_artificial + i] = 1.0;
-    Status st = iterate(s, out.iterations, options.max_iterations);
+    Status st = iterate(s, out.iterations);
     if (st == Status::kIterationLimit) {
       out.status = st;
       collect_stats(s, out);
@@ -621,7 +623,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
   fix_artificials(s);
   s.cost = s.real_cost;
   recompute_basics(s);
-  Status st = iterate(s, out.iterations, options.max_iterations);
+  Status st = iterate(s, out.iterations);
   collect_stats(s, out);
   if (st != Status::kOptimal) {
     out.status = st == Status::kUnbounded ? Status::kUnbounded : st;
@@ -706,8 +708,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
 
   out.stats.warm = true;
   const int dual_cap = 200 + 2 * s.m;
-  Status st = dual_iterate(s, out.iterations, options.max_iterations, dual_cap,
-                           out.stats.dual_pivots);
+  Status st = dual_iterate(s, out.iterations, dual_cap, out.stats.dual_pivots);
   if (st == Status::kInfeasible) {
     out.status = Status::kInfeasible;
     collect_stats(s, out);
@@ -715,7 +716,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
   }
   if (st != Status::kOptimal) return false;  // fall back to the cold path
 
-  st = iterate(s, out.iterations, options.max_iterations);
+  st = iterate(s, out.iterations);
   collect_stats(s, out);
   if (st == Status::kUnbounded) {
     out.status = Status::kUnbounded;

@@ -108,8 +108,6 @@ struct SolveStats {
 };
 
 struct SolveOptions {
-  int max_iterations = 200000;
-  double tolerance = 1e-8;
   Kernel kernel = Kernel::kSparseLu;
   /// Optional basis to warm-start from (see WarmBasis). Ignored when its
   /// dimensions do not match the problem. A warm solve skips phase 1

@@ -27,6 +27,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A binary within this distance of 0 or 1 counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Relative optimality gap at which a queued node is pruned.
+constexpr double kGap = 1e-9;
+/// Cut separation budget: rounds per node, and the node depth past which
+/// separation stops (deep nodes rarely produce globally useful cuts).
+constexpr int kMaxCutRounds = 8;
+constexpr int kCutDepthLimit = 8;
+
 /// A search node is the list of branching decisions that produced it plus the
 /// LP bound of its parent (used as the best-first priority).
 struct Node {
@@ -77,10 +86,10 @@ void append_rows(lp::Problem& p, const std::vector<Constraint>& rows) {
   for (const Constraint& c : rows) p.add_constraint(c.terms, c.sense, c.rhs);
 }
 
-bool is_integral(const Model& model, const std::vector<double>& x, double tol) {
+bool is_integral(const Model& model, const std::vector<double>& x) {
   for (int v = 0; v < model.num_variables(); ++v) {
     if (model.type(v) != VarType::kBinary) continue;
-    if (std::abs(x[v] - std::round(x[v])) > tol) return false;
+    if (std::abs(x[v] - std::round(x[v])) > kIntegralityTol) return false;
   }
   return true;
 }
@@ -181,7 +190,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   if (options.warm_start &&
       static_cast<int>(options.warm_start->size()) == model.num_variables() &&
       satisfies(model, *options.warm_start) &&
-      is_integral(model, *options.warm_start, options.integrality_tolerance)) {
+      is_integral(model, *options.warm_start)) {
     std::vector<Constraint> cuts;
     if (options.lazy_handler) cuts = options.lazy_handler(*options.warm_start);
     if (cuts.empty()) {
@@ -240,7 +249,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     Node node = *open.begin();
     open.erase(open.begin());
     if (incumbent_obj < lp::kInfinity &&
-        node.bound >= incumbent_obj - std::abs(incumbent_obj) * options.gap - 1e-9) {
+        node.bound >= incumbent_obj - std::abs(incumbent_obj) * kGap - 1e-9) {
       continue;  // pruned by an incumbent found after the node was queued
     }
     ++result.nodes;
@@ -280,7 +289,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     const double bound = rel.objective;  // minimization sense (normalized)
     if (bound >= incumbent_obj - 1e-9) continue;
 
-    if (is_integral(model, rel.x, options.integrality_tolerance)) {
+    if (is_integral(model, rel.x)) {
       // Round exactly-integral values to kill drift before the lazy check.
       for (int v = 0; v < model.num_variables(); ++v) {
         if (model.type(v) == VarType::kBinary) rel.x[v] = std::round(rel.x[v]);
@@ -312,8 +321,8 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     // to tighten the relaxation before committing to a branch. Cuts ride the
     // exact machinery lazy rows use: append globally, then requeue the node
     // on its warm basis.
-    if (options.cut_separator && node.cut_rounds < options.max_cut_rounds &&
-        node.depth <= options.cut_depth_limit) {
+    if (options.cut_separator && node.cut_rounds < kMaxCutRounds &&
+        node.depth <= kCutDepthLimit) {
       std::vector<Constraint> cuts = options.cut_separator(rel.x);
       cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
                                 [](const Constraint& c) {
@@ -338,7 +347,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
 
     // Branch on the most fractional binary variable.
     int branch_var = -1;
-    double best_frac = options.integrality_tolerance;
+    double best_frac = kIntegralityTol;
     for (int v = 0; v < model.num_variables(); ++v) {
       if (model.type(v) != VarType::kBinary) continue;
       const double f = std::abs(rel.x[v] - std::round(rel.x[v]));

@@ -59,18 +59,11 @@ using CutSeparator =
 struct BnbOptions {
   double time_limit_seconds = 60.0;
   long node_limit = 1'000'000;
-  double integrality_tolerance = 1e-6;
-  /// Relative optimality gap at which the search stops.
-  double gap = 1e-9;
   /// Optional warm-start point; if integer-feasible (and lazy-accepted) it
   /// seeds the incumbent and tightens pruning from the first node.
   std::optional<std::vector<double>> warm_start;
   LazyConstraintHandler lazy_handler;
   CutSeparator cut_separator;
-  /// Cut separation budget: rounds per node and the node depth past which
-  /// separation stops (deep nodes rarely produce globally useful cuts).
-  int max_cut_rounds = 8;
-  int cut_depth_limit = 8;
   /// Run the presolve pass (presolve.hpp) before the search and postsolve
   /// the answer back, so callers always see the original variable space.
   /// Reductions are feasibility-preserving by implication, hence compatible

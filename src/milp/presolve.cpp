@@ -11,6 +11,11 @@ namespace xring::milp {
 namespace {
 
 constexpr double kInf = lp::kInfinity;
+/// Reduction rounds; each round re-propagates with the bounds the previous
+/// round tightened. A fixpoint is usually reached in 2-3 rounds.
+constexpr int kMaxRounds = 8;
+/// Feasibility tolerance used when deciding redundancy / infeasibility.
+constexpr double kTol = 1e-9;
 
 /// Working copy of one row. Terms stay in the model's canonical form
 /// (sorted, duplicate-free, no zeros — guaranteed by Model::add_constraint),
@@ -54,11 +59,10 @@ Activity activity_of(const Row& row, const Bounds& b) {
 
 }  // namespace
 
-Presolved presolve(const Model& model, const PresolveOptions& options) {
+Presolved presolve(const Model& model) {
   const int n = model.num_variables();
-  const double tol = options.tolerance;
   // Integrality margin for rounding a propagated binary bound to 0/1; far
-  // looser than `tol` because the propagated value comes from a division.
+  // looser than kTol because the propagated value comes from a division.
   constexpr double int_tol = 1e-6;
 
   Presolved out;
@@ -85,7 +89,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
   // true when the bound actually moved.
   auto apply_upper = [&](int v, double ub) {
     if (model.type(v) == VarType::kBinary) ub = std::floor(ub + int_tol);
-    if (ub >= b.hi[v] - tol) return false;
+    if (ub >= b.hi[v] - kTol) return false;
     b.hi[v] = std::max(ub, b.lo[v] - 1.0);  // keep lo>hi detectable
     if (model.type(v) == VarType::kBinary && b.hi[v] < 1.0 && b.hi[v] >= 0.0) {
       b.hi[v] = 0.0;
@@ -94,7 +98,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
   };
   auto apply_lower = [&](int v, double lb) {
     if (model.type(v) == VarType::kBinary) lb = std::ceil(lb - int_tol);
-    if (lb <= b.lo[v] + tol) return false;
+    if (lb <= b.lo[v] + kTol) return false;
     b.lo[v] = std::min(lb, b.hi[v] + 1.0);
     if (model.type(v) == VarType::kBinary && b.lo[v] > 0.0 && b.lo[v] <= 1.0) {
       b.lo[v] = 1.0;
@@ -102,7 +106,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
     return true;
   };
 
-  for (int round = 0; round < options.max_rounds && !out.infeasible; ++round) {
+  for (int round = 0; round < kMaxRounds && !out.infeasible; ++round) {
     bool changed = false;
 
     for (Row& row : rows) {
@@ -124,9 +128,10 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
         }
       }
       if (free_terms == 0) {
-        const bool ok = (row.sense == Sense::kLe && 0.0 <= fixed_rhs + tol) ||
-                        (row.sense == Sense::kGe && 0.0 >= fixed_rhs - tol) ||
-                        (row.sense == Sense::kEq && std::abs(fixed_rhs) <= tol);
+        const bool ok =
+            (row.sense == Sense::kLe && 0.0 <= fixed_rhs + kTol) ||
+            (row.sense == Sense::kGe && 0.0 >= fixed_rhs - kTol) ||
+            (row.sense == Sense::kEq && std::abs(fixed_rhs) <= kTol);
         if (!ok) out.infeasible = true;
         row.active = false;
         ++out.removed_rows;
@@ -145,7 +150,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
         } else {
           apply_lower(free_var, v_rhs);
         }
-        if (b.lo[free_var] > b.hi[free_var] + tol) out.infeasible = true;
+        if (b.lo[free_var] > b.hi[free_var] + kTol) out.infeasible = true;
         row.active = false;
         ++out.removed_rows;
         changed = true;
@@ -158,35 +163,35 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
 
       // Redundant / infeasible by activity bounds alone.
       if (row.sense == Sense::kLe) {
-        if (min_finite && act.min > row.rhs + tol) {
+        if (min_finite && act.min > row.rhs + kTol) {
           out.infeasible = true;
           break;
         }
-        if (max_finite && act.max <= row.rhs + tol) {
+        if (max_finite && act.max <= row.rhs + kTol) {
           row.active = false;
           ++out.removed_rows;
           changed = true;
           continue;
         }
       } else if (row.sense == Sense::kGe) {
-        if (max_finite && act.max < row.rhs - tol) {
+        if (max_finite && act.max < row.rhs - kTol) {
           out.infeasible = true;
           break;
         }
-        if (min_finite && act.min >= row.rhs - tol) {
+        if (min_finite && act.min >= row.rhs - kTol) {
           row.active = false;
           ++out.removed_rows;
           changed = true;
           continue;
         }
       } else {
-        if ((min_finite && act.min > row.rhs + tol) ||
-            (max_finite && act.max < row.rhs - tol)) {
+        if ((min_finite && act.min > row.rhs + kTol) ||
+            (max_finite && act.max < row.rhs - kTol)) {
           out.infeasible = true;
           break;
         }
-        if (min_finite && max_finite && act.min >= row.rhs - tol &&
-            act.max <= row.rhs + tol) {
+        if (min_finite && max_finite && act.min >= row.rhs - kTol &&
+            act.max <= row.rhs + kTol) {
           row.active = false;
           ++out.removed_rows;
           changed = true;
@@ -226,7 +231,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
             }
           }
         }
-        if (b.lo[v] > b.hi[v] + tol) {
+        if (b.lo[v] > b.hi[v] + kTol) {
           out.infeasible = true;
           break;
         }
@@ -245,7 +250,7 @@ Presolved presolve(const Model& model, const PresolveOptions& options) {
           if (a <= 0.0) continue;
           if (b.lo[v] != 0.0 || b.hi[v] != 1.0) continue;
           const double u_rest = act.max - a;
-          if (u_rest < row.rhs - tol && a + u_rest > row.rhs + tol) {
+          if (u_rest < row.rhs - kTol && a + u_rest > row.rhs + kTol) {
             a -= row.rhs - u_rest;
             row.rhs = u_rest;
             ++out.tightened_coefs;
@@ -345,10 +350,9 @@ Constraint Presolved::translate(const Constraint& row) const {
   // no completion of the fixings can satisfy it — and since the fixings are
   // implied by the explicit rows, the full model is empty: emit a
   // bound-contradicting unit row on column 0.
-  constexpr double tol = 1e-9;
-  const bool ok = (t.sense == Sense::kLe && 0.0 <= t.rhs + tol) ||
-                  (t.sense == Sense::kGe && 0.0 >= t.rhs - tol) ||
-                  (t.sense == Sense::kEq && std::abs(t.rhs) <= tol);
+  const bool ok = (t.sense == Sense::kLe && 0.0 <= t.rhs + kTol) ||
+                  (t.sense == Sense::kGe && 0.0 >= t.rhs - kTol) ||
+                  (t.sense == Sense::kEq && std::abs(t.rhs) <= kTol);
   if (ok) return t;
   t.terms = {{0, 1.0}};
   if (reduced.lower(0) > -lp::kInfinity) {

@@ -6,15 +6,6 @@
 
 namespace xring::milp {
 
-/// Options for the presolve pass.
-struct PresolveOptions {
-  /// Reduction rounds; each round re-propagates with the bounds the previous
-  /// round tightened. A fixpoint is usually reached in 2-3 rounds.
-  int max_rounds = 8;
-  /// Feasibility tolerance used when deciding redundancy / infeasibility.
-  double tolerance = 1e-9;
-};
-
 /// A presolved model plus the exact mapping back to the original variable
 /// space. Every reduction applied here is *feasibility-preserving by
 /// implication*: a bound is only tightened (and a binary only fixed) when
@@ -70,6 +61,6 @@ struct Presolved {
 /// Runs bound propagation, singleton-row substitution, redundant-row
 /// removal, binary fixing, and coefficient tightening on the model, and
 /// returns the reduced model plus the exact postsolve mapping.
-Presolved presolve(const Model& model, const PresolveOptions& options = {});
+Presolved presolve(const Model& model);
 
 }  // namespace xring::milp

@@ -128,7 +128,7 @@ std::string metrics_csv(const Registry& reg) {
 
 namespace {
 
-/// Cursor over a JSON text for the flat-object parser below.
+/// Cursor over a JSON text for the recursive-descent parser below.
 struct JsonCursor {
   const std::string& text;
   std::size_t pos = 0;
@@ -141,7 +141,7 @@ struct JsonCursor {
   }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("metrics JSON: " + what + " at offset " +
+    throw std::invalid_argument("JSON: " + what + " at offset " +
                                 std::to_string(pos));
   }
 
@@ -239,12 +239,7 @@ struct JsonCursor {
     }
   }
 
-  double parse_number_or_null() {
-    skip_ws();
-    if (text.compare(pos, 4, "null") == 0) {
-      pos += 4;
-      return std::nan("");
-    }
+  double parse_number() {
     const char* begin = text.c_str() + pos;
     char* end = nullptr;
     const double v = std::strtod(begin, &end);
@@ -312,7 +307,7 @@ JsonValue parse_value(JsonCursor& cur, int depth) {
     v.kind = JsonValue::Kind::kNull;
   } else {
     v.kind = JsonValue::Kind::kNumber;
-    v.number = cur.parse_number_or_null();
+    v.number = cur.parse_number();
   }
   return v;
 }
@@ -334,26 +329,26 @@ JsonValue parse_json(const std::string& text) {
   return v;
 }
 
-std::map<std::string, double> metrics_from_json(const std::string& json) {
-  JsonCursor cur{json};
+std::map<std::string, double> metrics_from_json(const JsonValue& doc) {
+  if (doc.kind != JsonValue::Kind::kObject) {
+    throw std::invalid_argument("metrics JSON: root is not an object");
+  }
   std::map<std::string, double> out;
-  cur.expect('{');
-  if (!cur.peek_is('}')) {
-    while (true) {
-      const std::string name = cur.parse_string();
-      cur.expect(':');
-      out[name] = cur.parse_number_or_null();
-      if (cur.peek_is(',')) {
-        ++cur.pos;
-        continue;
-      }
-      break;
+  for (const auto& [name, value] : doc.object) {
+    if (value.kind == JsonValue::Kind::kNumber) {
+      out[name] = value.number;
+    } else if (value.kind == JsonValue::Kind::kNull) {
+      out[name] = std::nan("");
+    } else {
+      throw std::invalid_argument("metrics JSON: \"" + name +
+                                  "\" is not a number or null");
     }
   }
-  cur.expect('}');
-  cur.skip_ws();
-  if (cur.pos != json.size()) cur.fail("trailing content");
   return out;
+}
+
+std::map<std::string, double> metrics_from_json(const std::string& json) {
+  return metrics_from_json(parse_json(json));
 }
 
 std::string diagnostics_json(const Registry& reg) {

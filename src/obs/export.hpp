@@ -31,13 +31,6 @@ std::string metrics_json(const Registry& reg);
 /// Two-column `name,value` CSV (header row included) of Registry::flatten().
 std::string metrics_csv(const Registry& reg);
 
-/// Inverse of metrics_json: parses a flat `{"name": value, ...}` object
-/// (string keys, numeric or null values; null becomes NaN). This is the
-/// reader side of the BENCH_*.json reports — `xring_runs diff` diffs two
-/// of them. Throws std::invalid_argument on anything that is not a flat
-/// one-level object of numbers.
-std::map<std::string, double> metrics_from_json(const std::string& json);
-
 /// Minimal JSON document, the reader side of the structured exporters
 /// (trace JSON, run-report JSON, event JSONL lines). Object members keep
 /// emission order; find() does a linear key lookup (documents here are
@@ -59,6 +52,16 @@ struct JsonValue {
 /// std::invalid_argument on malformed input or trailing content — the
 /// round-trip tests lean on that strictness to certify the writers.
 JsonValue parse_json(const std::string& text);
+
+/// Inverse of metrics_json: parses a flat `{"name": value, ...}` object
+/// (string keys, numeric or null values; null becomes NaN). This is the
+/// reader side of the BENCH_*.json reports — `xring_runs diff` diffs two
+/// of them. Throws std::invalid_argument on anything that is not a flat
+/// one-level object of numbers.
+std::map<std::string, double> metrics_from_json(const std::string& json);
+
+/// The same conversion for a document parse_json already read.
+std::map<std::string, double> metrics_from_json(const JsonValue& doc);
 
 /// JSON array of every recorded diagnostic, in emission order:
 /// [{"severity": "...", "code": "...", "message": "...", "t_us": ...,

@@ -31,7 +31,6 @@ const char* to_string(MetricClass c) {
   switch (c) {
     case MetricClass::kQuality: return "quality";
     case MetricClass::kTimeLike: return "time";
-    case MetricClass::kSolverInternal: return "solver";
     case MetricClass::kResource: return "resource";
     case MetricClass::kIgnored: return "ignored";
   }
@@ -50,24 +49,6 @@ bool has_suffix(const std::string& s, const char* suffix) {
 MetricClass classify_metric(const std::string& name) {
   if (has_suffix(name, ".iterations") || has_suffix(name, ".t_us")) {
     return MetricClass::kIgnored;
-  }
-  if (name == "lp.pivots" || name == "lp.refactorizations" ||
-      name == "lp.eta_nnz" || name == "milp.warm_pivots" ||
-      name == "milp.cold_solves" ||
-      // Presolve/cut/LNS machinery: these count internal solver work (rows
-      // removed, planes separated, repairs accepted) and the certified gap
-      // of a budgeted run — none of them is a quality answer, and all may
-      // legitimately move when the solver's search strategy changes.
-      name.compare(0, 14, "milp.presolve_") == 0 ||
-      name == "milp.cuts_added" || name == "milp.cut_rounds" ||
-      name == "milp.lns_repairs" || name == "milp.certified_gap" ||
-      name.compare(0, 14, "lp.iterations.") == 0 ||
-      name.compare(0, 17, "lp.ftran_density.") == 0 ||
-      // Memoized opening candidates count skipped work, never an answer.
-      // The Step-3 probe counters (mapping.fits_probes, ...) are gated
-      // exactly: the serial search makes them jobs-invariant.
-      name == "mapping.candidates_memoized") {
-    return MetricClass::kSolverInternal;
   }
   if (name.compare(0, 4, "mem.") == 0 || name.compare(0, 7, "events.") == 0 ||
       name.compare(0, 4, "par.") == 0) {
@@ -94,7 +75,6 @@ bool metric_regressed(const std::string& name, double baseline,
                       double candidate, const GateOptions& opt) {
   switch (classify_metric(name)) {
     case MetricClass::kIgnored:
-    case MetricClass::kSolverInternal:
     case MetricClass::kResource:
       return false;
     case MetricClass::kTimeLike: {
@@ -276,7 +256,7 @@ RunRecord parse_run_record(const std::string& json) {
   RunRecord rec;
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr) {  // a flat BENCH_*.json metrics object
-    rec.metrics = metrics_from_json(json);
+    rec.metrics = metrics_from_json(doc);
     return rec;
   }
   if (schema->kind == JsonValue::Kind::kString) rec.schema = schema->string;
@@ -299,16 +279,7 @@ RunRecord parse_run_record(const std::string& json) {
   rec.environment = parse_string_object(doc.find("environment"));
   if (const JsonValue* v = doc.find("metrics");
       v != nullptr && v->kind == JsonValue::Kind::kObject) {
-    for (const auto& [name, val] : v->object) {
-      if (val.kind == JsonValue::Kind::kNumber) {
-        rec.metrics[name] = val.number;
-      } else if (val.kind == JsonValue::Kind::kNull) {
-        rec.metrics[name] = std::nan("");
-      } else {
-        throw std::invalid_argument("run record: metric \"" + name +
-                                    "\" is not a number");
-      }
-    }
+    rec.metrics = metrics_from_json(*v);
   }
   if (const JsonValue* v = doc.find("span_tree");
       v != nullptr && v->kind == JsonValue::Kind::kArray) {
@@ -605,7 +576,7 @@ std::string run_diff_html(const RunDiff& d) {
       << ") &rarr; <b>B</b> " << html_escape(d.b.id) << " ("
       << html_escape(d.b.title) << ")</p>\n<p>" << d.compared
       << " metrics gated &middot; " << d.skipped
-      << " skipped (solver/resource/ignored) &middot; " << d.regressions
+      << " skipped (resource/ignored) &middot; " << d.regressions
       << " regression(s) &middot; " << d.one_sided
       << " one-sided key(s)</p>\n";
 

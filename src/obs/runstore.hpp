@@ -14,25 +14,21 @@ namespace xring::obs {
 // `xring_runs diff` applies, to run records and BENCH_*.json reports alike.
 
 enum class MetricClass {
-  kQuality,         ///< gated tight in both directions (losses, powers, counts)
-  kTimeLike,        ///< only growth beyond the tolerance fails; never exact
-  kSolverInternal,  ///< deterministic but pivot-path-dependent; floats free
-  kResource,        ///< sampled RSS/allocator telemetry; never gated
-  kIgnored,         ///< benchmark repeat counts, raw timestamps
+  kQuality,   ///< gated tight in both directions (losses, powers, counts)
+  kTimeLike,  ///< only growth beyond the tolerance fails; never exact
+  kResource,  ///< sampled RSS/scheduling telemetry; never gated
+  kIgnored,   ///< benchmark repeat counts, raw timestamps
 };
 
 const char* to_string(MetricClass c);
 
 /// Classifies one flat metric name. The rules (documented at length in
 /// tools/xring_runs.cpp) in precedence order: `*.iterations`/`*.t_us`
-/// are ignored; the solver-internal trajectory counters (`lp.pivots`,
-/// `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
-/// `lp.ftran_density.*`, `milp.warm_pivots`, `milp.cold_solves`,
-/// `mapping.candidates_memoized`) float; `mem.*`/`events.*` plus the
-/// scheduling telemetry (`par.*` — genuinely timing-dependent, two
-/// identical runs differ) are resource; `span.*`, `*_ns` timings, `*.total_s`,
-/// `*.seconds`, and trailing-`.T` table cells are time-like; everything
-/// else is quality.
+/// are ignored; `mem.*`/`events.*` plus the scheduling telemetry (`par.*`
+/// — genuinely timing-dependent, two identical runs differ) are resource;
+/// `span.*`, `*_ns` timings, `*.total_s`, `*.seconds`, and trailing-`.T`
+/// table cells are time-like; everything else is quality, the solver's
+/// work counters (`lp.*`, `milp.*`) included.
 MetricClass classify_metric(const std::string& name);
 
 /// Below this, a time-like baseline is noise and not gated (1 ms for `_ns`
@@ -48,7 +44,7 @@ struct GateOptions {
 /// returns true when the candidate regresses it: quality beyond the
 /// relative tolerance (either direction), time-like growth beyond
 /// `time_tolerance` over max(baseline, noise floor), or a number/null
-/// (NaN) mismatch. Ignored/solver-internal/resource metrics never regress.
+/// (NaN) mismatch. Ignored/resource metrics never regress.
 bool metric_regressed(const std::string& name, double baseline,
                       double candidate, const GateOptions& opt = {});
 
@@ -159,7 +155,7 @@ struct RunDiff {
   GateOptions gate;
   std::vector<MetricDelta> deltas;  ///< name-sorted; includes one-sided keys
   int compared = 0;     ///< gated pairs (quality + time-like)
-  int skipped = 0;      ///< ignored / solver-internal / resource pairs
+  int skipped = 0;      ///< ignored / resource pairs
   int regressions = 0;
   int one_sided = 0;    ///< keys present in only one run
 };

@@ -34,40 +34,39 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
     // Budgeted mode: skip both the all-starts heuristic and the full-size
     // exact MILP; the LNS runs its own construction and repairs windows
     // with exact sub-MILPs until the schedule (or the budget) ends.
-    LnsOptions lns;
-    lns.budget_seconds = options.lns_budget_seconds;
-    lns.seed = options.lns_seed;
-    lns.window = options.lns_window;
-    const LnsResult search = lns_tour(floorplan, oracle, lns);
+    const LnsResult search =
+        lns_tour(floorplan, oracle, options.lns_budget_seconds);
     tour_order = search.order;
     result.mip_status = milp::MipStatus::kFeasible;
     result.lns_repairs = search.repairs_accepted;
     result.lns_budget_exhausted = search.budget_exhausted;
   } else {
+    // Penalized tour cost: conflict-freedom dominates length.
+    auto cost = [&](const std::vector<NodeId>& t) {
+      return tour_length(t, floorplan) +
+             kConflictPenalty * tour_conflicts(t, oracle);
+    };
     std::vector<NodeId> heuristic = heuristic_tour(floorplan, oracle);
     if (options.or_opt_polish) {
       // Alternate to a joint fixpoint: each pass opens moves for the other.
       geom::Coord before;
       do {
-        before = tour_length(heuristic, floorplan) +
-                 HeuristicOptions{}.conflict_penalty *
-                     tour_conflicts(heuristic, oracle);
+        before = cost(heuristic);
         or_opt(heuristic, floorplan, oracle);
         two_opt(heuristic, floorplan, oracle);
-      } while (tour_length(heuristic, floorplan) +
-                   HeuristicOptions{}.conflict_penalty *
-                       tour_conflicts(heuristic, oracle) <
-               before);
+      } while (cost(heuristic) < before);
     }
     tour_order = heuristic;
     if (options.use_milp) {
+      // The reflective symmetry row is oriented by the heuristic tour, so
+      // the warm start stays feasible.
       TspModel tsp(floorplan, oracle, options.conflict_mode);
-      if (options.symmetry_breaking) tsp.add_symmetry_breaking(heuristic);
+      tsp.add_symmetry_breaking(heuristic);
 
       milp::BnbOptions bnb;
       bnb.time_limit_seconds = options.time_limit_seconds;
       bnb.lazy_handler = tsp.lazy_handler();
-      if (options.cutting_planes) bnb.cut_separator = tsp.cut_separator();
+      bnb.cut_separator = tsp.cut_separator();
       // Seed the incumbent only when the heuristic tour is itself legal; a
       // conflicted warm start would be rejected by the solver's vetting
       // anyway.
@@ -105,12 +104,7 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
       }
     }
 
-    // Whichever tour is shorter wins, with conflict-freedom dominating
-    // length.
-    auto cost = [&](const std::vector<NodeId>& t) {
-      return tour_length(t, floorplan) +
-             HeuristicOptions{}.conflict_penalty * tour_conflicts(t, oracle);
-    };
+    // Whichever tour is cheaper wins.
     if (cost(heuristic) < cost(tour_order)) tour_order = heuristic;
   }
 

@@ -13,14 +13,6 @@ struct RingBuildOptions {
   /// used directly (the `ablation_features` bench compares both).
   bool use_milp = true;
   double time_limit_seconds = 30.0;
-  /// Add the reflective symmetry-breaking row (TspModel::add_symmetry_
-  /// breaking), oriented by the heuristic tour so the warm start stays
-  /// feasible.
-  bool symmetry_breaking = true;
-  /// Separate cutting planes from fractional LP points (2-cycle rows in
-  /// kSeparated mode plus fractional conflict rows; see
-  /// TspModel::cut_separator).
-  bool cutting_planes = true;
   /// Run the Or-opt relocation polish on top of the heuristic tour before
   /// it seeds (and competes with) the exact MILP. Off by default: the
   /// paper-size baselines pin the historical heuristic move sequence; the
@@ -31,11 +23,9 @@ struct RingBuildOptions {
   /// > 0 switches Step 1 to the time-budgeted LNS mode: no exact full-size
   /// MILP, instead a destroy/repair search whose repairs are exact MILPs on
   /// sub-neighbourhoods (heuristic.hpp lns_tour), reported with a certified
-  /// optimality gap. Deterministic for a fixed (seed, window) whenever the
-  /// repair schedule completes inside the budget, independent of --jobs.
+  /// optimality gap. Deterministic whenever the repair schedule completes
+  /// inside the budget, independent of --jobs.
   double lns_budget_seconds = 0.0;
-  unsigned lns_seed = 1;
-  int lns_window = 12;
 };
 
 /// Outcome of Step 1: the realized ring plus solver diagnostics.

@@ -61,12 +61,22 @@ geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan) {
 
 namespace {
 
+/// Round cap of or_opt.
+constexpr int kOrOptRounds = 32;
+/// The LNS destroy schedule's seed, the consecutive tour positions each
+/// repair destroys, and the repair attempts per node of the instance.
+constexpr unsigned kLnsSeed = 1;
+constexpr int kLnsWindow = 12;
+constexpr int kLnsAttemptsPerNode = 4;
+/// Node budget per repair MILP. Repairs are node-limited, never
+/// time-limited, so every repair outcome is machine- and jobs-independent.
+constexpr long kRepairNodeLimit = 400;
+
 geom::Coord penalized_cost(const std::vector<NodeId>& order,
                            const netlist::Floorplan& floorplan,
-                           const ConflictOracle& oracle,
-                           const HeuristicOptions& opt) {
+                           const ConflictOracle& oracle) {
   return tour_length(order, floorplan) +
-         opt.conflict_penalty * tour_conflicts(order, oracle);
+         kConflictPenalty * tour_conflicts(order, oracle);
 }
 
 /// Nearest-neighbour construction from one start node (lowest-id tie-break).
@@ -99,7 +109,7 @@ std::vector<NodeId> nearest_neighbour_from(const netlist::Floorplan& floorplan,
 }  // namespace
 
 void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-             const ConflictOracle& oracle, const HeuristicOptions& options) {
+             const ConflictOracle& oracle) {
   const int n = static_cast<int>(order.size());
   if (n < 3) return;
   // Running penalized state, maintained exactly (integer µm and counts):
@@ -108,9 +118,8 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   // full re-evaluation of every candidate.
   geom::Coord length = tour_length(order, floorplan);
   long long conflicts = tour_conflicts(order, oracle);
-  const geom::Coord penalty = options.conflict_penalty;
 
-  for (int round = 0; round < options.max_two_opt_rounds; ++round) {
+  for (int round = 0; round < kTwoOptRounds; ++round) {
     bool improved = false;
     for (int i = 0; i < n - 1; ++i) {
       for (int j = i + 1; j < n; ++j) {
@@ -137,7 +146,7 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
                 oracle.conflict(a, b, u, v) - oracle.conflict(c, d, u, v);
         }
         dc += oracle.conflict(a, c, b, d) - oracle.conflict(a, b, c, d);
-        if (dl + penalty * dc < 0) {
+        if (dl + kConflictPenalty * dc < 0) {
           std::reverse(order.begin() + i, order.begin() + j + 1);
           length += dl;
           conflicts += dc;
@@ -150,12 +159,11 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 }
 
 void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-            const ConflictOracle& oracle, const HeuristicOptions& options) {
+            const ConflictOracle& oracle) {
   const int n = static_cast<int>(order.size());
   if (n < 5) return;
   geom::Coord length = tour_length(order, floorplan);
   long long conflicts = tour_conflicts(order, oracle);
-  const geom::Coord penalty = options.conflict_penalty;
 
   // Relocating order[i..i+len-1] across the tour edge at position j swaps
   // removed edges R = {(a,b),(c,d),(e,f)} for added edges
@@ -184,7 +192,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   // Every accepted move strictly decreases the penalized cost, so scanning
   // on after a splice (instead of restarting) cannot cycle; a round without
   // any accepted move is a fixpoint.
-  for (int round = 0; round < options.max_or_opt_rounds; ++round) {
+  for (int round = 0; round < kOrOptRounds; ++round) {
     bool improved = false;
     for (int len = 1; len <= 3 && len <= n - 4; ++len) {
       for (int i = 0; i + len <= n; ++i) {
@@ -214,7 +222,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
             const long long dc =
                 conflict_delta(a, b, c, d, e, f, head, tail, (i + n - 1) % n,
                                i + len - 1, j);
-            if (dl + penalty * dc >= 0) continue;
+            if (dl + kConflictPenalty * dc >= 0) continue;
 
             // Apply: cut the segment out, then splice it back in after e.
             std::vector<NodeId> seg(order.begin() + i,
@@ -237,8 +245,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 }
 
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
-                                   const ConflictOracle& oracle,
-                                   const HeuristicOptions& options) {
+                                   const ConflictOracle& oracle) {
   const int n = floorplan.size();
 
   std::vector<NodeId> best_order;
@@ -249,8 +256,8 @@ std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
   // past the paper's sizes, and they markedly improve the warm start.
   for (NodeId start = 0; start < n; ++start) {
     std::vector<NodeId> order = nearest_neighbour_from(floorplan, start);
-    two_opt(order, floorplan, oracle, options);
-    const geom::Coord cost = penalized_cost(order, floorplan, oracle, options);
+    two_opt(order, floorplan, oracle);
+    const geom::Coord cost = penalized_cost(order, floorplan, oracle);
     if (cost < best_cost) {
       best_cost = cost;
       best_order = std::move(order);
@@ -268,7 +275,6 @@ namespace {
 bool repair_window(std::vector<NodeId>& order,
                    const netlist::Floorplan& floorplan,
                    const ConflictOracle& oracle, int s, int m,
-                   geom::Coord penalty, long repair_node_limit,
                    geom::Coord& length, long long& conflicts) {
   const int n = static_cast<int>(order.size());
   const int local = m + 2;  // window interior plus the two pinned endpoints
@@ -365,7 +371,7 @@ bool repair_window(std::vector<NodeId>& order,
   // huge time limit never fires), and the search itself is bit-identical at
   // any thread count.
   bnb.time_limit_seconds = 1e9;
-  bnb.node_limit = repair_node_limit;
+  bnb.node_limit = kRepairNodeLimit;
   // Feed the incumbent segment back in as the primal bound.
   std::vector<double> warm(edges.count(), 0.0);
   for (int t = 0; t < local; ++t) {
@@ -413,7 +419,7 @@ bool repair_window(std::vector<NodeId>& order,
       mip.objective));
   // The repair is conflict-free by construction; accept only a strict
   // penalized-cost win over the destroyed segment.
-  if (new_len >= old_len + penalty * old_conf) return false;
+  if (new_len >= old_len + kConflictPenalty * old_conf) return false;
 
   // Decode the single cycle from the entry endpoint; the forced closing
   // edge guarantees the exit endpoint comes last.
@@ -434,8 +440,7 @@ bool repair_window(std::vector<NodeId>& order,
 }  // namespace
 
 LnsResult lns_tour(const netlist::Floorplan& floorplan,
-                   const ConflictOracle& oracle, const LnsOptions& options,
-                   const HeuristicOptions& heuristic) {
+                   const ConflictOracle& oracle, double budget_seconds) {
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -453,39 +458,37 @@ LnsResult lns_tour(const netlist::Floorplan& floorplan,
   const auto polish = [&](std::vector<NodeId>& order) {
     geom::Coord before;
     do {
-      before = penalized_cost(order, floorplan, oracle, heuristic);
-      two_opt(order, floorplan, oracle, heuristic);
-      or_opt(order, floorplan, oracle, heuristic);
-    } while (penalized_cost(order, floorplan, oracle, heuristic) < before);
+      before = penalized_cost(order, floorplan, oracle);
+      two_opt(order, floorplan, oracle);
+      or_opt(order, floorplan, oracle);
+    } while (penalized_cost(order, floorplan, oracle) < before);
   };
   polish(out.order);
   out.length_um = tour_length(out.order, floorplan);
   long long conflicts = tour_conflicts(out.order, oracle);
 
-  const int m = std::min(options.window, n - 3);
+  const int m = std::min(kLnsWindow, n - 3);
   if (m >= 3 && n >= 6) {
-    // Deterministic destroy schedule: an LCG seeded by (seed), walked the
-    // same way at every jobs count. The budget is only a safety stop; when
-    // the schedule completes (the designed regime), the result is a pure
-    // function of (floorplan, seed, window, node limit).
-    unsigned state = options.seed * 2654435761u + 0x9E3779B9u;
+    // Deterministic destroy schedule: a fixed-seed LCG, walked the same way
+    // at every jobs count. The budget is only a safety stop; when the
+    // schedule completes (the designed regime), the result is a pure
+    // function of the floorplan.
+    unsigned state = kLnsSeed * 2654435761u + 0x9E3779B9u;
     auto rnd = [&state] {
       state = state * 1664525u + 1013904223u;
       return state >> 8;
     };
-    const long attempts =
-        static_cast<long>(options.attempts_per_node) * n;
+    const long attempts = static_cast<long>(kLnsAttemptsPerNode) * n;
     geom::Coord length = out.length_um;
     for (long a = 0; a < attempts; ++a) {
-      if (elapsed() > options.budget_seconds) {
+      if (elapsed() > budget_seconds) {
         out.budget_exhausted = true;
         break;
       }
       const int s = static_cast<int>(rnd() % static_cast<unsigned>(n));
       ++out.repairs_attempted;
-      if (repair_window(out.order, floorplan, oracle, s, m,
-                        heuristic.conflict_penalty, options.repair_node_limit,
-                        length, conflicts)) {
+      if (repair_window(out.order, floorplan, oracle, s, m, length,
+                        conflicts)) {
         ++out.repairs_accepted;
         if (obs::enabled()) obs::registry().counter("milp.lns_repairs").add();
         if (obs::events::enabled()) {

@@ -6,23 +6,18 @@
 
 namespace xring::ring {
 
-/// Options for the conflict-aware tour heuristic.
-struct HeuristicOptions {
-  /// Penalty (µm) charged per conflicting edge pair in the tour; large
-  /// enough that the 2-opt phase trades length for conflict removal.
-  geom::Coord conflict_penalty = 1'000'000;
-  int max_two_opt_rounds = 64;
-  /// Round cap for or_opt (which heuristic_tour does NOT run; see or_opt).
-  int max_or_opt_rounds = 32;
-};
+/// Penalty (µm) charged per conflicting edge pair in a tour; large enough
+/// that the 2-opt phase trades length for conflict removal.
+constexpr geom::Coord kConflictPenalty = 1'000'000;
+/// Round cap of two_opt; a round is one pass over every move.
+constexpr int kTwoOptRounds = 64;
 
 /// Conflict-aware nearest-neighbour + 2-opt tour construction (best of all
 /// nearest-neighbour start nodes). Serves two purposes: the warm start that
 /// lets branch & bound prune from node one, and the fallback result when a
 /// caller runs with the MILP disabled (the ablation benches compare both).
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
-                                   const ConflictOracle& oracle,
-                                   const HeuristicOptions& options = {});
+                                   const ConflictOracle& oracle);
 
 /// In-place 2-opt improvement on the penalized (length + conflict) cost.
 /// Used both inside heuristic_tour and as the post-merge polish of Step 1.
@@ -32,7 +27,7 @@ std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
 /// re-evaluation per candidate while accepting and rejecting the exact same
 /// move sequence.
 void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-             const ConflictOracle& oracle, const HeuristicOptions& options = {});
+             const ConflictOracle& oracle);
 
 /// In-place Or-opt improvement on the penalized cost: relocates segments of
 /// 1..3 consecutive nodes to another tour position (forward or reversed),
@@ -44,7 +39,7 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 /// callers that want the stronger polish — the budgeted LNS always, the
 /// exact path behind RingBuildOptions::or_opt_polish — invoke it on top.
 void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-            const ConflictOracle& oracle, const HeuristicOptions& options = {});
+            const ConflictOracle& oracle);
 
 /// Total Manhattan length of a tour (closing edge included), micrometres.
 geom::Coord tour_length(const std::vector<NodeId>& order,
@@ -61,28 +56,6 @@ int tour_conflicts(const std::vector<NodeId>& order,
 /// boustrophedon tour).
 geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan);
 
-/// Time-budgeted large-neighbourhood search over tours: destroy a window of
-/// consecutive tour positions and repair it with an *exact* MILP over the
-/// sub-neighbourhood (endpoints pinned, conflicts against the frozen
-/// remainder banned, sub-tours eliminated lazily), accepting a repair only
-/// when it strictly improves the penalized cost. The current segment warm
-/// starts every repair MILP, i.e. the incumbent is fed back into branch &
-/// bound as a primal bound.
-struct LnsOptions {
-  /// Wall-clock budget for the repair loop. The repair *schedule* is a fixed
-  /// function of (size, seed) — the budget is a safety stop, so runs that
-  /// complete the schedule are bit-identical at any jobs count.
-  double budget_seconds = 30.0;
-  unsigned seed = 1;
-  /// Consecutive tour positions destroyed per repair.
-  int window = 12;
-  /// Repair attempts per node of the instance (schedule length = ratio * n).
-  int attempts_per_node = 4;
-  /// Node budget per repair MILP. Repairs are node-limited, never
-  /// time-limited, so every repair outcome is machine- and jobs-independent.
-  long repair_node_limit = 400;
-};
-
 struct LnsResult {
   std::vector<NodeId> order;
   geom::Coord length_um = 0;
@@ -95,8 +68,17 @@ struct LnsResult {
   double seconds = 0.0;
 };
 
+/// Time-budgeted large-neighbourhood search over tours: destroy a window of
+/// up to 12 consecutive tour positions and repair it with an *exact* MILP over the
+/// sub-neighbourhood (endpoints pinned, conflicts against the frozen
+/// remainder banned, sub-tours eliminated lazily), accepting a repair only
+/// when it strictly improves the penalized cost. The current segment warm
+/// starts every repair MILP, i.e. the incumbent is fed back into branch &
+/// bound as a primal bound. The repair schedule (4 seeded window starts per
+/// node) and the per-repair node limit are fixed, so `budget_seconds` is
+/// only a safety stop: runs that complete the schedule are bit-identical
+/// at any jobs count.
 LnsResult lns_tour(const netlist::Floorplan& floorplan,
-                   const ConflictOracle& oracle, const LnsOptions& options,
-                   const HeuristicOptions& heuristic = {});
+                   const ConflictOracle& oracle, double budget_seconds);
 
 }  // namespace xring::ring

@@ -69,6 +69,46 @@ geom::Coord distance_along(const LRoute& route, const Point& target) {
   return travelled;  // target at the far endpoint of a degenerate route
 }
 
+/// Appends the CSE routes of every crossing pair in the plan (Fig. 7(b)): a
+/// signal can enter on either endpoint of one shortcut and leave at either
+/// endpoint of the other, turning at the crossing point.
+void derive_cse_routes(ShortcutPlan& plan,
+                       const netlist::Floorplan& floorplan) {
+  for (std::size_t i = 0; i < plan.shortcuts.size(); ++i) {
+    const Shortcut& A = plan.shortcuts[i];
+    if (A.crossing_partner < 0 ||
+        static_cast<std::size_t>(A.crossing_partner) < i) {
+      continue;  // handle each pair once, from its lower index
+    }
+    const Shortcut& B = plan.shortcuts[A.crossing_partner];
+    const Point x = *A.crossing;
+    const LRoute route_a(floorplan.position(A.a), floorplan.position(A.b),
+                         A.order);
+    const LRoute route_b(floorplan.position(B.a), floorplan.position(B.b),
+                         B.order);
+    const geom::Coord a_to_x = distance_along(route_a, x);
+    const geom::Coord b_to_x = distance_along(route_b, x);
+    const geom::Coord from_a[2] = {a_to_x, route_a.length() - a_to_x};
+    const geom::Coord from_b[2] = {b_to_x, route_b.length() - b_to_x};
+    const NodeId ends_a[2] = {A.a, A.b};
+    const NodeId ends_b[2] = {B.a, B.b};
+    for (int ea = 0; ea < 2; ++ea) {
+      for (int eb = 0; eb < 2; ++eb) {
+        CseRoute r;
+        r.src = ends_a[ea];
+        r.dst = ends_b[eb];
+        r.shortcut_in = static_cast<int>(i);
+        r.shortcut_out = A.crossing_partner;
+        r.length = from_a[ea] + from_b[eb];
+        plan.cse_routes.push_back(r);
+        std::swap(r.src, r.dst);
+        std::swap(r.shortcut_in, r.shortcut_out);
+        plan.cse_routes.push_back(r);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int ShortcutPlan::find(NodeId a, NodeId b) const {
@@ -162,10 +202,10 @@ ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
         const int crossings = geom::crossing_count(route, routes[s]);
         if (crossings == 0) continue;
         // A usable CSE needs exactly one crossing point with exactly one
-        // partner, and that partner must still be partnerless.
+        // partner, and that partner must still be partnerless (the paper
+        // allows a shortcut at most one crossing partner).
         if (crossings > 1 || partner != -1 ||
-            plan.shortcuts[s].crossing_partner != -1 ||
-            options.max_crossing_partners < 1) {
+            plan.shortcuts[s].crossing_partner != -1) {
           ok = false;
           break;
         }
@@ -209,47 +249,6 @@ ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
 
   derive_cse_routes(plan, floorplan);
   return plan;
-}
-
-void derive_cse_routes(ShortcutPlan& plan,
-                       const netlist::Floorplan& floorplan) {
-  plan.cse_routes.clear();
-  // CSE routes for every crossing pair (Fig. 7(b)): a signal can enter on
-  // either endpoint of one shortcut and leave at either endpoint of the
-  // other, turning at the crossing point.
-  for (std::size_t i = 0; i < plan.shortcuts.size(); ++i) {
-    const Shortcut& A = plan.shortcuts[i];
-    if (A.crossing_partner < 0 ||
-        static_cast<std::size_t>(A.crossing_partner) < i) {
-      continue;  // handle each pair once, from its lower index
-    }
-    const Shortcut& B = plan.shortcuts[A.crossing_partner];
-    const Point x = *A.crossing;
-    const LRoute route_a(floorplan.position(A.a), floorplan.position(A.b),
-                         A.order);
-    const LRoute route_b(floorplan.position(B.a), floorplan.position(B.b),
-                         B.order);
-    const geom::Coord a_to_x = distance_along(route_a, x);
-    const geom::Coord b_to_x = distance_along(route_b, x);
-    const geom::Coord from_a[2] = {a_to_x, route_a.length() - a_to_x};
-    const geom::Coord from_b[2] = {b_to_x, route_b.length() - b_to_x};
-    const NodeId ends_a[2] = {A.a, A.b};
-    const NodeId ends_b[2] = {B.a, B.b};
-    for (int ea = 0; ea < 2; ++ea) {
-      for (int eb = 0; eb < 2; ++eb) {
-        CseRoute r;
-        r.src = ends_a[ea];
-        r.dst = ends_b[eb];
-        r.shortcut_in = static_cast<int>(i);
-        r.shortcut_out = A.crossing_partner;
-        r.length = from_a[ea] + from_b[eb];
-        plan.cse_routes.push_back(r);
-        std::swap(r.src, r.dst);
-        std::swap(r.shortcut_in, r.shortcut_out);
-        plan.cse_routes.push_back(r);
-      }
-    }
-  }
 }
 
 }  // namespace xring::shortcut

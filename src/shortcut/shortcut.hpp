@@ -38,9 +38,6 @@ struct CseRoute {
 
 struct ShortcutOptions {
   bool enable = true;
-  /// Paper constraint: a shortcut may form crossings with at most one other
-  /// shortcut. Setting 0 forbids crossed shortcuts entirely (ablation).
-  int max_crossing_partners = 1;
   /// Paper constraint: "a network node can only have at most one shortcut".
   /// Raising this explores the extension the constraint exists to bound
   /// (every extra shortcut sender needs PDN power); the ablation benches
@@ -65,12 +62,7 @@ ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
                              const netlist::Floorplan& floorplan,
                              const ShortcutOptions& options = {});
 
-/// Derives the CSE routes of every crossing pair in the plan (Fig. 7(b)).
-/// Called by both the greedy and the ILP selection; idempotent.
-void derive_cse_routes(ShortcutPlan& plan, const netlist::Floorplan& floorplan);
-
-/// One candidate chord considered by selection (exposed for the ILP
-/// selector and for tests).
+/// One candidate chord considered by selection (exposed for tests).
 struct ChordCandidate {
   NodeId a = -1;
   NodeId b = -1;
@@ -85,14 +77,5 @@ struct ChordCandidate {
 /// segments) for the per-node ray blockers plus O(1) per node pair.
 std::vector<ChordCandidate> collect_candidates(
     const ring::RingGeometry& ring, const netlist::Floorplan& floorplan);
-
-/// ILP-optimal Step 2 (extension; the paper's method is the greedy above):
-/// maximizes total gain subject to the same structural constraints —
-/// per-node budget, pairwise compatibility, at most `max_crossing_partners`
-/// crossing partners per selected chord. Uses the bundled MILP solver.
-ShortcutPlan optimal_shortcuts(const ring::RingGeometry& ring,
-                               const netlist::Floorplan& floorplan,
-                               const ShortcutOptions& options = {},
-                               double time_limit_seconds = 10.0);
 
 }  // namespace xring::shortcut

@@ -40,9 +40,9 @@ SweepResult sweep(const SynthesisAtWl& synthesize, SweepGoal goal, int min_wl,
                   int max_wl);
 
 /// Convenience sweep over the XRing synthesizer itself, reusing one ring
-/// construction AND one SweepCache (shortcut plan + mapping arc table)
-/// across all settings — none of Step 1, Step 2, or the arc geometry of
-/// Step 3 depends on #wl.
+/// construction AND one SweepCache (shortcut plan, mapping arc table and
+/// evaluation ring substrate) across all settings — none of Step 1, Step 2,
+/// the arc geometry of Step 3, or the realized ring depends on #wl.
 SweepResult sweep_xring(const Synthesizer& synthesizer,
                         const SynthesisOptions& base, SweepGoal goal,
                         int min_wl, int max_wl);

@@ -50,9 +50,9 @@ struct SynthesisResult {
 /// `mapping.max_wavelengths`. A `#wl` sweep builds one instance and feeds
 /// it to every setting instead of re-deriving it per probe:
 ///   - the Step-2 shortcut plan (previously rebuilt once per setting),
-///   - the Step-3 arc table (per-signal hop intervals + bitsets backing the
-///     incremental occupancy index; see mapping/occupancy.hpp),
-///   - the evaluation ring substrate (realized hop routes, crossing
+///   - the Step-3 arc table (each signal's hop interval per direction,
+///     stored once; see mapping/occupancy.hpp),
+///   - the evaluation `RingSubstrate` (realized hop routes, crossing
 ///     structure and arc prefix sums; see analysis/substrate.hpp).
 /// Immutable after construction and shared read-only across the parallel
 /// sweep's threads.
@@ -87,8 +87,8 @@ class Synthesizer {
                                 const ring::RingBuildResult& ring,
                                 const SweepCache* cache = nullptr) const;
 
-  /// Builds the #wl-independent shared state (shortcut plan + arc table)
-  /// once, for reuse across every setting of a sweep.
+  /// Builds the #wl-independent shared state (shortcut plan, arc table and
+  /// ring substrate) once, for reuse across every setting of a sweep.
   SweepCache make_sweep_cache(const SynthesisOptions& options,
                               const ring::RingBuildResult& ring) const;
 

@@ -1,7 +1,7 @@
 // Scale machinery of the ring-construction MILP: presolve/postsolve
 // round-trips, the separated (cutting-plane) conflict mode, reflective
-// symmetry breaking, cover-cut validity, and the budgeted LNS — each pinned
-// against the exhaustive paper-literal formulation or an exact reference
+// symmetry breaking, and the budgeted LNS — each pinned against the
+// exhaustive paper-literal formulation or an exact reference
 // implementation.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
-#include "milp/cuts.hpp"
 #include "milp/presolve.hpp"
 #include "netlist/floorplan.hpp"
 #include "ring/builder.hpp"
@@ -156,38 +155,6 @@ TEST(Presolve, FullyFixedModelSolvesWithoutSearch) {
 }
 
 // ---------------------------------------------------------------------------
-// Cover cuts
-
-TEST(Cuts, CoverCutsValidForAllIntegerFeasiblePoints) {
-  // Knapsack 3a + 4b + 2c + 5d <= 6; enumerate all feasible 0/1 points and
-  // check every cut separated from a fractional LP point holds on each.
-  milp::Model m;
-  m.set_maximize(true);
-  const double coefs[4] = {3, 4, 2, 5};
-  for (double c : coefs) m.add_binary(c);  // objective = weight (irrelevant)
-  m.add_constraint({{0, 3.0}, {1, 4.0}, {2, 2.0}, {3, 5.0}},
-                   milp::Sense::kLe, 6.0);
-
-  const std::vector<double> frac = {0.9, 0.8, 0.1, 0.0};
-  const std::vector<milp::Constraint> cuts = milp::separate_cover_cuts(m, frac);
-  ASSERT_FALSE(cuts.empty());
-  for (int mask = 0; mask < 16; ++mask) {
-    double weight = 0.0;
-    for (int v = 0; v < 4; ++v) weight += ((mask >> v) & 1) * coefs[v];
-    if (weight > 6.0) continue;  // not feasible for the knapsack
-    for (const milp::Constraint& cut : cuts) {
-      double lhs = 0.0;
-      for (const auto& [v, a] : cut.terms) lhs += ((mask >> v) & 1) * a;
-      EXPECT_LE(lhs, cut.rhs + 1e-9) << "cut violated by mask " << mask;
-    }
-  }
-  // And the separated cut does cut off the fractional point.
-  double lhs = 0.0;
-  for (const auto& [v, a] : cuts.front().terms) lhs += frac[v] * a;
-  EXPECT_GT(lhs, cuts.front().rhs + 1e-6);
-}
-
-// ---------------------------------------------------------------------------
 // Conflict-mode equivalence and symmetry breaking
 
 milp::MipResult solve_tsp(const Floorplan& fp, const ring::ConflictOracle& oracle,
@@ -299,27 +266,25 @@ TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
 // Incremental two_opt versus the historical full-recompute reference
 
 geom::Coord penalized(const std::vector<NodeId>& order, const Floorplan& fp,
-                      const ring::ConflictOracle& oracle,
-                      const ring::HeuristicOptions& opt) {
+                      const ring::ConflictOracle& oracle) {
   return ring::tour_length(order, fp) +
-         opt.conflict_penalty * ring::tour_conflicts(order, oracle);
+         ring::kConflictPenalty * ring::tour_conflicts(order, oracle);
 }
 
 /// The pre-optimization two_opt, verbatim: full penalized-cost recompute
 /// per candidate move, first improvement.
 void reference_two_opt(std::vector<NodeId>& order, const Floorplan& fp,
-                       const ring::ConflictOracle& oracle,
-                       const ring::HeuristicOptions& options) {
+                       const ring::ConflictOracle& oracle) {
   const int n = static_cast<int>(order.size());
   if (n < 3) return;
-  geom::Coord cost = penalized(order, fp, oracle, options);
-  for (int round = 0; round < options.max_two_opt_rounds; ++round) {
+  geom::Coord cost = penalized(order, fp, oracle);
+  for (int round = 0; round < ring::kTwoOptRounds; ++round) {
     bool improved = false;
     for (int i = 0; i < n - 1; ++i) {
       for (int j = i + 1; j < n; ++j) {
         std::vector<NodeId> candidate = order;
         std::reverse(candidate.begin() + i, candidate.begin() + j + 1);
-        const geom::Coord c = penalized(candidate, fp, oracle, options);
+        const geom::Coord c = penalized(candidate, fp, oracle);
         if (c < cost) {
           order = std::move(candidate);
           cost = c;
@@ -344,7 +309,7 @@ TEST(TwoOpt, IncrementalMatchesReferenceMoveForMove) {
     }
     std::vector<NodeId> b = a;
     ring::two_opt(a, fp, oracle);
-    reference_two_opt(b, fp, oracle, {});
+    reference_two_opt(b, fp, oracle);
     EXPECT_EQ(a, b) << "seed " << seed;
   }
 }
@@ -355,10 +320,8 @@ TEST(TwoOpt, IncrementalMatchesReferenceMoveForMove) {
 TEST(Lns, DeterministicAndConflictFreeOnGrids) {
   const Floorplan fp = Floorplan::grid(6, 8, 2000);
   const ring::ConflictOracle oracle(fp);
-  ring::LnsOptions opt;
-  opt.budget_seconds = 60.0;
-  const ring::LnsResult a = ring::lns_tour(fp, oracle, opt);
-  const ring::LnsResult b = ring::lns_tour(fp, oracle, opt);
+  const ring::LnsResult a = ring::lns_tour(fp, oracle, 60.0);
+  const ring::LnsResult b = ring::lns_tour(fp, oracle, 60.0);
   EXPECT_EQ(a.order, b.order);
   EXPECT_EQ(a.length_um, b.length_um);
   EXPECT_EQ(a.repairs_accepted, b.repairs_accepted);
@@ -381,10 +344,7 @@ TEST(Lns, RepairsImproveARandomLayout) {
   for (unsigned seed = 2; seed <= 4; ++seed) {
     const Floorplan fp = random_floorplan(14, seed);
     const ring::ConflictOracle oracle(fp);
-    ring::LnsOptions opt;
-    opt.budget_seconds = 60.0;
-    opt.window = 8;
-    const ring::LnsResult r = ring::lns_tour(fp, oracle, opt);
+    const ring::LnsResult r = ring::lns_tour(fp, oracle, 60.0);
     EXPECT_EQ(r.conflicts, 0) << "seed " << seed;
     EXPECT_GE(r.length_um, ring::tour_lower_bound(fp));
     EXPECT_GT(r.repairs_attempted, 0);

@@ -193,9 +193,9 @@ TEST_F(ContextEvents, EmitFollowsTheInstalledContext) {
 
 /// The per-context metric view the repo's own CI gates exactly (rel
 /// tolerance 0): quality-class keys of the lp/mapping/milp/ring
-/// subsystems. Solver-internal trajectory counters, scheduling telemetry
-/// (`par.*`, `milp.spec_*`), and time-like keys are excluded — the same
-/// exclusions bench_compare applies.
+/// subsystems, the LP's pivot and factorization counters included.
+/// Scheduling telemetry (`par.*`) and time-like keys are excluded — the
+/// same exclusions `xring_runs diff` applies.
 std::map<std::string, double> quality_view(
     const std::map<std::string, double>& flat) {
   std::map<std::string, double> out;

@@ -39,24 +39,25 @@ class RunStoreFixture : public ::testing::Test {
 
 TEST(RunstoreClassify, MatchesTheBenchCompareRules) {
   // Precedence: ignored beats everything (bench repeat counts, raw
-  // timestamps), then solver-internal, resource, time-like, quality.
+  // timestamps), then resource, time-like, quality.
   EXPECT_EQ(classify_metric("bench.iterations"), MetricClass::kIgnored);
   EXPECT_EQ(classify_metric("events.first.t_us"), MetricClass::kIgnored);
-  EXPECT_EQ(classify_metric("lp.pivots"), MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("lp.iterations.count"),
-            MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("lp.ftran_density.mean"),
-            MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("lp.refactorizations"),
-            MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("lp.eta_nnz"), MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("milp.warm_pivots"), MetricClass::kSolverInternal);
-  EXPECT_EQ(classify_metric("milp.cold_solves"), MetricClass::kSolverInternal);
   EXPECT_EQ(classify_metric("mem.rss_bytes.last"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("events.count"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("par.steals"), MetricClass::kResource);
+  // The solver's work counters are jobs-invariant (the B&B is serial) and
+  // gated exactly, like the answers they lead to.
+  EXPECT_EQ(classify_metric("lp.pivots"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("lp.iterations.count"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("lp.ftran_density.mean"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("lp.refactorizations"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("lp.eta_nnz"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("milp.warm_pivots"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("milp.cold_solves"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("milp.cuts_added"), MetricClass::kQuality);
+  EXPECT_EQ(classify_metric("milp.certified_gap"), MetricClass::kQuality);
   EXPECT_EQ(classify_metric("mapping.candidates_memoized"),
-            MetricClass::kSolverInternal);
+            MetricClass::kQuality);
   // The Step-3 probe counters are jobs-invariant and gated exactly.
   EXPECT_EQ(classify_metric("mapping.fits_probes"), MetricClass::kQuality);
   EXPECT_EQ(classify_metric("mapping.fits_summary_hits"),
@@ -91,8 +92,9 @@ TEST(RunstoreClassify, GateFormulasMatchBenchCompare) {
   EXPECT_FALSE(metric_regressed("ring.snr_db", nan, nan, gate));
   EXPECT_TRUE(metric_regressed("ring.snr_db", nan, 1.0, gate));
   EXPECT_TRUE(metric_regressed("ring.snr_db", 1.0, nan, gate));
+  // Solver work counters are gated like any quality metric.
+  EXPECT_TRUE(metric_regressed("lp.pivots", 10.0, 11.0, gate));
   // Never-gated classes.
-  EXPECT_FALSE(metric_regressed("lp.pivots", 10.0, 1e9, gate));
   EXPECT_FALSE(metric_regressed("mem.rss_bytes.last", 1.0, 1e12, gate));
   EXPECT_FALSE(metric_regressed("bench.iterations", 1.0, 50.0, gate));
 }
@@ -242,12 +244,14 @@ TEST(Runstore, DiffAppliesTheGatePerClass) {
                                         {"span.synth.total_s", 4.0},
                                         {"only.in.b", 1.0}});
   const RunDiff d = diff_runs(a, b);
-  EXPECT_EQ(d.compared, 3);  // ring.length_mm, milp.nodes, span time
-  EXPECT_EQ(d.skipped, 2);   // lp.pivots, mem.rss
+  // ring.length_mm, milp.nodes, lp.pivots, span time
+  EXPECT_EQ(d.compared, 4);
+  EXPECT_EQ(d.skipped, 1);  // mem.rss
   EXPECT_EQ(d.one_sided, 2);
-  EXPECT_EQ(d.regressions, 2);  // length changed, span grew 4x
+  EXPECT_EQ(d.regressions, 3);  // length and pivots changed, span grew 4x
   for (const MetricDelta& md : d.deltas) {
-    if (md.name == "ring.length_mm" || md.name == "span.synth.total_s") {
+    if (md.name == "ring.length_mm" || md.name == "lp.pivots" ||
+        md.name == "span.synth.total_s") {
       EXPECT_TRUE(md.regressed) << md.name;
     } else {
       EXPECT_FALSE(md.regressed) << md.name;
@@ -265,10 +269,11 @@ TEST(Runstore, DiffAppliesTheGatePerClass) {
   EXPECT_EQ(scoped.one_sided, 0);
   EXPECT_EQ(scoped.regressions, 1);
 
-  // A wider quality tolerance clears the 1% length drift.
+  // A wider quality tolerance clears the 1% length drift, not the 80%
+  // pivot growth.
   GateOptions loose;
   loose.rel_tolerance = 0.05;
-  EXPECT_EQ(diff_runs(a, b, loose).regressions, 1);  // span still fails
+  EXPECT_EQ(diff_runs(a, b, loose).regressions, 2);  // pivots, span
 }
 
 TEST(Runstore, DiffReportsSerializeBothWays) {

@@ -210,6 +210,19 @@ netlist::Floorplan jittered_grid(int rows, int cols, unsigned seed) {
                             (rows + 2) * 2000);
 }
 
+TEST(CollectCandidates, SortedByGainAndAllPositive) {
+  const auto fp = netlist::Floorplan::standard(16);
+  const auto candidates = collect_candidates(make_ring(fp), fp);
+  EXPECT_FALSE(candidates.empty());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_GT(candidates[i].gain, 0);
+    EXPECT_FALSE(candidates[i].feasible_orders.empty());
+    if (i > 0) {
+      EXPECT_GE(candidates[i - 1].gain, candidates[i].gain);
+    }
+  }
+}
+
 TEST(CollectCandidates, MatchesReferenceOnPaperLayouts) {
   for (const int n : {8, 16, 32}) {
     const auto fp = netlist::Floorplan::standard(n);

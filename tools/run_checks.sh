@@ -17,11 +17,17 @@ cmake -B "$build_dir" -S "$repo" -DXRING_SANITIZE=address,undefined
 cmake --build "$build_dir" -j
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
-# Bench regression gate: quality metrics (losses, powers, solver counts)
-# must match the committed baselines exactly; wall times get a wide berth
-# (sanitizers and CI machines are slow — only order-of-magnitude growth
-# fails). Update the baselines intentionally via docs/OBSERVABILITY.md's
-# "updating bench baselines" workflow.
+# Bench regression gate: every quality metric of every table must match the
+# committed baselines exactly. That covers the table cells (XRing's and the
+# ORNoC/ORing baselines' alike), the mapping.* counters (the occupancy
+# index's bit-identical contract with the brute-force Step 3), the
+# analysis.* counters (the indexed evaluation engine's), and the solver's
+# answers and work: milp.*, ring.* and the lp.* pivot counters, so a change
+# that moves the search must re-baseline on purpose. Wall times, the .T
+# table cells included, get a wide berth (sanitizers and CI machines are
+# slow; only order-of-magnitude growth fails). Update the baselines
+# intentionally via docs/OBSERVABILITY.md's "updating bench baselines"
+# workflow.
 echo "== bench regression gate =="
 # Any pool size: every gated key, the mapping.* gauges (per-run maxima)
 # included, is the same at every job count.
@@ -29,44 +35,11 @@ echo "== bench regression gate =="
   ./table1_routers_no_pdn > /dev/null &&
   ./table2_ornoc_vs_xring > /dev/null &&
   ./table3_oring_vs_xring > /dev/null)
-gate() {  # gate TABLE [xring_runs diff options...]
-  table=$1
-  shift
+for table in table1 table2 table3; do
   "$build_dir/tools/xring_runs" diff \
     "$repo/bench/baselines/BENCH_$table.json" \
-    "$build_dir/bench/BENCH_$table.json" --quiet "$@"
-}
-gate table1 --time-tolerance 25
-# The mapping.* counters (waveguides, wavelengths, relocations, openings,
-# and the serial search's probe counts) are the occupancy index's
-# bit-identical contract with the brute-force Step 3: they must match the
-# committed baselines EXACTLY, with no time escape hatch.
-for table in table1 table2 table3; do
-  gate "$table" --only-prefix mapping. --rel-tolerance 0
-done
-# Solver quality gate: the MILP's answers (milp.incumbent.last, node and
-# lazy-cut counts) and the realized ring (ring.crossings, ring.length_um)
-# must be byte-identical to the baseline. Pivot-path counters (lp.pivots,
-# lp.iterations, lp.refactorizations, milp.warm_pivots, ...) float — they
-# are classified solver-internal by the gate — so an LP-kernel change
-# passes here exactly when it changes how the answer is reached but never
-# the answer.
-gate table1 --only-prefix milp. --rel-tolerance 0
-gate table1 --only-prefix ring. --rel-tolerance 0
-# Evaluation determinism gate: the indexed analysis engine's counters
-# (analysis.signals, analysis.xtalk_rows) are its bit-identical contract
-# with the brute-force reference — exact match, like mapping.* above. The
-# ORNoC/ORing baselines of Tables II-III hold nearly all of the crosstalk
-# rows (XRing's Table I designs emit none), so every table is gated.
-for table in table1 table2 table3; do
-  gate "$table" --only-prefix analysis. --rel-tolerance 0
-done
-# Table cells, XRing's and the ORNoC/ORing baselines' alike, exactly.
-# The tables' .T wall times ride along under these prefixes; give them the
-# same wide sanitizer berth as the whole-file gate (a Release-recorded
-# baseline vs an ASan run exceeds the default 3x on sub-0.1 s entries).
-for table in table1 table2 table3; do
-  gate "$table" --only-prefix "$table." --rel-tolerance 0 --time-tolerance 25
+    "$build_dir/bench/BENCH_$table.json" --quiet \
+    --rel-tolerance 0 --time-tolerance 25
 done
 echo "bench gate OK"
 

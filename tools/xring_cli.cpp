@@ -18,9 +18,8 @@
 //   --milp-budget SEC  budgeted Step 1: replace the exact ring MILP with the
 //                      large-neighbourhood search (exact MILP repairs on
 //                      tour windows) under a SEC-second budget, reporting a
-//                      certified optimality gap; deterministic for a fixed
-//                      seed and window whenever the repair schedule
-//                      completes inside the budget
+//                      certified optimality gap; deterministic whenever the
+//                      fixed repair schedule completes inside the budget
 //   --comb-pdn         use the baseline crossing PDN instead of the tree
 //   --svg FILE         write the layout view to FILE
 //   --csv              print the per-signal report as CSV

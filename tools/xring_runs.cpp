@@ -19,6 +19,8 @@
 //                        relatively by R (default: 1e-6 — the pipeline is
 //                        deterministic, so anything beyond rounding noise
 //                        is a real behavior change)
+//                        Both R must be finite numbers >= 0, written as the
+//                        whole token ("nan" or "1e-3x" is a usage error).
 //   --only-prefix P      compare only metrics whose name starts with P
 //                        (e.g. `--only-prefix mapping.` gates the Step-3
 //                        counters alone); one-sided keys are filtered the
@@ -35,22 +37,16 @@
 //              never fails, and sub-noise-floor baselines are not gated.
 //   ignored    `*.iterations` (google-benchmark picks the repeat count
 //              from the machine's speed) and `*.t_us` timestamps.
-//   solver     solver-internal trajectory counters (`lp.pivots`,
-//              `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
-//              `lp.ftran_density.*`, `milp.warm_pivots`,
-//              `milp.cold_solves`, `mapping.candidates_memoized`):
-//              deterministic per build but expected to move whenever the
-//              search path changes, so they float free of the gate. The
-//              quality metrics they feed (`milp.incumbent.last`, `ring.*`,
-//              table cells) stay gated exactly — the answer may not move
-//              even when the path to it does.
 //   resource   sampled resource and scheduling telemetry (`mem.*`,
 //              `events.*`, `par.*`): two identical runs differ. Never
 //              gated; they ride along for the human reading the report.
 //   quality    everything else; compared tight in both directions. This
-//              includes the Step-3 probe counters (`mapping.fits_probes`,
-//              `mapping.fits_summary_hits`, `mapping.reloc_attempts`):
-//              the serial search makes them the same at every pool size.
+//              includes the solver's work counters (`lp.pivots`,
+//              `milp.warm_pivots`, the presolve and cut counts, ...) and
+//              the Step-3 probe counters (`mapping.fits_probes`,
+//              `mapping.fits_summary_hits`, `mapping.reloc_attempts`): the
+//              serial searches make them the same at every pool size, so a
+//              change that moves the work must re-baseline on purpose.
 // Keys present in only one input are not compared; their count is reported
 // in the summary line even under --quiet (renaming a metric should not
 // silently drop it from the gate).
@@ -58,6 +54,7 @@
 // Exit status: 0 ok (diff: no regressions), 1 diff found regressions,
 // 2 usage or I/O error.
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +79,21 @@ int usage() {
       "                  [--rel-tolerance R] [--only-prefix P] [--quiet]\n"
       "       xring_runs aggregate [--store DIR] [--prefix P] [--json]\n");
   return 2;
+}
+
+/// The value of a tolerance flag: the whole token must be a finite number
+/// >= 0. Anything else exits 2 naming the flag — a NaN tolerance would
+/// pass every comparison.
+double tolerance(const char* flag, const char* text) {
+  double value = 0.0;
+  const char* last = text + std::strlen(text);
+  const auto [end, ec] = std::from_chars(text, last, value);
+  if (ec != std::errc{} || end != last || !std::isfinite(value) ||
+      value < 0) {
+    std::fprintf(stderr, "error: %s must be a finite number >= 0\n", flag);
+    std::exit(2);
+  }
+  return value;
 }
 
 std::string format_utc(double unix_time) {
@@ -214,9 +226,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       agg_json = true;
     } else if (arg == "--time-tolerance") {
-      gate.time_tolerance = std::strtod(value("--time-tolerance"), nullptr);
+      gate.time_tolerance =
+          tolerance("--time-tolerance", value("--time-tolerance"));
     } else if (arg == "--rel-tolerance") {
-      gate.rel_tolerance = std::strtod(value("--rel-tolerance"), nullptr);
+      gate.rel_tolerance =
+          tolerance("--rel-tolerance", value("--rel-tolerance"));
     } else if (arg == "--only-prefix") {
       only_prefix = value("--only-prefix");
     } else if (arg == "--prefix") {
