@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 
-#include "milp/presolve.hpp"
 #include "obs/events.hpp"
 #include "obs/obs.hpp"
 
@@ -121,13 +120,9 @@ double objective_of(const Model& model, const std::vector<double>& x) {
   return obj;
 }
 
-MipResult solve_impl(const Model& model, const BnbOptions& options);
-
 }  // namespace
 
-namespace {
-
-MipResult solve_impl(const Model& model, const BnbOptions& options) {
+MipResult solve(const Model& model, const BnbOptions& options) {
   obs::Span span("milp.solve");
   const auto start = Clock::now();
   const double sign = model.maximize() ? -1.0 : 1.0;
@@ -410,93 +405,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   const double bound_min = open.empty() ? incumbent_obj : open.begin()->bound;
   result.best_bound = sign * bound_min;
   emit_event("milp.done", open.size(), incumbent_obj, bound_min);
-  return result;
-}
-
-}  // namespace
-
-MipResult solve(const Model& model, const BnbOptions& options) {
-  if (!options.presolve) return solve_impl(model, options);
-  const Presolved pre = presolve(model);
-  const double sign = model.maximize() ? -1.0 : 1.0;
-
-  if (pre.infeasible) {
-    MipResult result;
-    result.status = MipStatus::kInfeasible;
-    result.best_bound = sign * lp::kInfinity;
-    if (obs::enabled()) obs::registry().counter("milp.solves").add();
-    obs::diagnose(obs::Severity::kError, "milp.infeasible",
-                  "presolve proved the MILP model infeasible");
-    return result;
-  }
-  if (pre.identity()) return solve_impl(model, options);
-
-  // Everything fixed: the one candidate point either is the optimum or the
-  // model is empty — no search needed.
-  if (pre.reduced.num_variables() == 0) {
-    MipResult result;
-    std::vector<double> x = pre.postsolve({});
-    bool ok = satisfies(model, x);
-    if (ok && options.lazy_handler) ok = options.lazy_handler(x).empty();
-    if (obs::enabled()) obs::registry().counter("milp.solves").add();
-    if (ok) {
-      result.status = MipStatus::kOptimal;
-      result.x = std::move(x);
-      result.objective = objective_of(model, result.x);
-      result.best_bound = result.objective;
-    } else {
-      result.status = MipStatus::kInfeasible;
-      result.best_bound = sign * lp::kInfinity;
-    }
-    return result;
-  }
-
-  BnbOptions inner = options;
-  inner.presolve = false;
-  if (options.warm_start &&
-      static_cast<int>(options.warm_start->size()) == model.num_variables()) {
-    std::vector<double> w = pre.restrict_point(*options.warm_start);
-    if (!w.empty()) {
-      inner.warm_start = std::move(w);
-    } else {
-      inner.warm_start.reset();  // disagrees with an implied fixing
-    }
-  }
-  // Lazy rows and cutting planes are produced by callers in the ORIGINAL
-  // variable space; translate candidate points out and returned rows back.
-  auto wrap = [&pre](const std::function<std::vector<Constraint>(
-                         const std::vector<double>&)>& orig) {
-    return [&pre, orig](const std::vector<double>& reduced_x) {
-      std::vector<Constraint> rows = orig(pre.postsolve(reduced_x));
-      std::vector<Constraint> out;
-      out.reserve(rows.size());
-      for (Constraint& c : rows) {
-        Constraint t = pre.translate(c);
-        if (!t.terms.empty()) out.push_back(std::move(t));
-      }
-      return out;
-    };
-  };
-  if (options.lazy_handler) inner.lazy_handler = wrap(options.lazy_handler);
-  if (options.cut_separator) inner.cut_separator = wrap(options.cut_separator);
-
-  MipResult result = solve_impl(pre.reduced, inner);
-  if (!result.x.empty()) {
-    result.x = pre.postsolve(result.x);
-    // Exact: the fixed entries are re-inserted verbatim and the objective is
-    // recomputed over the original model, so downstream consumers see the
-    // original variable space byte-identically.
-    result.objective = objective_of(model, result.x);
-  }
-  double fixed_obj = 0.0;
-  for (int v = 0; v < model.num_variables(); ++v) {
-    if (pre.reduced_of_orig[v] < 0) {
-      fixed_obj += model.objective(v) * pre.fixed_value[v];
-    }
-  }
-  if (std::abs(result.best_bound) < lp::kInfinity) {
-    result.best_bound += fixed_obj;
-  }
   return result;
 }
 

@@ -64,12 +64,6 @@ struct BnbOptions {
   std::optional<std::vector<double>> warm_start;
   LazyConstraintHandler lazy_handler;
   CutSeparator cut_separator;
-  /// Run the presolve pass (presolve.hpp) before the search and postsolve
-  /// the answer back, so callers always see the original variable space.
-  /// Reductions are feasibility-preserving by implication, hence compatible
-  /// with lazy handlers and cut separators (both are translated into the
-  /// reduced space automatically).
-  bool presolve = true;
 };
 
 /// Solves the model by LP-relaxation branch & bound (best-first search,

@@ -41,9 +41,8 @@ class Model {
 
   /// Adds a constraint. Terms are canonicalized once at insert: sorted by
   /// variable index with duplicate variables accumulated into a single
-  /// coefficient (zero-sum duplicates are dropped). Every consumer —
-  /// presolve, the LP build — can therefore assume sorted, duplicate-free
-  /// rows instead of rescanning for repeats.
+  /// coefficient (zero-sum duplicates are dropped), so every stored row
+  /// holds each variable at most once, in index order.
   int add_constraint(Constraint c);
   int add_constraint(Terms terms, Sense sense, double rhs) {
     return add_constraint(Constraint{std::move(terms), sense, rhs});

@@ -459,6 +459,13 @@ RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
     md.cls = classify_metric(name);
     if (!md.in_a || !md.in_b) {
       ++d.one_sided;
+      // A quality key the baseline has and the candidate lacks is a lost
+      // result (a Table cell, a counter), so it fails the gate.
+      if (md.in_a && md.cls == MetricClass::kQuality) {
+        md.regressed = true;
+        ++d.missing;
+        ++d.regressions;
+      }
     } else if (md.cls == MetricClass::kQuality ||
                md.cls == MetricClass::kTimeLike) {
       ++d.compared;
@@ -473,6 +480,8 @@ RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
 }
 
 namespace {
+
+bool is_missing(const MetricDelta& md) { return md.regressed && !md.in_b; }
 
 std::string num_or_missing(const MetricDelta& md, bool a) {
   if (a ? !md.in_a : !md.in_b) return "null";
@@ -499,6 +508,7 @@ std::string run_diff_json(const RunDiff& d) {
       << "\"summary\": {\"compared\": " << d.compared
       << ", \"skipped\": " << d.skipped
       << ", \"regressions\": " << d.regressions
+      << ", \"missing\": " << d.missing
       << ", \"one_sided\": " << d.one_sided << "},\n\"deltas\": [";
   bool first = true;
   for (const MetricDelta& md : d.deltas) {
@@ -507,7 +517,8 @@ std::string run_diff_json(const RunDiff& d) {
     out << "\n{\"name\": \"" << json_escape(md.name) << "\", \"class\": \""
         << to_string(md.cls) << "\", \"a\": " << num_or_missing(md, true)
         << ", \"b\": " << num_or_missing(md, false)
-        << ", \"regressed\": " << (md.regressed ? "true" : "false") << "}";
+        << ", \"regressed\": " << (md.regressed ? "true" : "false")
+        << ", \"missing\": " << (is_missing(md) ? "true" : "false") << "}";
   }
   out << "\n]\n}\n";
   return out.str();
@@ -577,8 +588,8 @@ std::string run_diff_html(const RunDiff& d) {
       << html_escape(d.b.title) << ")</p>\n<p>" << d.compared
       << " metrics gated &middot; " << d.skipped
       << " skipped (resource/ignored) &middot; " << d.regressions
-      << " regression(s) &middot; " << d.one_sided
-      << " one-sided key(s)</p>\n";
+      << " regression(s) (" << d.missing << " missing) &middot; "
+      << d.one_sided << " one-sided key(s)</p>\n";
 
   // Environment side-by-side.
   out << "<details open id=\"environment\"><summary>Environment</summary>\n"
@@ -601,7 +612,8 @@ std::string run_diff_html(const RunDiff& d) {
          "<th>A</th><th>B</th><th>&Delta;</th><th>status</th></tr>\n";
   for (const bool want_regressed : {true, false}) {
     for (const MetricDelta& md : d.deltas) {
-      if (!(md.in_a && md.in_b)) continue;
+      const bool missing = is_missing(md);
+      if (!(md.in_a && md.in_b) && !missing) continue;
       if (md.cls != MetricClass::kQuality && md.cls != MetricClass::kTimeLike) {
         continue;
       }
@@ -610,9 +622,13 @@ std::string run_diff_html(const RunDiff& d) {
       out << "<tr" << (md.regressed ? " class=\"bad\"" : changed ? " class=\"changed\"" : "")
           << "><td><code>" << html_escape(md.name) << "</code></td><td "
           << "class=\"cls\">" << to_string(md.cls) << "</td><td class=\"num\">"
-          << fmt_num(md.a) << "</td><td class=\"num\">" << fmt_num(md.b)
-          << "</td><td class=\"num\">" << fmt_num(md.b - md.a) << "</td><td>"
-          << (md.regressed ? "REGRESSION" : changed ? "changed" : "=")
+          << fmt_num(md.a) << "</td><td class=\"num\">"
+          << (missing ? "missing" : fmt_num(md.b)) << "</td><td class=\"num\">"
+          << (missing ? "-" : fmt_num(md.b - md.a)) << "</td><td>"
+          << (missing ? "REGRESSION (missing)"
+              : md.regressed ? "REGRESSION"
+              : changed      ? "changed"
+                             : "=")
           << "</td></tr>\n";
     }
   }

@@ -156,12 +156,15 @@ struct RunDiff {
   std::vector<MetricDelta> deltas;  ///< name-sorted; includes one-sided keys
   int compared = 0;     ///< gated pairs (quality + time-like)
   int skipped = 0;      ///< ignored / resource pairs
-  int regressions = 0;
+  int regressions = 0;  ///< includes the `missing` keys
+  int missing = 0;      ///< quality keys of A that B lacks
   int one_sided = 0;    ///< keys present in only one run
 };
 
-/// Diffs two records under the regression gate. `only_prefix` restricts
-/// the comparison (and the one-sided accounting) to names with that prefix.
+/// Diffs two records under the regression gate. A quality key present in
+/// `a` (the baseline) and absent from `b` is a regression marked missing;
+/// other one-sided keys are only counted. `only_prefix` restricts the
+/// comparison (and the one-sided accounting) to names with that prefix.
 RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
                   const GateOptions& gate = {},
                   const std::string& only_prefix = "");

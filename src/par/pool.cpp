@@ -1,6 +1,9 @@
 #include "par/pool.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 #include "obs/context.hpp"
 #include "obs/obs.hpp"
@@ -14,12 +17,18 @@ namespace {
 thread_local ThreadPool* t_pool = nullptr;
 thread_local std::size_t t_queue = 0;
 
+/// XRING_JOBS under the CLI's --jobs rule: the whole value must be a
+/// positive integer ("3x", "2.9", "0x2" and "four" are errors). Unset or
+/// empty is 0, "not set".
 int env_jobs() {
   const char* s = std::getenv("XRING_JOBS");
   if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < 1) return 0;
+  const char* last = s + std::strlen(s);
+  long v = 0;
+  const auto [end, ec] = std::from_chars(s, last, v);
+  if (ec != std::errc{} || end != last || v < 1) {
+    throw std::invalid_argument("XRING_JOBS must be a positive integer");
+  }
   return static_cast<int>(std::min(v, 512L));
 }
 

@@ -104,7 +104,9 @@ class ThreadPool {
 int hardware_jobs();
 
 /// Resolves a jobs request: explicit `requested` > 0 wins, then the
-/// XRING_JOBS environment variable, then hardware_jobs().
+/// XRING_JOBS environment variable, then hardware_jobs(). Both are capped
+/// at 512. Throws std::invalid_argument when XRING_JOBS is set to anything
+/// but a positive integer.
 int resolve_jobs(int requested);
 
 /// The process-wide pool. Created on first use with resolve_jobs(0) unless

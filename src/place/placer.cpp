@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "ring/builder.hpp"
@@ -9,6 +10,11 @@
 namespace xring::place {
 
 namespace {
+
+/// Simulated-annealing start temperature, and the seed of its swap and
+/// acceptance stream (fixed, so a placement is reproducible).
+constexpr double kInitialTemperatureMm = 8.0;
+constexpr std::uint64_t kSeed = 1;
 
 /// Deterministic LCG (shared recurrence across the project's stochastic
 /// components).
@@ -73,11 +79,11 @@ PlacementResult optimize_placement(const std::vector<geom::Point>& slots,
   std::vector<int> best = result.node_slot;
   double best_cost = cost;
 
-  Lcg rng(options.seed);
+  Lcg rng(kSeed);
   for (int it = 0; it < options.iterations; ++it) {
     // Geometric cooling from the initial temperature to ~1% of it.
     const double t =
-        options.initial_temperature_mm *
+        kInitialTemperatureMm *
         std::pow(0.01, static_cast<double>(it) / options.iterations);
     const int a = static_cast<int>(rng.next() % nodes);
     int b = static_cast<int>(rng.next() % nodes);

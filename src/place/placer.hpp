@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "netlist/traffic.hpp"
@@ -14,8 +13,6 @@ namespace xring::place {
 /// WRONoC synthesis (CustomTopo [5]) motivates exactly this coupling.
 struct PlacementOptions {
   int iterations = 1500;
-  double initial_temperature_mm = 8.0;  ///< simulated-annealing start
-  std::uint64_t seed = 1;
 };
 
 struct PlacementResult {
@@ -32,7 +29,7 @@ double placement_cost_mm(const netlist::Floorplan& floorplan,
                          const netlist::Traffic& traffic);
 
 /// Simulated annealing over slot assignments (pairwise swaps, Metropolis
-/// acceptance, deterministic for a fixed seed). `slots` must have exactly
+/// acceptance, from a fixed seed, so deterministic). `slots` must have exactly
 /// as many entries as the traffic has nodes.
 PlacementResult optimize_placement(const std::vector<geom::Point>& slots,
                                    int nodes, const netlist::Traffic& traffic,

@@ -305,20 +305,18 @@ bool repair_window(std::vector<NodeId>& order,
     }
   }
 
-  // Sub-MILP over the complete digraph on the local nodes: a tour of the
-  // window that starts at the entry endpoint and ends at the exit endpoint,
-  // modelled as a cycle with the virtual closing edge exit->entry forced in
-  // at zero cost. Edges conflicting with the frozen remainder are banned
-  // outright; conflicts inside the window are exhaustive Eq.3 rows.
+  // Sub-MILP: a Hamiltonian path through the window from the entry slot 0
+  // to the exit slot local-1. Only edges that can lie on such a path get a
+  // variable (in EdgeSpace order): none leaves the exit, enters the entry
+  // or joins the two directly, and none conflicts with the frozen
+  // remainder. Conflicts inside the window are exhaustive Eq.3 rows.
+  const int exit = local - 1;
   const EdgeSpace edges(local);
   milp::Model model;
+  std::vector<int> var(edges.count(), -1);  // edge -> variable, -1 if none
   for (int e = 0; e < edges.count(); ++e) {
     const auto [u, v] = edges.edge(e);
-    const bool closing = (u == local - 1 && v == 0);
-    if (closing) {
-      model.add_variable(milp::VarType::kBinary, 1.0, 1.0, 0.0);
-      continue;
-    }
+    if (u == exit || v == 0 || (u == 0 && v == exit)) continue;
     bool banned = false;
     for (const auto& [fu, fv] : frozen) {
       if (oracle.conflict(g[u], g[v], fu, fv)) {
@@ -326,26 +324,40 @@ bool repair_window(std::vector<NodeId>& order,
         break;
       }
     }
-    model.add_variable(milp::VarType::kBinary, 0.0, banned ? 0.0 : 1.0,
-                       static_cast<double>(floorplan.distance(g[u], g[v])));
-  }
-  for (NodeId v = 0; v < local; ++v) {
-    milp::Terms out_terms, in_terms;
-    out_terms.reserve(local - 1);
-    in_terms.reserve(local - 1);
-    for (NodeId u = 0; u < local; ++u) {
-      if (u == v) continue;
-      out_terms.emplace_back(edges.index(v, u), 1.0);
-      in_terms.emplace_back(edges.index(u, v), 1.0);
+    if (!banned) {
+      var[e] = model.add_binary(
+          static_cast<double>(floorplan.distance(g[u], g[v])));
     }
-    model.add_constraint(std::move(out_terms), milp::Sense::kEq, 1.0);
-    model.add_constraint(std::move(in_terms), milp::Sense::kEq, 1.0);
   }
+  // Degree rows: one edge out of every slot but the exit, one edge into
+  // every slot but the entry. A slot with no edge left has no repair.
+  for (NodeId v = 0; v < local; ++v) {
+    for (const bool out : {true, false}) {
+      if (v == (out ? exit : 0)) continue;
+      milp::Terms terms;
+      for (NodeId u = 0; u < local; ++u) {
+        if (u == v) continue;
+        const int x = var[out ? edges.index(v, u) : edges.index(u, v)];
+        if (x >= 0) terms.emplace_back(x, 1.0);
+      }
+      if (terms.empty()) return false;
+      model.add_constraint(std::move(terms), milp::Sense::kEq, 1.0);
+    }
+  }
+  // At most one of the listed edges; a row over fewer than two variables
+  // restricts nothing and is left out.
+  const auto add_at_most_one = [&](std::initializer_list<int> candidates) {
+    milp::Terms terms;
+    for (const int e : candidates) {
+      if (var[e] >= 0) terms.emplace_back(var[e], 1.0);
+    }
+    if (terms.size() >= 2) {
+      model.add_constraint(std::move(terms), milp::Sense::kLe, 1.0);
+    }
+  };
   for (NodeId i = 0; i < local; ++i) {
     for (NodeId j = i + 1; j < local; ++j) {
-      model.add_constraint(
-          {{edges.index(i, j), 1.0}, {edges.index(j, i), 1.0}},
-          milp::Sense::kLe, 1.0);
+      add_at_most_one({edges.index(i, j), edges.index(j, i)});
     }
   }
   for (int p = 0; p < local; ++p) {
@@ -353,14 +365,12 @@ bool repair_window(std::vector<NodeId>& order,
       for (int r = p; r < local; ++r) {
         for (int w = r + 1; w < local; ++w) {
           if (std::make_pair(r, w) <= std::make_pair(p, q)) continue;
-          // The virtual closing pair carries no geometry.
-          if ((p == 0 && q == local - 1) || (r == 0 && w == local - 1)) continue;
+          // The entry-exit pair has no edge: the row would repeat the
+          // other pair's 2-cycle row.
+          if ((p == 0 && q == exit) || (r == 0 && w == exit)) continue;
           if (!oracle.conflict(g[p], g[q], g[r], g[w])) continue;
-          model.add_constraint({{edges.index(p, q), 1.0},
-                                {edges.index(q, p), 1.0},
-                                {edges.index(r, w), 1.0},
-                                {edges.index(w, r), 1.0}},
-                               milp::Sense::kLe, 1.0);
+          add_at_most_one({edges.index(p, q), edges.index(q, p),
+                           edges.index(r, w), edges.index(w, r)});
         }
       }
     }
@@ -372,19 +382,32 @@ bool repair_window(std::vector<NodeId>& order,
   // any thread count.
   bnb.time_limit_seconds = 1e9;
   bnb.node_limit = kRepairNodeLimit;
-  // Feed the incumbent segment back in as the primal bound.
-  std::vector<double> warm(edges.count(), 0.0);
-  for (int t = 0; t < local; ++t) {
-    warm[edges.index(t, (t + 1) % local)] = 1.0;
+  // Feed the incumbent segment back in as the primal bound, unless one of
+  // its edges conflicts with the frozen remainder.
+  std::vector<double> warm(model.num_variables(), 0.0);
+  bool warm_ok = true;
+  for (int t = 0; t < exit && warm_ok; ++t) {
+    const int x = var[edges.index(t, t + 1)];
+    warm_ok = x >= 0;
+    if (warm_ok) warm[x] = 1.0;
   }
-  bnb.warm_start = std::move(warm);
-  bnb.lazy_handler = [&edges](const std::vector<double>& x) {
-    // Sub-tour elimination on the local cycle model.
-    const int ln = edges.nodes();
-    std::vector<int> next(ln, -1);
+  if (warm_ok) bnb.warm_start = std::move(warm);
+  // Follows each slot's chosen out-edge; the exit leads back to the entry
+  // over the virtual exit->entry edge, so a full path is one cycle.
+  const auto successors = [&edges, &var, exit](const std::vector<double>& x) {
+    std::vector<int> next(edges.nodes(), -1);
     for (int e = 0; e < edges.count(); ++e) {
-      if (x[e] > 0.5) next[edges.edge(e).first] = edges.edge(e).second;
+      if (var[e] >= 0 && x[var[e]] > 0.5) {
+        next[edges.edge(e).first] = edges.edge(e).second;
+      }
     }
+    next[exit] = 0;
+    return next;
+  };
+  bnb.lazy_handler = [&edges, &var, &successors](const std::vector<double>& x) {
+    // Sub-tour elimination: every cycle short of all slots gets a row.
+    const int ln = edges.nodes();
+    const std::vector<int> next = successors(x);
     std::vector<milp::Constraint> cuts;
     std::vector<bool> seen(ln, false);
     for (int start = 0; start < ln; ++start) {
@@ -399,10 +422,14 @@ bool repair_window(std::vector<NodeId>& order,
       if (static_cast<int>(cycle.size()) == ln || cycle.size() < 2) continue;
       milp::Constraint c;
       c.sense = milp::Sense::kLe;
-      c.rhs = static_cast<double>(cycle.size()) - 1.0;
+      // The entry's cycle closes over the virtual edge, which has no
+      // variable: it may keep |S| - 2 real edges.
+      c.rhs = static_cast<double>(cycle.size()) - (start == 0 ? 2.0 : 1.0);
       for (int u : cycle) {
         for (int w : cycle) {
-          if (u != w) c.terms.emplace_back(edges.index(u, w), 1.0);
+          if (u != w && var[edges.index(u, w)] >= 0) {
+            c.terms.emplace_back(var[edges.index(u, w)], 1.0);
+          }
         }
       }
       cuts.push_back(std::move(c));
@@ -421,12 +448,8 @@ bool repair_window(std::vector<NodeId>& order,
   // penalized-cost win over the destroyed segment.
   if (new_len >= old_len + kConflictPenalty * old_conf) return false;
 
-  // Decode the single cycle from the entry endpoint; the forced closing
-  // edge guarantees the exit endpoint comes last.
-  std::vector<int> next(local, -1);
-  for (int e = 0; e < edges.count(); ++e) {
-    if (mip.x[e] > 0.5) next[edges.edge(e).first] = edges.edge(e).second;
-  }
+  // Walk the path from the entry endpoint; it ends at the exit endpoint.
+  const std::vector<int> next = successors(mip.x);
   int v = 0;
   for (int t = 1; t <= m; ++t) {
     v = next[v];

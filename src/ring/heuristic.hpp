@@ -70,8 +70,9 @@ struct LnsResult {
 
 /// Time-budgeted large-neighbourhood search over tours: destroy a window of
 /// up to 12 consecutive tour positions and repair it with an *exact* MILP over the
-/// sub-neighbourhood (endpoints pinned, conflicts against the frozen
-/// remainder banned, sub-tours eliminated lazily), accepting a repair only
+/// sub-neighbourhood (a Hamiltonian path between the pinned endpoints over
+/// the edges that conflict with no frozen hop, sub-tours eliminated
+/// lazily), accepting a repair only
 /// when it strictly improves the penalized cost. The current segment warm
 /// starts every repair MILP, i.e. the incumbent is fed back into branch &
 /// bound as a primal bound. The repair schedule (4 seeded window starts per

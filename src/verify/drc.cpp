@@ -16,6 +16,9 @@ using mapping::RouteKind;
 using netlist::NodeId;
 using netlist::SignalId;
 
+/// Paper constraint: "a network node can only have at most one shortcut".
+constexpr int kMaxShortcutsPerNode = 1;
+
 void add(std::vector<Violation>& out, Violation::Rule rule,
          const std::string& message) {
   out.push_back(Violation{rule, message});
@@ -29,8 +32,7 @@ void check_ring(const RouterDesign& d, std::vector<Violation>& out) {
   }
 }
 
-void check_shortcuts(const RouterDesign& d, const DrcOptions& opt,
-                     std::vector<Violation>& out) {
+void check_shortcuts(const RouterDesign& d, std::vector<Violation>& out) {
   // One sorted index over the ring polyline answers every chord-vs-ring
   // query in O(log ring + candidates); each candidate is confirmed with the
   // exact geom::crosses predicate, so the count matches
@@ -57,10 +59,10 @@ void check_shortcuts(const RouterDesign& d, const DrcOptions& opt,
     }
   }
   for (NodeId v = 0; v < d.floorplan->size(); ++v) {
-    if (uses[v] > opt.max_shortcuts_per_node) {
+    if (uses[v] > kMaxShortcutsPerNode) {
       add(out, Violation::Rule::kShortcutNodeCap,
           "node " + std::to_string(v) + " has " + std::to_string(uses[v]) +
-              " shortcuts (cap " + std::to_string(opt.max_shortcuts_per_node) +
+              " shortcuts (cap " + std::to_string(kMaxShortcutsPerNode) +
               ")");
     }
   }
@@ -249,7 +251,7 @@ std::vector<Violation> check(const analysis::RouterDesign& design,
   // alone and share no code with the mapper's ArcTable, so a bug there
   // cannot sign off its own output.
   check_ring(design, out);
-  check_shortcuts(design, options, out);
+  check_shortcuts(design, out);
   check_routes(design, options, out);
   check_arcs(design, out);
   check_openings(design, options, out);

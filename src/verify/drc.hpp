@@ -33,7 +33,6 @@ std::string to_string(Violation::Rule rule);
 /// design claims to have them.
 struct DrcOptions {
   int max_wavelengths = 0;       ///< 0 = don't check the cap
-  int max_shortcuts_per_node = 1;
   bool require_openings = true;  ///< only enforced when the design has a PDN
 };
 

@@ -15,19 +15,25 @@ namespace {
 const char* kRingColors[] = {"#1f77b4", "#d62728", "#2ca02c",
                              "#9467bd", "#ff7f0e", "#8c564b"};
 
+constexpr double kPixelsPerMm = 60.0;
+constexpr double kMarginMm = 1.5;
+constexpr double kScale = kPixelsPerMm / 1000.0;  // µm -> px
+constexpr double kMarginPx = kMarginMm * kPixelsPerMm;
+/// Nested ring copies are offset visually by this many millimetres so the
+/// waveguide stack is readable (physical spacing is much smaller).
+constexpr double kRingOffsetMm = 0.25;
+/// Cap on rendered ring waveguides (a 32-node design can have a dozen).
+constexpr int kMaxWaveguides = 6;
+
 class SvgWriter {
  public:
-  SvgWriter(const analysis::RouterDesign& design, std::ostream& out,
-            const SvgOptions& opt)
-      : d_(design), out_(out), opt_(opt) {
-    scale_ = opt.pixels_per_mm / 1000.0;  // µm -> px
-    margin_px_ = opt.margin_mm * opt.pixels_per_mm;
-  }
+  SvgWriter(const analysis::RouterDesign& design, std::ostream& out)
+      : d_(design), out_(out) {}
 
   void run() {
     const auto& fp = *d_.floorplan;
-    const double w = fp.die_width() * scale_ + 2 * margin_px_;
-    const double h = fp.die_height() * scale_ + 2 * margin_px_;
+    const double w = fp.die_width() * kScale + 2 * kMarginPx;
+    const double h = fp.die_height() * kScale + 2 * kMarginPx;
     out_ << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w
          << "\" height=\"" << h << "\" viewBox=\"0 0 " << w << " " << h
          << "\">\n";
@@ -35,24 +41,24 @@ class SvgWriter {
          << "\" fill=\"#fcfcf8\"/>\n";
     die_outline();
     rings();
-    if (opt_.draw_pdn) pdn();
-    if (opt_.draw_shortcuts) shortcuts();
+    pdn();
+    shortcuts();
     nodes();
     out_ << "</svg>\n";
   }
 
  private:
-  double x(geom::Coord um) const { return um * scale_ + margin_px_; }
+  double x(geom::Coord um) const { return um * kScale + kMarginPx; }
   double y(geom::Coord um) const {
     // SVG y grows downward; flip so the layout reads like the paper's
     // figures.
-    return (d_.floorplan->die_height() - um) * scale_ + margin_px_;
+    return (d_.floorplan->die_height() - um) * kScale + kMarginPx;
   }
 
   void die_outline() {
-    out_ << "<rect x=\"" << margin_px_ << "\" y=\"" << margin_px_
-         << "\" width=\"" << d_.floorplan->die_width() * scale_
-         << "\" height=\"" << d_.floorplan->die_height() * scale_
+    out_ << "<rect x=\"" << kMarginPx << "\" y=\"" << kMarginPx
+         << "\" width=\"" << d_.floorplan->die_width() * kScale
+         << "\" height=\"" << d_.floorplan->die_height() * kScale
          << "\" fill=\"none\" stroke=\"#999\" stroke-dasharray=\"6 4\"/>\n";
   }
 
@@ -76,13 +82,13 @@ class SvgWriter {
 
   void rings() {
     const int shown = std::min<int>(
-        opt_.max_waveguides, static_cast<int>(d_.mapping.waveguides.size()));
+        kMaxWaveguides, static_cast<int>(d_.mapping.waveguides.size()));
     // Prefer the exact offset geometry (nested copies of the ring); fall
     // back to a visual diagonal shift when the base curve is not simple
     // (collinear overlaps make offsetting ill-defined).
     for (int w = shown - 1; w >= 0; --w) {
       const geom::Coord off_um = static_cast<geom::Coord>(
-          (w + 1) * opt_.ring_offset_mm * 1000.0 / shown);
+          (w + 1) * kRingOffsetMm * 1000.0 / shown);
       const char* color = kRingColors[w % 6];
       bool drew_exact = false;
       try {
@@ -91,13 +97,13 @@ class SvgWriter {
         polyline_path(ring, 0, 0, color, 1.4, nullptr);
         drew_exact = true;
       } catch (const std::invalid_argument&) {
-        const double off = off_um * scale_;
+        const double off = off_um * kScale;
         polyline_path(d_.ring.polyline, off, -off, color, 1.4, nullptr);
       }
-      if (opt_.draw_openings && d_.mapping.waveguides[w].opening >= 0) {
+      if (d_.mapping.waveguides[w].opening >= 0) {
         const geom::Point p =
             d_.floorplan->position(d_.mapping.waveguides[w].opening);
-        const double off = drew_exact ? 0.0 : off_um * scale_;
+        const double off = drew_exact ? 0.0 : off_um * kScale;
         out_ << "<circle cx=\"" << x(p.x) + off << "\" cy=\"" << y(p.y) - off
              << "\" r=\"4\" fill=\"#fcfcf8\" stroke=\"" << color
              << "\" stroke-width=\"1.2\"/>\n";
@@ -108,7 +114,7 @@ class SvgWriter {
   void pdn() {
     if (!d_.has_pdn || d_.pdn.tree_edges.empty()) return;
     const int shown = std::min<int>(
-        opt_.max_waveguides, static_cast<int>(d_.mapping.waveguides.size()));
+        kMaxWaveguides, static_cast<int>(d_.mapping.waveguides.size()));
     const ring::Tour& tour = d_.ring.tour;
     const geom::Coord base_len = d_.ring.polyline.length();
     if (base_len <= 0) return;
@@ -120,7 +126,7 @@ class SvgWriter {
 
       // Channel offset: halfway between this ring copy and the next.
       const geom::Coord off_um = static_cast<geom::Coord>(
-          (edge.waveguide + 1.5) * opt_.ring_offset_mm * 1000.0 / shown);
+          (edge.waveguide + 1.5) * kRingOffsetMm * 1000.0 / shown);
       geom::Polyline channel_line;
       try {
         channel_line = geom::offset_closed(d_.ring.polyline, off_um, false);
@@ -170,38 +176,31 @@ class SvgWriter {
       out_ << "<circle cx=\"" << x(n.position.x) << "\" cy=\""
            << y(n.position.y)
            << "\" r=\"5\" fill=\"#333\" stroke=\"#fff\"/>\n";
-      if (opt_.draw_node_labels) {
-        out_ << "<text x=\"" << x(n.position.x) + 7 << "\" y=\""
-             << y(n.position.y) - 7
-             << "\" font-family=\"sans-serif\" font-size=\"11\">" << n.name
-             << "</text>\n";
-      }
+      out_ << "<text x=\"" << x(n.position.x) + 7 << "\" y=\""
+           << y(n.position.y) - 7
+           << "\" font-family=\"sans-serif\" font-size=\"11\">" << n.name
+           << "</text>\n";
     }
   }
 
   const analysis::RouterDesign& d_;
   std::ostream& out_;
-  SvgOptions opt_;
-  double scale_ = 0;
-  double margin_px_ = 0;
   geom::Point last_{};
 };
 
 }  // namespace
 
-void write_svg(const analysis::RouterDesign& design, std::ostream& out,
-               const SvgOptions& options) {
+void write_svg(const analysis::RouterDesign& design, std::ostream& out) {
   if (design.floorplan == nullptr) {
     throw std::invalid_argument("design has no floorplan attached");
   }
-  SvgWriter(design, out, options).run();
+  SvgWriter(design, out).run();
 }
 
-void save_svg(const analysis::RouterDesign& design, const std::string& path,
-              const SvgOptions& options) {
+void save_svg(const analysis::RouterDesign& design, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write SVG file: " + path);
-  write_svg(design, out, options);
+  write_svg(design, out);
 }
 
 }  // namespace xring::viz

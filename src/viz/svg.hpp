@@ -7,32 +7,14 @@
 
 namespace xring::viz {
 
-/// Rendering options for the SVG layout view.
-struct SvgOptions {
-  double pixels_per_mm = 60.0;
-  double margin_mm = 1.5;
-  bool draw_node_labels = true;
-  bool draw_shortcuts = true;
-  bool draw_openings = true;
-  /// Draw the tree PDN's channel waveguides (Fig. 9's green lines) for the
-  /// rendered ring waveguides.
-  bool draw_pdn = true;
-  /// Nested ring copies are offset visually by this many millimetres so the
-  /// waveguide stack is readable (physical spacing is much smaller).
-  double ring_offset_mm = 0.25;
-  /// Cap on rendered ring waveguides (a 32-node design can have a dozen).
-  int max_waveguides = 6;
-};
-
-/// Renders a synthesized router as SVG: die outline, nodes, the nested ring
-/// waveguides with their openings, and the shortcut chords (crossed pairs
-/// highlighted). Gives designers the Fig. 7/8/9-style view of what the
-/// synthesis produced.
-void write_svg(const analysis::RouterDesign& design, std::ostream& out,
-               const SvgOptions& options = {});
+/// Renders a synthesized router as SVG: die outline, nodes and their
+/// labels, the first six nested ring waveguides with their openings and
+/// tree-PDN channels (Fig. 9's green lines), and the shortcut chords
+/// (crossed pairs highlighted). Gives designers the Fig. 7/8/9-style view
+/// of what the synthesis produced.
+void write_svg(const analysis::RouterDesign& design, std::ostream& out);
 
 /// Convenience: renders straight to a file.
-void save_svg(const analysis::RouterDesign& design, const std::string& path,
-              const SvgOptions& options = {});
+void save_svg(const analysis::RouterDesign& design, const std::string& path);
 
 }  // namespace xring::viz

@@ -148,18 +148,6 @@ TEST(Svg, RendersValidDocumentWithExpectedElements) {
   EXPECT_NE(svg.find("n15"), std::string::npos);  // node label
 }
 
-TEST(Svg, OptionsControlContent) {
-  const auto fp = netlist::Floorplan::standard(8);
-  Synthesizer synth(fp);
-  const auto r = synth.run();
-  viz::SvgOptions opt;
-  opt.draw_node_labels = false;
-  opt.draw_shortcuts = false;
-  std::ostringstream out;
-  viz::write_svg(r.design, out, opt);
-  EXPECT_EQ(out.str().find("<text"), std::string::npos);
-}
-
 TEST(Svg, RejectsDetachedDesign) {
   analysis::RouterDesign d;
   std::ostringstream out;

@@ -173,6 +173,79 @@ TEST(Bnb, NodeLimitReturnsIncumbentAsFeasible) {
   EXPECT_NEAR(r.objective, 0.0, 1e-9);
 }
 
+TEST(Bnb, MatchesExhaustiveEnumerationOnSeededPrograms) {
+  // Six seeded random 8-binary programs with up to six <= rows: the search
+  // must agree with enumerating all 256 points on status and optimum, and
+  // return a point that is feasible and attains it.
+  for (unsigned seed = 1; seed <= 6; ++seed) {
+    unsigned state = seed * 2654435761u + 12345u;
+    auto next = [&state] {
+      state = state * 1664525u + 1013904223u;
+      return state >> 8;
+    };
+    Model m;
+    const int nv = 8;
+    for (int v = 0; v < nv; ++v) {
+      m.add_binary(static_cast<double>(next() % 9) - 4.0);
+    }
+    for (int c = 0; c < 6; ++c) {
+      Terms t;
+      for (int v = 0; v < nv; ++v) {
+        const int coef = static_cast<int>(next() % 5) - 2;
+        if (coef != 0) t.emplace_back(v, static_cast<double>(coef));
+      }
+      if (t.empty()) continue;
+      m.add_constraint(std::move(t), Sense::kLe,
+                       static_cast<double>(next() % 4));
+    }
+    const auto feasible = [&m](const std::vector<double>& x) {
+      for (const Constraint& c : m.constraints()) {
+        double lhs = 0.0;
+        for (const auto& [v, a] : c.terms) lhs += a * x[v];
+        if (lhs > c.rhs + 1e-9) return false;
+      }
+      return true;
+    };
+    const auto objective = [&m](const std::vector<double>& x) {
+      double obj = 0.0;
+      for (int v = 0; v < m.num_variables(); ++v) obj += m.objective(v) * x[v];
+      return obj;
+    };
+    bool any = false;
+    double best = 0.0;
+    for (int mask = 0; mask < (1 << nv); ++mask) {
+      std::vector<double> x(nv);
+      for (int v = 0; v < nv; ++v) x[v] = (mask >> v) & 1;
+      if (!feasible(x)) continue;
+      if (!any || objective(x) < best) best = objective(x);
+      any = true;
+    }
+    const MipResult r = solve(m);
+    if (!any) {
+      EXPECT_EQ(r.status, MipStatus::kInfeasible) << "seed " << seed;
+      continue;
+    }
+    ASSERT_EQ(r.status, MipStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(r.objective, best, 1e-9) << "seed " << seed;
+    ASSERT_EQ(static_cast<int>(r.x.size()), nv) << "seed " << seed;
+    EXPECT_TRUE(feasible(r.x)) << "seed " << seed;
+    EXPECT_NEAR(objective(r.x), best, 1e-9) << "seed " << seed;
+  }
+}
+
+TEST(Bnb, FullyFixedModelSolves) {
+  Model m;
+  const int x = m.add_binary(2.0);
+  const int y = m.add_binary(3.0);
+  m.add_constraint({{x, 1.0}}, Sense::kGe, 1.0);
+  m.add_constraint({{y, 1.0}}, Sense::kLe, 0.0);
+  const MipResult r = solve(m);
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, 1e-12);
+  EXPECT_EQ(r.x[x], 1.0);
+  EXPECT_EQ(r.x[y], 0.0);
+}
+
 /// Parameterized property: covering problems min sum x_i, x_i + x_{i+1} >= 1
 /// on a cycle of n nodes have optimum ceil(n/2).
 class BnbCycleCover : public ::testing::TestWithParam<int> {};

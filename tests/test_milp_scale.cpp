@@ -1,8 +1,7 @@
-// Scale machinery of the ring-construction MILP: presolve/postsolve
-// round-trips, the separated (cutting-plane) conflict mode, reflective
-// symmetry breaking, and the budgeted LNS — each pinned against the
-// exhaustive paper-literal formulation or an exact reference
-// implementation.
+// Scale machinery of the ring-construction MILP: the separated
+// (cutting-plane) conflict mode, reflective symmetry breaking, and the
+// budgeted LNS — each pinned against the exhaustive paper-literal
+// formulation or an exact reference implementation.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
-#include "milp/presolve.hpp"
 #include "netlist/floorplan.hpp"
 #include "ring/builder.hpp"
 #include "ring/heuristic.hpp"
@@ -54,104 +52,6 @@ Floorplan random_floorplan(int n, unsigned seed) {
         {i, {cells[i].first * 1500, cells[i].second * 1500}, ""});
   }
   return Floorplan(std::move(nodes), 8 * 1500, 8 * 1500);
-}
-
-// ---------------------------------------------------------------------------
-// Presolve / postsolve
-
-TEST(Presolve, SingletonRowsFixAndPostsolveRestores) {
-  // x0 forced to 1 by a singleton >=, x1 forced to 0 by a singleton <=;
-  // x2 remains free with objective pull toward 1.
-  milp::Model m;
-  m.set_maximize(true);
-  const int x0 = m.add_binary(1.0);
-  const int x1 = m.add_binary(5.0);
-  const int x2 = m.add_binary(3.0);
-  m.add_constraint({{x0, 1.0}}, milp::Sense::kGe, 1.0);
-  m.add_constraint({{x1, 1.0}}, milp::Sense::kLe, 0.0);
-  m.add_constraint({{x2, 1.0}}, milp::Sense::kLe, 1.0);  // redundant
-
-  const milp::Presolved pre = milp::presolve(m);
-  ASSERT_FALSE(pre.infeasible);
-  EXPECT_EQ(pre.fixed_variables, 2);
-  EXPECT_LT(pre.reduced.num_variables(), m.num_variables());
-
-  // Postsolve re-inserts the fixed values verbatim in the original space.
-  std::vector<double> reduced_x(pre.reduced.num_variables(), 1.0);
-  const std::vector<double> full = pre.postsolve(reduced_x);
-  ASSERT_EQ(static_cast<int>(full.size()), m.num_variables());
-  EXPECT_EQ(full[x0], 1.0);
-  EXPECT_EQ(full[x1], 0.0);
-  EXPECT_EQ(full[x2], 1.0);
-}
-
-TEST(Presolve, DetectsInfeasibleBounds) {
-  milp::Model m;
-  const int x = m.add_binary(1.0);
-  m.add_constraint({{x, 1.0}}, milp::Sense::kGe, 1.0);
-  m.add_constraint({{x, 1.0}}, milp::Sense::kLe, 0.0);
-  EXPECT_TRUE(milp::presolve(m).infeasible);
-}
-
-TEST(Presolve, CoefficientTighteningKeepsOptimum) {
-  // 5x + y <= 5 tightens to x + y <= 1 (same 0/1 solutions, tighter LP).
-  milp::Model m;
-  m.set_maximize(true);
-  const int x = m.add_binary(4.0);
-  const int y = m.add_binary(1.0);
-  m.add_constraint({{x, 5.0}, {y, 1.0}}, milp::Sense::kLe, 5.0);
-  const milp::Presolved pre = milp::presolve(m);
-  EXPECT_GE(pre.tightened_coefs, 1);
-
-  const milp::MipResult r = milp::solve(m);
-  ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 4.0, 1e-9);  // x = 1, y = 0 remains optimal
-}
-
-TEST(Presolve, SolveMatchesWithAndWithout) {
-  // Seeded random binary programs: presolve on and off must agree on
-  // status and objective exactly.
-  for (unsigned seed = 1; seed <= 6; ++seed) {
-    Lcg rng(seed);
-    milp::Model m;
-    const int nv = 8;
-    for (int v = 0; v < nv; ++v) {
-      m.add_binary(static_cast<double>(rng.next() % 9) - 4.0);
-    }
-    for (int c = 0; c < 6; ++c) {
-      milp::Terms t;
-      for (int v = 0; v < nv; ++v) {
-        const int coef = static_cast<int>(rng.next() % 5) - 2;
-        if (coef != 0) t.emplace_back(v, static_cast<double>(coef));
-      }
-      if (t.empty()) continue;
-      m.add_constraint(std::move(t), milp::Sense::kLe,
-                       static_cast<double>(rng.next() % 4));
-    }
-    milp::BnbOptions with, without;
-    with.presolve = true;
-    without.presolve = false;
-    const milp::MipResult a = milp::solve(m, with);
-    const milp::MipResult b = milp::solve(m, without);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == milp::MipStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, 1e-9) << "seed " << seed;
-    }
-  }
-}
-
-TEST(Presolve, FullyFixedModelSolvesWithoutSearch) {
-  milp::Model m;
-  const int x = m.add_binary(2.0);
-  const int y = m.add_binary(3.0);
-  m.add_constraint({{x, 1.0}}, milp::Sense::kGe, 1.0);
-  m.add_constraint({{y, 1.0}}, milp::Sense::kLe, 0.0);
-  const milp::MipResult r = milp::solve(m);
-  ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 2.0, 1e-12);
-  EXPECT_EQ(r.x[x], 1.0);
-  EXPECT_EQ(r.x[y], 0.0);
-  EXPECT_EQ(r.nodes, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -116,6 +117,36 @@ TEST(Jobs, ResolutionOrderAndGlobalPoolResize) {
   EXPECT_GE(par::effective_jobs(), 1);
   EXPECT_GE(par::hardware_jobs(), 1);
   EXPECT_EQ(par::resolve_jobs(5), 5);
+}
+
+TEST(Jobs, EnvironmentVariableParsesLikeTheJobsFlag) {
+  // resolve_jobs(0) reads XRING_JOBS without building a pool, so the cap
+  // is checked on a value no pool is ever sized from.
+  const char* saved = std::getenv("XRING_JOBS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto resolve_with = [](const char* value) {
+    ::setenv("XRING_JOBS", value, 1);
+    return par::resolve_jobs(0);
+  };
+  EXPECT_EQ(resolve_with("3"), 3);
+  EXPECT_EQ(resolve_with("600"), 512);
+  EXPECT_EQ(resolve_with(""), par::hardware_jobs());  // empty means unset
+  for (const char* bad : {"3x", "2.9", "0x2", "four", "0", "-2", " 3", "+3",
+                          "99999999999999999999"}) {
+    try {
+      resolve_with(bad);
+      ADD_FAILURE() << "XRING_JOBS=\"" << bad << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "XRING_JOBS must be a positive integer") << bad;
+    }
+  }
+  // An explicit request never reads the variable.
+  EXPECT_EQ(par::resolve_jobs(5), 5);
+  if (saved != nullptr) {
+    ::setenv("XRING_JOBS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("XRING_JOBS");
+  }
 }
 
 // --- Determinism regressions across thread counts ------------------------

@@ -248,10 +248,12 @@ TEST(Runstore, DiffAppliesTheGatePerClass) {
   EXPECT_EQ(d.compared, 4);
   EXPECT_EQ(d.skipped, 1);  // mem.rss
   EXPECT_EQ(d.one_sided, 2);
-  EXPECT_EQ(d.regressions, 3);  // length and pivots changed, span grew 4x
+  // Length and pivots changed, span grew 4x, and B lacks A's only.in.a.
+  EXPECT_EQ(d.regressions, 4);
+  EXPECT_EQ(d.missing, 1);
   for (const MetricDelta& md : d.deltas) {
     if (md.name == "ring.length_mm" || md.name == "lp.pivots" ||
-        md.name == "span.synth.total_s") {
+        md.name == "span.synth.total_s" || md.name == "only.in.a") {
       EXPECT_TRUE(md.regressed) << md.name;
     } else {
       EXPECT_FALSE(md.regressed) << md.name;
@@ -270,10 +272,47 @@ TEST(Runstore, DiffAppliesTheGatePerClass) {
   EXPECT_EQ(scoped.regressions, 1);
 
   // A wider quality tolerance clears the 1% length drift, not the 80%
-  // pivot growth.
+  // pivot growth nor the missing key.
   GateOptions loose;
   loose.rel_tolerance = 0.05;
-  EXPECT_EQ(diff_runs(a, b, loose).regressions, 2);  // pivots, span
+  EXPECT_EQ(diff_runs(a, b, loose).regressions, 3);  // pivots, span, missing
+}
+
+TEST(Runstore, DiffFailsABaselineQualityKeyTheCandidateLacks) {
+  // A Table run that lost a cell must fail the gate. A time key the
+  // candidate lacks and telemetry only the candidate records stay
+  // informational.
+  const RunRecord a = make_record("a", {{"table2.n32.XRing.P", 1.5},
+                                        {"table2.n8.XRing.P", 1.0},
+                                        {"table2.n32.XRing.T", 0.5}});
+  const RunRecord b = make_record("b", {{"table2.n8.XRing.P", 1.0},
+                                        {"par.tasks", 7.0}});
+  const RunDiff d = diff_runs(a, b);
+  EXPECT_EQ(d.compared, 1);
+  EXPECT_EQ(d.one_sided, 3);
+  EXPECT_EQ(d.regressions, 1);
+  EXPECT_EQ(d.missing, 1);
+  for (const MetricDelta& md : d.deltas) {
+    EXPECT_EQ(md.regressed, md.name == "table2.n32.XRing.P") << md.name;
+  }
+
+  const JsonValue doc = parse_json(run_diff_json(d));
+  EXPECT_EQ(doc.find("summary")->find("missing")->number, 1.0);
+  for (const JsonValue& item : doc.find("deltas")->array) {
+    const bool lost = item.find("name")->string == "table2.n32.XRing.P";
+    EXPECT_EQ(item.find("missing")->boolean, lost);
+    if (lost) {
+      EXPECT_EQ(item.find("b")->kind, JsonValue::Kind::kNull);
+    }
+  }
+  EXPECT_NE(run_diff_html(d).find("REGRESSION (missing)"), std::string::npos);
+
+  // Keys only the candidate has never regress: B as the baseline gains
+  // the cells back, and A records no `par.*` telemetry.
+  const RunDiff gained = diff_runs(b, a);
+  EXPECT_EQ(gained.regressions, 0);
+  EXPECT_EQ(gained.missing, 0);
+  EXPECT_EQ(gained.one_sided, 3);
 }
 
 TEST(Runstore, DiffReportsSerializeBothWays) {

@@ -42,14 +42,16 @@
 //              gated; they ride along for the human reading the report.
 //   quality    everything else; compared tight in both directions. This
 //              includes the solver's work counters (`lp.pivots`,
-//              `milp.warm_pivots`, the presolve and cut counts, ...) and
+//              `milp.warm_pivots`, the cut counts, ...) and
 //              the Step-3 probe counters (`mapping.fits_probes`,
 //              `mapping.fits_summary_hits`, `mapping.reloc_attempts`): the
 //              serial searches make them the same at every pool size, so a
 //              change that moves the work must re-baseline on purpose.
-// Keys present in only one input are not compared; their count is reported
-// in the summary line even under --quiet (renaming a metric should not
-// silently drop it from the gate).
+// A quality key present in A and missing from B is a regression, printed
+// as `REGRESSION <key>: <value> -> missing`: a Table run that lost a cell
+// fails the gate. Other keys present in only one input (a metric B adds,
+// a time or telemetry key B lacks) are not compared; their count is
+// reported in the summary line even under --quiet.
 //
 // Exit status: 0 ok (diff: no regressions), 1 diff found regressions,
 // 2 usage or I/O error.
@@ -146,17 +148,19 @@ int cmd_diff(const std::string& store_root, const std::string& a_ref,
     return 2;
   }
   for (const MetricDelta& md : d.deltas) {
-    if (md.regressed) {
+    if (md.regressed && !md.in_b) {
+      std::printf("REGRESSION %s: %.12g -> missing\n", md.name.c_str(), md.a);
+    } else if (md.regressed) {
       std::printf("REGRESSION %s: %.12g -> %.12g\n", md.name.c_str(), md.a,
                   md.b);
     }
   }
   if (!quiet || d.regressions > 0 || d.one_sided > 0) {
     std::printf(
-        "%s -> %s: %d metrics gated (%d skipped), %d regression(s), "
-        "%d one-sided key(s)\n",
+        "%s -> %s: %d metrics gated (%d skipped), %d regression(s) "
+        "(%d missing), %d one-sided key(s)\n",
         a.id.c_str(), b.id.c_str(), d.compared, d.skipped, d.regressions,
-        d.one_sided);
+        d.missing, d.one_sided);
   }
   return d.regressions > 0 ? 1 : 0;
 }
