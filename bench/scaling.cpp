@@ -193,7 +193,8 @@ void report_events(const RingRun& run, const char* path) {
 
 /// CI smoke mode (`--ring N`): a single ring-construction MILP must reach a
 /// solver-certified optimum inside the caller's timeout. Exercises the
-/// sparse kernel at a size the dense inverse could not touch.
+/// sparse LU simplex at a size an explicit m*m basis inverse could not
+/// touch.
 int ring_smoke(int n, const char* events_file) {
   const RingRun run = run_ring_milp(n, 300.0, 0.0, events_file);
   std::printf("ring-construction MILP n=%d: status=%s nodes=%ld pivots=%.0f "
@@ -231,10 +232,10 @@ int ring_smoke_budgeted(int n, const char* events_file) {
 /// Ring-construction MILP scaling table: n = 32..256 (capped by
 /// `max_ring`), solved at pool 1 and at the full pool (the search is
 /// serial, so the two columns time the same work and the answers must
-/// agree exactly). The dense-inverse kernel is O(m^2) memory — at n=128 that
-/// basis alone would be ~560 MB — which is why this table only exists with
-/// the sparse LU kernel; the separated formulation (root LP = degree rows
-/// only, Eq. 2/3 as cuts) is what carries it past n=128.
+/// agree exactly). An explicit basis inverse would be O(m^2) memory — ~560 MB
+/// at n=128 — so the sparse LU basis is what makes the table possible; the
+/// separated formulation (root LP = degree rows only, Eq. 2/3 as cuts) is
+/// what carries it past n=128.
 bool ring_scaling_table(int jobs_n, int max_ring) {
   std::printf("=== Step-1 ring-construction MILP (sparse LU kernel) ===\n\n");
   std::string tn_header = "T";

@@ -3,7 +3,12 @@
 namespace xring::geom {
 
 std::string to_string(const Point& p) {
-  return "(" + std::to_string(p.x) + ", " + std::to_string(p.y) + ")";
+  std::string out = "(";
+  out += std::to_string(p.x);
+  out += ", ";
+  out += std::to_string(p.y);
+  out += ')';
+  return out;
 }
 
 }  // namespace xring::geom

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "lp/basis.hpp"
@@ -91,7 +90,7 @@ struct State {
 
   // Basis.
   std::vector<int> basis;          // basis[i] = column basic in slot i
-  std::unique_ptr<BasisRep> rep;   // factorized representation of B
+  SparseLuBasis rep;               // factorized representation of B
   bool need_phase1 = false;        // an artificial ended up basic in the crash
 
   std::vector<double> cb;          // scratch: objective of the basic columns
@@ -99,14 +98,14 @@ struct State {
 
 /// w = B^-1 * A_col, plus the index list of w's nonzeros.
 void ftran(State& s, int col, std::vector<double>& w, std::vector<int>& nz) {
-  s.rep->ftran(s.cols[col], w, nz);
+  s.rep.ftran(s.cols[col], w, nz);
 }
 
 /// y^T = c_B^T B^-1 under the active cost vector.
 void btran_cost(State& s, std::vector<double>& y) {
   s.cb.resize(s.m);
   for (int i = 0; i < s.m; ++i) s.cb[i] = s.cost[s.basis[i]];
-  s.rep->btran(s.cb, y);
+  s.rep.btran(s.cb, y);
 }
 
 double reduced_cost(const State& s, const std::vector<double>& y, int col) {
@@ -126,7 +125,7 @@ void recompute_basics(State& s) {
     for (const auto& [r, a] : s.cols[j]) rhs[r] -= a * v;
   }
   std::vector<double> xb;
-  s.rep->ftran_dense(rhs, xb);
+  s.rep.ftran_dense(rhs, xb);
   for (int i = 0; i < s.m; ++i) s.value[s.basis[i]] = xb[i];
 }
 
@@ -134,7 +133,7 @@ void recompute_basics(State& s) {
 /// the incremental updates is wiped at the same time). Returns false when
 /// the basis is numerically singular.
 bool refactorize(State& s) {
-  if (!s.rep->factorize(s.cols, s.basis)) return false;
+  if (!s.rep.factorize(s.cols, s.basis)) return false;
   recompute_basics(s);
   // Eta-growth telemetry: each mid-solve refactorization reports the
   // kernel's cumulative factorization count and eta-file fill, so the event
@@ -144,8 +143,8 @@ bool refactorize(State& s) {
     obs::events::emit("lp.refactorize",
                       {{"rows", static_cast<double>(s.m)},
                        {"factorizations",
-                        static_cast<double>(s.rep->stats.factorizations)},
-                       {"eta_nnz", static_cast<double>(s.rep->stats.eta_nnz)}});
+                        static_cast<double>(s.rep.stats.factorizations)},
+                       {"eta_nnz", static_cast<double>(s.rep.stats.eta_nnz)}});
   }
   return true;
 }
@@ -302,13 +301,13 @@ Status iterate(State& s, int& iterations) {
     s.where[enter] = At::kBasic;
     s.basis[leave] = enter;
 
-    switch (s.rep->update(leave, w, wnz)) {
-      case BasisRep::Update::kOk:
+    switch (s.rep.update(leave, w, wnz)) {
+      case SparseLuBasis::Update::kOk:
         break;
-      case BasisRep::Update::kRefactorize:
+      case SparseLuBasis::Update::kRefactorize:
         if (!refactorize(s)) return Status::kIterationLimit;
         break;
-      case BasisRep::Update::kSingular:
+      case SparseLuBasis::Update::kSingular:
         // The ratio test guarantees |w[leave]| > tol, so this only fires on
         // severe numerical trouble; a fresh factorization either recovers
         // or confirms the failure.
@@ -368,7 +367,7 @@ Status dual_iterate(State& s, int& iterations, int max_dual_pivots,
     btran_cost(s, y);
     std::fill(er.begin(), er.end(), 0.0);
     er[r] = 1.0;
-    s.rep->btran(er, rho);  // rho^T = e_r^T B^-1
+    s.rep.btran(er, rho);  // rho^T = e_r^T B^-1
 
     // Bounded dual ratio test over the pivot row alpha_j = rho . a_j.
     int enter = -1;
@@ -418,11 +417,11 @@ Status dual_iterate(State& s, int& iterations, int max_dual_pivots,
     s.where[enter] = At::kBasic;
     s.basis[r] = enter;
 
-    switch (s.rep->update(r, w, wnz)) {
-      case BasisRep::Update::kOk:
+    switch (s.rep.update(r, w, wnz)) {
+      case SparseLuBasis::Update::kOk:
         break;
-      case BasisRep::Update::kRefactorize:
-      case BasisRep::Update::kSingular:
+      case SparseLuBasis::Update::kRefactorize:
+      case SparseLuBasis::Update::kSingular:
         if (!refactorize(s)) return Status::kIterationLimit;
         break;
     }
@@ -435,11 +434,6 @@ double objective_value(const State& s, const std::vector<double>& cost) {
   return v;
 }
 
-std::unique_ptr<BasisRep> make_rep(Kernel kernel, int m) {
-  return kernel == Kernel::kDenseInverse ? make_dense_basis(m)
-                                         : make_sparse_lu_basis(m);
-}
-
 /// Builds the internal column space (structurals, slacks, one artificial per
 /// row) and the crash basis: every inequality row whose slack starts
 /// feasible gets its slack basic; only the remaining rows (equalities and
@@ -447,7 +441,7 @@ std::unique_ptr<BasisRep> make_rep(Kernel kernel, int m) {
 /// artificial. Fewer basic artificials means phase 1 starts closer to
 /// feasibility — on the ring-construction models only the 2n assignment
 /// equalities need artificials, not the O(n^2) two-cycle rows.
-void build_state(const Problem& p, const SolveOptions& options, State& s) {
+void build_state(const Problem& p, State& s) {
   s.m = p.num_constraints();
   s.n_struct = p.num_variables();
   s.b = p.rhs();
@@ -530,7 +524,7 @@ void build_state(const Problem& p, const SolveOptions& options, State& s) {
     }
   }
 
-  s.rep = make_rep(options.kernel, s.m);
+  s.rep = SparseLuBasis(s.m);
 }
 
 /// Fixes every artificial at zero (phase-2 semantics).
@@ -544,7 +538,7 @@ void fix_artificials(State& s) {
 }
 
 void collect_stats(const State& s, Solution& out) {
-  const FactorStats& fs = s.rep->stats;
+  const FactorStats& fs = s.rep.stats;
   out.stats.refactorizations +=
       static_cast<int>(std::max<long long>(fs.factorizations - 1, 0));
   out.stats.eta_nnz += fs.eta_nnz;
@@ -591,11 +585,11 @@ void finalize_solution(State& s, const Problem& p, const SolveOptions& options,
 Solution solve_cold(const Problem& p, const SolveOptions& options,
                     SolveStats carry) {
   State s;
-  build_state(p, options, s);
+  build_state(p, s);
   Solution out;
   out.stats = carry;
 
-  if (!s.rep->factorize(s.cols, s.basis)) {
+  if (!s.rep.factorize(s.cols, s.basis)) {
     out.status = Status::kIterationLimit;  // crash basis must factorize
     collect_stats(s, out);
     return out;
@@ -648,7 +642,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
 bool solve_warm(const Problem& p, const SolveOptions& options,
                 const WarmBasis& warm, Solution& out) {
   State s;
-  build_state(p, options, s);
+  build_state(p, s);
   if (warm.structurals != s.n_struct || warm.rows > s.m) return false;
 
   // The snapshot's internal layout: structurals, then one slack per non-Eq
@@ -703,7 +697,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
   }
   s.cost = s.real_cost;
 
-  if (!s.rep->factorize(s.cols, s.basis)) return false;
+  if (!s.rep.factorize(s.cols, s.basis)) return false;
   recompute_basics(s);
 
   out.stats.warm = true;

@@ -23,10 +23,11 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///   subject to a_i'x  (<= | >= | =)  b_i      for every row i
 ///              lo_j <= x_j <= hi_j            for every variable j
 ///
-/// Columns are stored sparsely; the solver is a revised primal simplex with
-/// explicit basis inverse and full bounded-variable support (nonbasic
-/// variables rest at either bound, bound flips are handled without pivots).
-/// This is the substrate that replaces Gurobi for the XRing MILP model.
+/// Columns are stored sparsely; the solver is a revised simplex on a sparse
+/// LU of the basis (lp/basis.hpp) with full bounded-variable support
+/// (nonbasic variables rest at either bound, bound flips are handled without
+/// pivots). This is the substrate that replaces Gurobi for the XRing MILP
+/// model.
 class Problem {
  public:
   /// Adds a variable with bounds [lo, hi] and objective coefficient c.
@@ -72,14 +73,6 @@ class Problem {
   bool maximize_ = false;
 };
 
-/// Basis representation used by the solver. kSparseLu (the default) keeps a
-/// Markowitz-ordered sparse LU of the basis with product-form eta updates
-/// and periodic refactorization — memory and per-pivot cost scale with
-/// fill-in. kDenseInverse is the original explicit m*m inverse, retained as
-/// a differential-testing reference (O(m^2) memory; unusable at the 64-128
-/// node ring-construction sizes).
-enum class Kernel { kSparseLu, kDenseInverse };
-
 /// An opaque snapshot of an optimal simplex basis, exported via
 /// SolveOptions::export_basis and fed back through SolveOptions::warm_start.
 /// Valid only for a problem with the same constraint rows, senses, and
@@ -108,7 +101,6 @@ struct SolveStats {
 };
 
 struct SolveOptions {
-  Kernel kernel = Kernel::kSparseLu;
   /// Optional basis to warm-start from (see WarmBasis). Ignored when its
   /// dimensions do not match the problem. A warm solve skips phase 1
   /// entirely: it refactorizes the given basis and runs the bounded-variable

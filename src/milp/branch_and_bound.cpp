@@ -206,7 +206,7 @@ MipResult solve(const Model& model, const BnbOptions& options) {
     n.seq = next_seq++;
     open.insert(std::move(n));
   };
-  push(Node{{}, -lp::kInfinity, 0, 0});
+  push(Node{{}, -lp::kInfinity, 0, 0, 0, nullptr});
 
   std::vector<double> saved_lo(model.num_variables());
   std::vector<double> saved_hi(model.num_variables());

@@ -307,9 +307,8 @@ RunRecord parse_run_record(const std::string& json) {
 // ---------------------------------------------------------------------------
 // The store.
 
-RunStore::RunStore(std::string root) : root_(std::move(root)) {
-  if (root_.empty()) root_ = ".";
-}
+RunStore::RunStore(std::string root)
+    : root_(root.empty() ? std::string(".") : std::move(root)) {}
 
 std::string RunStore::index_path() const {
   return (fs::path(root_) / "index.jsonl").string();

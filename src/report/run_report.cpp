@@ -40,7 +40,9 @@ std::string node_name(const analysis::RouterDesign& d, netlist::NodeId v) {
   if (d.floorplan != nullptr && v >= 0 && v < d.floorplan->size()) {
     return d.floorplan->node(v).name;
   }
-  return "n" + std::to_string(v);
+  std::string out = "n";
+  out += std::to_string(v);
+  return out;
 }
 
 /// The itemized loss components, in waterfall order. Keep in sync with
@@ -330,8 +332,13 @@ void emit_xtalk_matrix(std::ostringstream& out,
   auto label = [&](int signal) {
     if (signal < 0) return std::string("PDN (CW)");
     const auto& sig = design.traffic.signal(signal);
-    return "s" + std::to_string(signal) + " " + node_name(design, sig.src) +
-           "→" + node_name(design, sig.dst);
+    std::string out = "s";
+    out += std::to_string(signal);
+    out += ' ';
+    out += node_name(design, sig.src);
+    out += "→";
+    out += node_name(design, sig.dst);
+    return out;
   };
 
   out << "<table><tr><th>victim \\ aggressor</th>";

@@ -44,27 +44,6 @@ TspModel::TspModel(const netlist::Floorplan& floorplan,
       }
     }
   }
-
-  // Eq. 3 up front only in exhaustive mode. A conflict depends only on the
-  // unordered endpoint pairs, so one row covers all four directed
-  // combinations via the sum of both directions of each edge.
-  if (mode_ == ConflictMode::kExhaustive) {
-    for (NodeId a1 = 0; a1 < n; ++a1) {
-      for (NodeId a2 = a1 + 1; a2 < n; ++a2) {
-        for (NodeId b1 = a1; b1 < n; ++b1) {
-          for (NodeId b2 = b1 + 1; b2 < n; ++b2) {
-            if (std::make_pair(b1, b2) <= std::make_pair(a1, a2)) continue;
-            if (!oracle.conflict(a1, a2, b1, b2)) continue;
-            model_.add_constraint({{edges_.index(a1, a2), 1.0},
-                                   {edges_.index(a2, a1), 1.0},
-                                   {edges_.index(b1, b2), 1.0},
-                                   {edges_.index(b2, b1), 1.0}},
-                                  milp::Sense::kLe, 1.0);
-          }
-        }
-      }
-    }
-  }
 }
 
 void TspModel::add_symmetry_breaking(const std::vector<NodeId>& reference) {
@@ -95,7 +74,6 @@ void TspModel::add_symmetry_breaking(const std::vector<NodeId>& reference) {
 }
 
 milp::LazyConstraintHandler TspModel::lazy_handler() const {
-  if (mode_ == ConflictMode::kExhaustive) return nullptr;
   const ConflictOracle* oracle = oracle_;
   const EdgeSpace edges = edges_;
   const bool two_cycles = (mode_ == ConflictMode::kSeparated);
@@ -140,7 +118,6 @@ milp::LazyConstraintHandler TspModel::lazy_handler() const {
 }
 
 milp::CutSeparator TspModel::cut_separator() const {
-  if (mode_ == ConflictMode::kExhaustive) return nullptr;
   const ConflictOracle* oracle = oracle_;
   const EdgeSpace edges = edges_;
   const bool two_cycles = (mode_ == ConflictMode::kSeparated);

@@ -9,12 +9,10 @@ namespace xring::ring {
 /// How the waveguide-crossing conflict constraints (paper Eq. 3) enter the
 /// MILP.
 enum class ConflictMode {
-  /// Paper-literal: one row per conflicting pair, materialized up front.
-  /// O(|E|^2) rows; used for small N and for cross-checking.
-  kExhaustive,
   /// One row per conflicting pair actually violated by a candidate integer
-  /// solution, added through the branch & bound's lazy-constraint callback.
-  /// Reaches the same optimum with far smaller LPs (see DESIGN.md).
+  /// solution, added through the branch & bound's lazy-constraint callback,
+  /// instead of the paper's O(|E|^2) rows up front. Reaches the same optimum
+  /// with far smaller LPs (see DESIGN.md).
   kLazy,
   /// kLazy, plus the anti-2-cycle rows (Eq. 2) are *also* dropped from the
   /// root model: violated ones are separated as cutting planes from
@@ -55,17 +53,15 @@ class TspModel {
   void add_symmetry_breaking(const std::vector<NodeId>& reference);
 
   /// Lazy handler enforcing the rows not materialized up front: Eq. 3 rows
-  /// violated by a candidate integer selection (kLazy, kSeparated) and
-  /// Eq. 2 rows for selected 2-cycles (kSeparated). Null in kExhaustive
-  /// mode.
+  /// violated by a candidate integer selection and, in kSeparated, Eq. 2
+  /// rows for selected 2-cycles.
   milp::LazyConstraintHandler lazy_handler() const;
 
   /// Cutting-plane separator for fractional LP points (see
   /// milp::CutSeparator): violated Eq. 2 rows (kSeparated only — in kLazy
   /// they are all in the root model) and Eq. 3 conflict rows whose
   /// undirected-edge LP mass exceeds 1. All returned rows are rows of the
-  /// paper's exhaustive formulation, hence globally valid. Null in
-  /// kExhaustive mode (nothing is missing from the root model).
+  /// paper's formulation, hence globally valid.
   milp::CutSeparator cut_separator() const;
 
   /// Converts a tour (cyclic node order) into a b_e assignment usable as a

@@ -246,6 +246,20 @@ TEST(Bnb, FullyFixedModelSolves) {
   EXPECT_EQ(r.x[y], 0.0);
 }
 
+TEST(Bnb, NearIntegralLpPointStillBranches) {
+  // max x, 1000x <= 999.9: the LP optimum x = 0.9999 is 1e-4 from integral.
+  // Accepting it as integral would round it to x = 1, which violates the
+  // row; the search must branch and prove x = 0 optimal.
+  Model m;
+  m.set_maximize(true);
+  const int x = m.add_binary(1.0);
+  m.add_constraint({{x, 1000.0}}, Sense::kLe, 999.9);
+  const MipResult r = solve(m);
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_EQ(r.x[x], 0.0);
+  EXPECT_EQ(r.objective, 0.0);
+}
+
 /// Parameterized property: covering problems min sum x_i, x_i + x_{i+1} >= 1
 /// on a cycle of n nodes have optimum ceil(n/2).
 class BnbCycleCover : public ::testing::TestWithParam<int> {};

@@ -1,7 +1,7 @@
 // Scale machinery of the ring-construction MILP: the separated
 // (cutting-plane) conflict mode, reflective symmetry breaking, and the
-// budgeted LNS — each pinned against the exhaustive paper-literal
-// formulation or an exact reference implementation.
+// budgeted LNS — each pinned against the paper-literal formulation
+// (tsp_reference.hpp) or an exact reference implementation.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "ring/builder.hpp"
 #include "ring/heuristic.hpp"
 #include "ring/tsp_model.hpp"
+#include "tsp_reference.hpp"
 
 namespace xring {
 namespace {
@@ -72,6 +73,20 @@ milp::MipResult solve_tsp(const Floorplan& fp, const ring::ConflictOracle& oracl
   return milp::solve(tsp.model(), bnb);
 }
 
+/// The reference optimum: the paper-literal model (every Eq. 3 row up
+/// front), no lazy handler or separator, and solve_tsp's warm start.
+milp::MipResult solve_paper_literal(const Floorplan& fp,
+                                    const ring::ConflictOracle& oracle) {
+  const ring::TspModel tsp(fp, oracle, ring::ConflictMode::kLazy);
+  const std::vector<NodeId> heuristic = ring::heuristic_tour(fp, oracle);
+  milp::BnbOptions bnb;
+  bnb.time_limit_seconds = 60.0;
+  if (ring::tour_conflicts(heuristic, oracle) == 0) {
+    bnb.warm_start = tsp.warm_start_from(heuristic);
+  }
+  return milp::solve(ring::reference::paper_literal_model(fp, oracle), bnb);
+}
+
 TEST(ConflictModes, AllThreeModesAgreeOnTheOptimum) {
   std::vector<Floorplan> layouts;
   layouts.push_back(Floorplan::standard(8));
@@ -80,10 +95,17 @@ TEST(ConflictModes, AllThreeModesAgreeOnTheOptimum) {
   for (unsigned seed = 1; seed <= 3; ++seed) {
     layouts.push_back(random_floorplan(10, seed));
   }
+  {
+    // The irregular layout of Builder.LazyAndExhaustiveConflictModesAgree.
+    std::vector<Node> nodes;
+    const geom::Point pts[] = {{0, 0},       {3000, 500},  {5000, 2500},
+                               {2500, 4000}, {500, 2600}, {4200, 4800}};
+    for (const auto& p : pts) nodes.push_back({0, p, ""});
+    layouts.emplace_back(std::move(nodes), 6000, 6000);
+  }
   for (const Floorplan& fp : layouts) {
     const ring::ConflictOracle oracle(fp);
-    const milp::MipResult ex =
-        solve_tsp(fp, oracle, ring::ConflictMode::kExhaustive, false);
+    const milp::MipResult ex = solve_paper_literal(fp, oracle);
     const milp::MipResult lazy =
         solve_tsp(fp, oracle, ring::ConflictMode::kLazy, false);
     const milp::MipResult sep =
@@ -138,12 +160,11 @@ TEST(Symmetry, RejectsTheReversedWarmStart) {
 
 TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
   // Rows separated from any fractional point must be valid for the true
-  // optimum (they are rows of the exhaustive formulation).
+  // optimum (they are rows of the paper-literal formulation).
   const Floorplan fp = random_floorplan(9, 7);
   const ring::ConflictOracle oracle(fp);
   ring::TspModel tsp(fp, oracle, ring::ConflictMode::kSeparated);
-  const milp::MipResult opt =
-      solve_tsp(fp, oracle, ring::ConflictMode::kExhaustive, false);
+  const milp::MipResult opt = solve_paper_literal(fp, oracle);
   ASSERT_EQ(opt.status, milp::MipStatus::kOptimal);
 
   // A synthetic fractional point: the optimum diluted plus mass on a

@@ -257,7 +257,9 @@ TEST(Determinism, WarmStartCountersIdenticalAt128Threads) {
           "lp.pivots", "milp.incumbents", "milp.incumbent.last"}) {
       const auto ia = a.second.find(key), ib = b.second.find(key);
       ASSERT_EQ(ia != a.second.end(), ib != b.second.end()) << key;
-      if (ia != a.second.end()) EXPECT_EQ(ia->second, ib->second) << key;
+      if (ia != a.second.end()) {
+        EXPECT_EQ(ia->second, ib->second) << key;
+      }
     }
     // Warm starts must actually fire on a multi-node search.
     const auto wp = b.second.find("milp.warm_pivots");

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "lshape_reference.hpp"
 #include "ring/builder.hpp"
+#include "tsp_reference.hpp"
 
 namespace xring::ring {
 namespace {
@@ -190,20 +192,22 @@ TEST(Builder, SixteenNodeOptimalHamiltonianCycle) {
 }
 
 TEST(Builder, LazyAndExhaustiveConflictModesAgree) {
-  // On a small irregular instance both modes must reach the same optimum.
+  // On a small irregular instance the lazy-mode ring is exactly as long as
+  // the optimum of the paper-literal model (every Eq. 3 row up front).
   std::vector<netlist::Node> nodes;
   const geom::Point pts[] = {{0, 0}, {3000, 500}, {5000, 2500},
                              {2500, 4000}, {500, 2600}, {4200, 4800}};
   for (const auto& p : pts) nodes.push_back({0, p, ""});
   const netlist::Floorplan fp(std::move(nodes), 6000, 6000);
+  const ConflictOracle oracle(fp);
 
   RingBuildOptions lazy;
   lazy.conflict_mode = ConflictMode::kLazy;
-  RingBuildOptions full;
-  full.conflict_mode = ConflictMode::kExhaustive;
-  const auto a = build_ring(fp, lazy);
-  const auto b = build_ring(fp, full);
-  EXPECT_EQ(a.geometry.tour.total_length(), b.geometry.tour.total_length());
+  const auto a = build_ring(fp, oracle, lazy);
+  const milp::MipResult full =
+      milp::solve(reference::paper_literal_model(fp, oracle), {});
+  ASSERT_EQ(full.status, milp::MipStatus::kOptimal);
+  EXPECT_EQ(a.geometry.tour.total_length(), std::llround(full.objective));
 }
 
 TEST(Builder, HeuristicOnlyModeWorks) {

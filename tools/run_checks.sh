@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full check pass: a sanitizer build (ASan + UBSan) of the whole tree, the
-# complete test suite run under it, and the bench regression gate (fresh
-# Table I-III runs diffed against bench/baselines/ with `xring_runs diff`).
+# complete test suite run under it, the bench regression gate (fresh
+# Table I-III runs diffed against bench/baselines/ with `xring_runs diff`),
+# and a ThreadSanitizer build running the concurrent suites.
 # Usage:
 #
 #   tools/run_checks.sh [build-dir]       # default: build-sanitize
@@ -43,9 +44,16 @@ for table in table1 table2 table3; do
 done
 echo "bench gate OK"
 
-# ThreadSanitizer pass over the concurrent substrate (its own build tree —
-# TSan cannot share objects with ASan). Oversubscribed via XRING_JOBS so
-# races surface even on few-core machines.
+# ThreadSanitizer pass over the concurrent substrate, in its own build tree
+# (TSan cannot share objects with ASan): the pool unit tests, the MILP
+# search, the full synthesizer (parallel sweep + analysis fan-out), the
+# indexed-analysis differential tests (parallel deposit-replay vs the serial
+# reference), the scoped-context isolation tests (two concurrent syntheses
+# sharing one pool must record disjoint, exact per-context metrics), and the
+# obs suites whose raw threads and phase sampler record through installed
+# contexts. Oversubscribed via XRING_JOBS so races surface even on few-core
+# machines. This is the only TSan suite list; CI runs it through this
+# script.
 echo "== thread sanitizer =="
 tsan_dir="$repo/build-tsan"
 cmake -B "$tsan_dir" -S "$repo" -DXRING_SANITIZE=thread

@@ -98,12 +98,18 @@ class Args {
     for (int i = first; i < argc; ++i) positional_.emplace_back(argv[i]);
   }
 
+  /// The token after `key`, or `fallback` when `key` is absent. A key that
+  /// ends the command line, or is followed by another `--` flag, has no
+  /// value: an error, rather than taking the next flag as its value.
   std::string value(const std::string& key, const std::string& fallback = "") {
-    for (std::size_t i = 0; i + 1 < positional_.size(); ++i) {
-      if (positional_[i] == key) {
-        used_[i] = used_[i + 1] = true;
-        return positional_[i + 1];
+    for (std::size_t i = 0; i < positional_.size(); ++i) {
+      if (positional_[i] != key) continue;
+      if (i + 1 == positional_.size() ||
+          positional_[i + 1].rfind("--", 0) == 0) {
+        throw std::invalid_argument(key + " needs a value");
       }
+      used_[i] = used_[i + 1] = true;
+      return positional_[i + 1];
     }
     return fallback;
   }
