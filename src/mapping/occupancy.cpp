@@ -19,28 +19,51 @@ ArcTable::Arc arc_of(const ring::Tour& tour, const netlist::Signal& sig,
   return {tour.position(from), tour.hops_cw(from, to)};
 }
 
-bool is_ring_route(const SignalRoute& r) {
-  return r.kind == RouteKind::kRingCw || r.kind == RouteKind::kRingCcw;
+int plane_of(Direction dir) { return dir == Direction::kCw ? 0 : 1; }
+
+/// Bits [lo, hi) of one word, 0 <= lo <= hi <= 64.
+std::uint64_t bit_range(int lo, int hi) {
+  if (lo >= hi) return 0;
+  const std::uint64_t below_hi =
+      hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+  return below_hi & ~((std::uint64_t{1} << lo) - 1);
 }
 
-int lowest_set_bit(std::uint64_t x) { return __builtin_ctzll(x); }
-
-/// Flips bits [lo, hi) of the bitset, a whole word at a time.
-void flip_range(std::uint64_t* bits, int lo, int hi) {
-  if (lo >= hi) return;
-  const int wlo = lo >> 6;
-  const int whi = (hi - 1) >> 6;
-  const std::uint64_t first = ~std::uint64_t{0} << (lo & 63);
-  const std::uint64_t last = (hi & 63) != 0
-                                 ? (std::uint64_t{1} << (hi & 63)) - 1
-                                 : ~std::uint64_t{0};
-  if (wlo == whi) {
-    bits[wlo] ^= first & last;
-    return;
+/// Calls f(lo, hi) for the arc's one or two linear hop pieces, split at
+/// the wrap from n-1 to 0.
+template <typename F>
+void for_each_piece(ArcTable::Arc a, int n, F&& f) {
+  const int end = a.start + a.len;
+  if (end <= n) {
+    f(a.start, end);
+  } else {
+    f(a.start, n);
+    f(0, end - n);
   }
-  bits[wlo] ^= first;
-  for (int k = wlo + 1; k < whi; ++k) bits[k] = ~bits[k];
-  bits[whi] ^= last;
+}
+
+/// `acc` ANDed with row[h] over the arc's two end hops: a probe that fails
+/// almost always fails on an end hop.
+std::uint64_t and_over_ends(const std::uint64_t* row, ArcTable::Arc a, int n,
+                            std::uint64_t acc) {
+  if (a.len <= 0) return acc;
+  const int last = a.start + a.len - 1;
+  return acc & row[a.start] & row[last < n ? last : last - n];
+}
+
+/// `acc` ANDed with row[h] over the arc's interior hops, eight contiguous
+/// words at a time, stopping once the AND is zero.
+std::uint64_t and_over_interior(const std::uint64_t* row, ArcTable::Arc a,
+                                int n, std::uint64_t acc) {
+  for_each_piece({a.start + 1, a.len - 2}, n, [&](int x, int y) {
+    int h = x;
+    for (; acc != 0 && h + 8 <= y; h += 8) {
+      acc &= (row[h] & row[h + 1]) & (row[h + 2] & row[h + 3]) &
+             (row[h + 4] & row[h + 5]) & (row[h + 6] & row[h + 7]);
+    }
+    for (; acc != 0 && h < y; ++h) acc &= row[h];
+  });
+  return acc;
 }
 
 }  // namespace
@@ -69,312 +92,151 @@ OccupancyIndex::OccupancyIndex(const ArcTable& arcs, Mapping& mapping,
     throw std::invalid_argument("max_wavelengths (#wl) must be >= 1, got " +
                                 std::to_string(max_wavelengths));
   }
-  slots_.resize(mapping.waveguides.size());
   passing_.assign(mapping.waveguides.size(),
                   std::vector<int>(arcs.nodes(), 0));
-  for (GapTree& tree : gap_) tree.stride_ = stride_;
-  for (const RingWaveguide& wg : mapping.waveguides) append_gap_slots(wg.dir);
-  for (std::size_t w = 0; w < mapping.waveguides.size(); ++w) {
+  const int waveguides = static_cast<int>(mapping.waveguides.size());
+  for (int w = 0; w < waveguides; ++w) append_slots(w);
+  for (int w = 0; w < waveguides; ++w) {
     for (const SignalId id : mapping.waveguides[w].signals) {
-      add_to_slots(static_cast<int>(w), mapping.routes[id].wavelength, id, +1);
+      mark(w, mapping.routes[id].wavelength, id, true);
     }
   }
 }
 
-void OccupancyIndex::GapTree::refresh_waveguide(int w) {
-  const int lo = w * stride_;
-  const int hi = std::min(lo + stride_, size_);
-  Node agg{-1, ~std::uint64_t{0}};
-  for (int k = lo; k < hi; ++k) {
-    agg.gap = std::max(agg.gap, leaf_[k].gap);
-    agg.occ &= leaf_[k].occ;
-  }
-  int i = cap_ + w;
-  node_[i] = agg;
-  for (i >>= 1; i >= 1; i >>= 1) {
-    const int mg = std::max(node_[2 * i].gap, node_[2 * i + 1].gap);
-    const std::uint64_t mo = node_[2 * i].occ & node_[2 * i + 1].occ;
-    if (node_[i].gap == mg && node_[i].occ == mo) break;  // ancestors agree
-    node_[i] = {mg, mo};
-  }
-}
-
-void OccupancyIndex::GapTree::set(int k, int gap, std::uint64_t occ) {
-  leaf_[k] = {gap, occ};
-  refresh_waveguide(k / stride_);
-}
-
-void OccupancyIndex::GapTree::append(int gap, std::uint64_t occ) {
-  leaf_.push_back({gap, occ});
-  const int k = size_++;
-  const int w = k / stride_;
-  if (w >= wcount_) {
-    wcount_ = w + 1;
-    if (wcount_ > cap_) {
-      cap_ = cap_ == 0 ? 1 : cap_ * 2;
-      node_.assign(static_cast<std::size_t>(2) * cap_,
-                   Node{-1, ~std::uint64_t{0}});
-      // Rebuild every aggregate under the doubled capacity. The climbs
-      // overlap near the root, but growth is rare (amortized O(1)/append).
-      for (int i = 0; i < wcount_ - 1; ++i) refresh_waveguide(i);
+void OccupancyIndex::append_slots(int waveguide) {
+  Plane& p = planes_[plane_of(mapping_->waveguides[waveguide].dir)];
+  const std::size_t n = static_cast<std::size_t>(arcs_->nodes());
+  const int lo = static_cast<int>(p.wgs.size()) * stride_;
+  const int hi = lo + stride_;
+  rank_.push_back(static_cast<int>(p.wgs.size()));
+  p.wgs.push_back(waveguide);
+  const int blocks = (hi + 63) / 64;
+  p.free.resize(blocks * n, 0);
+  p.summary.resize((blocks + 63) / 64 * n, 0);
+  // One pass per block the new slots touch, setting all of them at once.
+  for (int b = lo / 64; b < blocks; ++b) {
+    const std::uint64_t bits =
+        bit_range(std::max(lo - 64 * b, 0), std::min(hi - 64 * b, 64));
+    const std::uint64_t sbit = std::uint64_t{1} << (b % 64);
+    std::uint64_t* row = p.free.data() + b * n;
+    std::uint64_t* srow = p.summary.data() + b / 64 * n;
+    for (std::size_t h = 0; h < n; ++h) {
+      row[h] |= bits;
+      srow[h] |= sbit;
     }
   }
-  refresh_waveguide(w);
 }
 
-int OccupancyIndex::GapTree::next_waveguide(int from, int need,
-                                            std::uint64_t full) const {
-  if (from >= wcount_) return -1;
-  // Pruned DFS over the subtrees right of `from` in leaf order. qualify()
-  // is a *necessary* condition for a subtree to contain an accepting slot
-  // (both filters are sound rejects), so skipping a non-qualifying subtree
-  // never skips the first fit; it is not sufficient, so a qualifying node
-  // whose children both fail just advances right (backtracking).
-  const auto qualify = [&](int i) {
-    const Node& nd = node_[i];
-    return nd.gap >= need && (nd.occ & full) == 0;
-  };
-  int i = cap_ + from;
-  while (true) {
-    if (qualify(i)) {
-      if (i >= cap_) return i - cap_;  // unused leaves never qualify
-      if (qualify(2 * i)) {
-        i = 2 * i;
-        continue;
-      }
-      if (qualify(2 * i + 1)) {
-        i = 2 * i + 1;
-        continue;
-      }
-      // Neither child qualifies: no accepting slot below — advance right.
-    }
-    while (i & 1) {
-      i >>= 1;
-      if (i <= 1) return -1;  // climbed off the right edge: nothing right
-    }
-    ++i;  // right sibling of the exhausted left subtree
-  }
-}
-
-int OccupancyIndex::GapTree::next_fit(int from, int need,
-                                      std::uint64_t full) const {
-  if (from < 0) from = 0;
-  if (from >= size_) return -1;
-  const auto qualify = [&](int k) {
-    const Node& nd = leaf_[k];
-    return nd.gap >= need && (nd.occ & full) == 0;
-  };
-  // Finish the waveguide the search is inside, then hop waveguide-to-
-  // waveguide through the heap, scanning each survivor's contiguous slots.
-  int w = from / stride_;
-  const int end = std::min((w + 1) * stride_, size_);
-  for (int k = from; k < end; ++k) {
-    if (qualify(k)) return k;
-  }
-  ++w;
-  while (true) {
-    w = next_waveguide(w, need, full);
-    if (w < 0) return -1;
-    const int lo = w * stride_;
-    const int hi = std::min(lo + stride_, size_);
-    for (int k = lo; k < hi; ++k) {
-        if (qualify(k)) return k;
-    }
-    // Aggregate qualified but no slot did (max/AND coarsening): keep going.
-    ++w;
-  }
-}
-
-int OccupancyIndex::max_free_run(const SlotBits& slot) const {
-  const int n = arcs_->nodes();
-  if (slot.bits.empty() || slot.live == 0) return n;
-  const int words = arcs_->words();
-  // Walk the occupied-bit clusters in position order (each resident arc is
-  // one contiguous run, so clusters ~ resident signals, not set bits),
-  // tracking the zero runs between them; the run that wraps past n-1 joins
-  // the leading run before the first cluster.
-  int run = 0;        // current zero run
-  int best = 0;
-  int first_gap = -1; // zero run preceding the first set bit
-  for (int k = 0; k < words; ++k) {
-    const int nbits = k == words - 1 && n % 64 != 0 ? n % 64 : 64;
-    const std::uint64_t w = slot.bits[k];
-    int p = 0;
-    while (p < nbits) {
-      const std::uint64_t rest = w >> p;
-      if (rest == 0) {
-        run += nbits - p;
-        break;
-      }
-      const int z = lowest_set_bit(rest);
-      run += std::min(z, nbits - p);
-      p += z;
-      if (p >= nbits) break;
-      if (first_gap < 0) first_gap = run;
-      best = std::max(best, run);
-      run = 0;
-      const std::uint64_t inv = ~(w >> p);
-      const int ones = inv == 0 ? 64 - p : lowest_set_bit(inv);
-      p += std::min(ones, nbits - p);
-    }
-  }
-  if (first_gap < 0) return n;  // no set bit inside the valid window
-  return std::max(best, run + first_gap);
-}
-
-void OccupancyIndex::append_gap_slots(Direction dir) {
-  const int d = dir == Direction::kCw ? 0 : 1;
-  for (int wl = 0; wl < stride_; ++wl) {
-    gap_[d].append(arcs_->nodes(), 0);  // empty: free run n, no live bucket
-    gap_[1 - d].append(-1, ~std::uint64_t{0});
-  }
-}
-
-void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
-                                  int sign) {
+void OccupancyIndex::mark(int waveguide, int wavelength, SignalId id,
+                          bool occupy) {
   const Direction dir = mapping_->waveguides[waveguide].dir;
-  auto& wg_slots = slots_[waveguide];
-  if (static_cast<int>(wg_slots.size()) <= wavelength) {
-    wg_slots.resize(wavelength + 1);
-  }
-  SlotBits& slot = wg_slots[wavelength];
-  if (slot.bits.empty()) slot.bits.assign(arcs_->words(), 0);
   const ArcTable::Arc a = arcs_->arc(id, dir);
-  slot.live += sign * a.len;
   const int n = arcs_->nodes();
-  const int B = (n + 63) / 64;
-  // Placements within a slot are disjoint (every placement passed fits), so
-  // flipping the arc's hop range both sets and clears exactly the signal's
-  // own bits. Then refresh the 64-bucket occupancy mask for exactly the
-  // buckets the arc overlaps (bucket width ceil(n/64) hops); all other
-  // buckets kept their bit pattern, so their mask bits are still correct.
-  const auto flip_piece = [&](int x, int y) {  // linear piece [x, y)
-    flip_range(slot.bits.data(), x, y);
-    for (int j = x / B; j * B < y && j < 64; ++j) {
-      const int lo = j * B;
-      const int hi = std::min((j + 1) * B, n);
-      if (any_bit_in(slot.bits.data(), lo, hi)) {
-        slot.buckets |= std::uint64_t{1} << j;
-      } else {
-        slot.buckets &= ~(std::uint64_t{1} << j);
+  if (wavelength < stride_) {  // slots past the cap are never searched
+    Plane& p = planes_[plane_of(dir)];
+    const int k = rank_[waveguide] * stride_ + wavelength;
+    const std::size_t b = static_cast<std::size_t>(k / 64);
+    const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+    const std::uint64_t sbit = std::uint64_t{1} << (b % 64);
+    std::uint64_t* row = p.free.data() + b * n;
+    std::uint64_t* srow = p.summary.data() + b / 64 * n;
+    // Placements within a slot are disjoint (every placement fit), so the
+    // arc's bits are exactly the signal's own.
+    for_each_piece(a, n, [&](int x, int y) {
+      for (int h = x; h < y; ++h) {
+        if (occupy) {
+          row[h] &= ~bit;
+          if (row[h] == 0) srow[h] &= ~sbit;
+        } else {
+          if (row[h] == 0) srow[h] |= sbit;
+          row[h] |= bit;
+        }
       }
-    }
-  };
-  const int end = a.start + a.len;
-  if (end <= n) {
-    flip_piece(a.start, end);
-  } else {
-    flip_piece(a.start, n);
-    flip_piece(0, end - n);
+    });
   }
-  if (wavelength < stride_) {
-    gap_[dir == Direction::kCw ? 0 : 1].set(
-        waveguide * stride_ + wavelength, max_free_run(slot), slot.buckets);
-  }
-  std::vector<int>& pass = passing_[waveguide];
-  for (int h = 1; h < a.len; ++h) {
-    pass[(a.start + h) % n] += sign;
-  }
-}
-
-bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
-  ++stats_.fits_probes;
-  const Mapping& m = *mapping_;
-  const RingWaveguide& wg = m.waveguides[waveguide];
-  const Direction dir = wg.dir;
-
-  // An already-fixed opening must not lie inside the signal's arc.
-  if (wg.opening != -1 &&
-      arcs_->interior_contains(id, dir, arcs_->position(wg.opening))) {
-    ++stats_.fits_summary_hits;
-    return false;
-  }
-
-  const auto& wg_slots = slots_[waveguide];
-  if (wavelength >= static_cast<int>(wg_slots.size()) ||
-      wg_slots[wavelength].live == 0) {
-    ++stats_.fits_summary_hits;
-    return true;  // nothing occupies this (waveguide, λ) slot
-  }
-  const SlotBits& slot = wg_slots[wavelength];
-  const SignalRoute& r = m.routes[id];
-  const ArcTable::Arc a = arcs_->arc(id, dir);
-  // A signal resident in the slot overlaps only itself, which the
-  // brute-force reference skips: placements within a slot are disjoint.
-  if (a.len <= 0 || (is_ring_route(r) && r.waveguide == waveguide &&
-                     r.wavelength == wavelength)) {
-    ++stats_.fits_summary_hits;
-    return true;
-  }
-  if (slot.live + a.len > arcs_->nodes()) {
-    // Pigeonhole: the slot's free hops number fewer than the arc needs, so
-    // SOME occupied hop lies inside the arc.
-    ++stats_.fits_summary_hits;
-    return false;
-  }
-  return !arcs_->overlaps(id, dir, slot.bits.data());
+  // The interior nodes are the arc's positions after its first hop.
+  int* pass = passing_[waveguide].data();
+  const int sign = occupy ? 1 : -1;
+  for_each_piece({a.start + 1, a.len - 1}, n, [&](int x, int y) {
+    for (int pos = x; pos < y; ++pos) pass[pos] += sign;
+  });
 }
 
 OccupancyIndex::Slot OccupancyIndex::find_first_fit(Direction dir, SignalId id,
                                                     int from_waveguide,
                                                     int start) const {
+  // A placed signal's own slot reads as occupied by itself, where the
+  // reference predicate skips the signal; callers always exclude its
+  // waveguide (or search an unplaced signal), so no probe lands there.
+  assert((mapping_->routes[id].kind != RouteKind::kRingCw &&
+          mapping_->routes[id].kind != RouteKind::kRingCcw) ||
+         mapping_->routes[id].waveguide == from_waveguide);
+  const Plane& p = planes_[plane_of(dir)];
   const int L = stride_;
-  const int nslots = static_cast<int>(mapping_->waveguides.size()) * L;
-  // The gap-tree skip below is sound only for non-resident probes (a
-  // resident fit needs containment, not a free run). Callers always pass
-  // the searched signal's residence as `from_waveguide` (or search an
-  // unplaced signal), so the probed slots never hold the signal itself.
-  assert((!is_ring_route(mapping_->routes[id]) ||
-          mapping_->routes[id].waveguide == from_waveguide) &&
-         "find_first_fit must exclude the signal's resident waveguide");
-
-  const ArcTable::Arc a = arcs_->arc(id, dir);
-  const int need = a.len > 0 ? a.len : 0;  // len<=0 fits any slot
-  // Hop buckets the arc covers completely: a slot (or whole subtree) whose
-  // occupancy mask intersects them provably rejects. Bucket width is
-  // ceil(n/64) hops — position-exact for n <= 64.
   const int n = arcs_->nodes();
-  const int B = (n + 63) / 64;
-  const auto bucket_range = [&](int x, int y) -> std::uint64_t {  // [x, y)
-    const int j_lo = (x + B - 1) / B;
-    const int j_hi = y == n ? (n - 1) / B : y / B - 1;
-    if (j_lo > j_hi) return 0;  // j_hi <= 63 always; j_lo may exceed it
-    const std::uint64_t hi_mask = j_hi >= 63
-                                      ? ~std::uint64_t{0}
-                                      : (std::uint64_t{1} << (j_hi + 1)) - 1;
-    return hi_mask & ~((std::uint64_t{1} << j_lo) - 1);
-  };
-  std::uint64_t full = 0;
-  if (a.len > 0) {
-    const int end = a.start + a.len;
-    full = end <= n ? bucket_range(a.start, end)
-                    : (bucket_range(a.start, n) | bucket_range(0, end - n));
-  }
-  const GapTree& tree = gap_[dir == Direction::kCw ? 0 : 1];
-  assert(tree.size_ == nslots && "gap tree out of sync with slot space");
+  const int nslots = static_cast<int>(p.wgs.size()) * L;
+  const int blocks = (nslots + 63) / 64;
+  const ArcTable::Arc a = arcs_->arc(id, dir);
 
-  for (int k = start; k < nslots;) {
-    // Jump to the next slot that could possibly host the arc: longest free
-    // run >= len, and none of the arc's fully-covered buckets live.
-    // Everything skipped provably fails `fits`, so the first accepted slot
-    // is exactly the linear scan's. Other-direction waveguides carry -1/~0
-    // leaves and are never returned.
-    k = tree.next_fit(k, need, full);
-    if (k < 0) break;
-    const int w = k / L;
-    const RingWaveguide& wg = mapping_->waveguides[w];
-    assert(wg.dir == dir);
-    if (w == from_waveguide ||
-        (wg.opening != -1 &&
-         arcs_->interior_contains(id, dir, arcs_->position(wg.opening)))) {
-      // The excluded waveguide, or one whose fixed opening the arc passes:
-      // none of its slots can be the answer.
-      k = (w + 1) * L;
-      continue;
+  // The local slot of probe position `start`: the first slot of the first
+  // waveguide of `dir` at or after it.
+  const int sw = start / L;
+  const auto it = std::lower_bound(p.wgs.begin(), p.wgs.end(), sw);
+  int lo = static_cast<int>(it - p.wgs.begin()) * L;
+  if (it != p.wgs.end() && *it == sw) lo += start % L;
+  if (lo >= nslots) return {};
+
+  // The waveguide of rank r cannot hold the answer: it is the excluded
+  // one, or its fixed opening lies inside the arc.
+  const auto excluded = [&](int r) {
+    const int w = p.wgs[r];
+    const NodeId opening = mapping_->waveguides[w].opening;
+    return w == from_waveguide ||
+           (opening != -1 &&
+            arcs_->interior_contains(id, dir, arcs_->position(opening)));
+  };
+
+  for (int word = lo / 4096; word * 64 < blocks; ++word) {
+    const int b_first = std::max(lo / 64, word * 64);
+    const int b_end = std::min(word * 64 + 64, blocks);
+    const std::uint64_t* srow =
+        p.summary.data() + static_cast<std::size_t>(word) * n;
+    const std::uint64_t live = and_over_interior(
+        srow, a, n,
+        and_over_ends(srow, a, n,
+                      bit_range(b_first - word * 64, b_end - word * 64)));
+    // Blocks of this word the search considers, up to the answer's block.
+    const auto count = [&](int b_last) {
+      const int considered = b_last - b_first + 1;
+      stats_.fits_probes += considered;
+      stats_.fits_summary_hits +=
+          considered -
+          __builtin_popcountll(live & bit_range(0, b_last - word * 64 + 1));
+    };
+    for (std::uint64_t s = live; s != 0; s &= s - 1) {
+      const int b = word * 64 + __builtin_ctzll(s);
+      const int base = b * 64;  // local slot of bit 0
+      const std::uint64_t* row =
+          p.free.data() + static_cast<std::size_t>(b) * n;
+      std::uint64_t fit = and_over_ends(
+          row, a, n,
+          bit_range(b == lo / 64 ? lo % 64 : 0, std::min(nslots - base, 64)));
+      // Drop the slots of excluded waveguides before the interior AND.
+      for (std::uint64_t x = fit; x != 0;) {
+        const int r = (base + __builtin_ctzll(x)) / L;
+        const std::uint64_t own = bit_range(std::max(r * L - base, 0),
+                                            std::min((r + 1) * L - base, 64));
+        if (excluded(r)) fit &= ~own;
+        x &= ~own;
+      }
+      fit = and_over_interior(row, a, n, fit);
+      if (fit != 0) {
+        count(b);
+        const int k = base + __builtin_ctzll(fit);
+        return {p.wgs[k / L], k % L};
+      }
     }
-    const int wl = k % L;
-    if (fits(w, wl, id)) return {w, wl};
-    ++k;
+    count(b_end - 1);
   }
   return {};
 }
@@ -398,7 +260,7 @@ void OccupancyIndex::place(SignalId id, int waveguide, int wavelength) {
   r.waveguide = waveguide;
   r.wavelength = wavelength;
   wg.signals.push_back(id);
-  add_to_slots(waveguide, wavelength, id, +1);
+  mark(waveguide, wavelength, id, true);
 }
 
 void OccupancyIndex::relocate(SignalId id, int to_waveguide,
@@ -413,18 +275,17 @@ void OccupancyIndex::relocate(SignalId id, int to_waveguide,
     throw std::logic_error("relocate: signal not on its route's waveguide");
   }
   from_signals.erase(it);
-  add_to_slots(from_waveguide, from_wavelength, id, -1);
+  mark(from_waveguide, from_wavelength, id, false);
   m.waveguides[to_waveguide].signals.push_back(id);
   r.waveguide = to_waveguide;
   r.wavelength = to_wavelength;
-  add_to_slots(to_waveguide, to_wavelength, id, +1);
+  mark(to_waveguide, to_wavelength, id, true);
 }
 
 int OccupancyIndex::add_waveguide(Direction dir) {
   const int w = mapping_->add_waveguide(dir);
-  slots_.emplace_back();
   passing_.emplace_back(arcs_->nodes(), 0);
-  append_gap_slots(dir);
+  append_slots(w);
   return w;
 }
 

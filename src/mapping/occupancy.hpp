@@ -96,32 +96,26 @@ class ArcTable {
 /// Incremental mirror of a Mapping's ring-waveguide occupancy.
 ///
 /// Maintains, in lockstep with the Mapping it wraps:
-///   - per (waveguide, wavelength) hop bitsets plus a live set-bit count:
-///     `fits` answers empty slots, resident signals and the pigeonhole
-///     reject `live + len > n` without reading the bits, and otherwise
-///     runs one `ArcTable::overlaps` range query over the arc's words;
-///   - a per-direction segment tree over the probe-order slot sequence,
-///     keyed by each slot's longest free *circular* hop run and its
-///     64-bucket occupancy mask: a slot whose longest free run is shorter
-///     than the arc cannot host it at any position, and one with a live bit
-///     in a hop bucket the arc fully covers cannot either, so
-///     `find_first_fit` jumps straight to the next slot passing both
-///     filters in O(log slots) instead of probing every nearly-full slot
-///     on the way (the probe-order *decision* is unchanged
-///     — skipped slots all provably fail, candidates still run the exact
-///     `fits` predicate). Sound only because a searched signal never probes
-///     its own resident slot (`from_waveguide` is always its residence), a
-///     property the search asserts: a *resident* fit needs containment, not
-///     free space;
+///   - one transposed slot plane per direction. The direction's slots are
+///     numbered in probe order: local slot k = (rank of the waveguide among
+///     that direction's waveguides) * #wl + λ. Word `free[b*n + h]` has bit j
+///     set when local slot 64b + j exists and has hop h free, and word
+///     `summary[(b/64)*n + h]` has bit b % 64 set when that `free` word is
+///     non-zero. A signal fits a slot iff every hop of its arc is free
+///     there, so ANDing the arc's hop words of one block decides 64 slots at
+///     once, and ANDing its summary words rules out up to 64 blocks at once.
+///     Both arrays are hop-contiguous: a placement touches one run of words;
 ///   - per-waveguide per-tour-position passing-signal counts, making the
 ///     opening phase's candidate scoring an array read instead of an
 ///     O(signals × path) recount per node.
 ///
 /// All mutations of the mapping's ring state must go through this class
-/// while an index is live. Predicates are *bit-identical* to the brute-force
-/// reference predicates in tests/mapping_reference.hpp: the index only
-/// evaluates the same predicates faster, which tests/test_mapping_index.cpp
-/// and tests/test_mapping_fastpath.cpp enforce differentially.
+/// while an index is live. The search returns exactly the slot a
+/// brute-force scan with the reference predicate of
+/// tests/mapping_reference.hpp returns (it has no pruning rule, only the
+/// predicate evaluated 64 slots at a time), which
+/// tests/test_mapping_index.cpp and tests/test_mapping_fastpath.cpp enforce
+/// differentially.
 class OccupancyIndex {
  public:
   /// Builds the index over the mapping's current ring placements, serving
@@ -130,11 +124,6 @@ class OccupancyIndex {
   /// entry point rejects the cap even when nothing is ring-routed.
   OccupancyIndex(const ArcTable& arcs, Mapping& mapping, int max_wavelengths);
 
-  /// True if the signal can join the (waveguide, wavelength) slot: its arc
-  /// overlaps no other same-slot arc and does not pass the waveguide's
-  /// opening (once fixed). Equals the brute-force reference predicate.
-  bool fits(int waveguide, int wavelength, SignalId id) const;
-
   /// A found (waveguide, wavelength) slot; waveguide < 0 means none fits.
   struct Slot {
     int waveguide = -1;
@@ -142,12 +131,14 @@ class OccupancyIndex {
   };
 
   /// First (waveguide, wavelength) at or after probe position `start` whose
-  /// slot fits the signal. Probe order is waveguide index ascending over
-  /// waveguides of `dir` (skipping `from_waveguide`), wavelength
-  /// 0..max_wavelengths-1 within each; slot (w, wl) sits at probe position
-  /// w * max_wavelengths + wl. From 0 this is exactly the slot the
+  /// slot fits the signal: its arc overlaps no arc in the slot and does not
+  /// pass the waveguide's opening (once fixed). Probe order is waveguide
+  /// index ascending over waveguides of `dir` (skipping `from_waveguide`),
+  /// wavelength 0..max_wavelengths-1 within each; slot (w, wl) sits at probe
+  /// position w * max_wavelengths + wl. From 0 this is exactly the slot the
   /// brute-force first-fit loops of `place_on_ring` / the opening
-  /// relocation find.
+  /// relocation find. A placed signal must pass its own waveguide as
+  /// `from_waveguide`: its own slot reads as occupied.
   Slot find_first_fit(Direction dir, SignalId id, int from_waveguide,
                       int start = 0) const;
 
@@ -181,92 +172,46 @@ class OccupancyIndex {
   /// searches are serial, so the counts are a deterministic function of the
   /// input, identical at every pool size.
   struct SearchStats {
-    long long fits_probes = 0;       ///< fits() evaluations
-    long long fits_summary_hits = 0; ///< probes answered without slot bits
+    long long fits_probes = 0;       ///< 64-slot blocks the search considered
+    long long fits_summary_hits = 0; ///< of those, ruled out by the summary
   };
 
-  const SearchStats& search_stats() const { return stats_; }
+  /// The counts since the last call, then zeroes them: each phase flushes
+  /// its own work even when phases share one index.
+  SearchStats take_search_stats() {
+    const SearchStats out = stats_;
+    stats_ = {};
+    return out;
+  }
 
   const ArcTable& arcs() const { return *arcs_; }
+  Mapping& mapping() const { return *mapping_; }
+  int max_wavelengths() const { return stride_; }
 
  private:
-  /// One (waveguide, wavelength) slot: hop bitset plus its total set-bit
-  /// count `live` (placements within a slot are disjoint, so it is the sum
-  /// of resident arc lengths).
-  struct SlotBits {
-    std::vector<std::uint64_t> bits;  ///< empty = all-zero (grown lazily)
-    /// Bit j set iff hop bucket j holds a live bit, where the ring's n
-    /// positions split into 64 uniform buckets of ceil(n/64) hops; feeds
-    /// the gap tree's occupancy filter.
-    std::uint64_t buckets = 0;
-    int live = 0;
+  /// One direction's slot plane (see the class comment).
+  struct Plane {
+    std::vector<int> wgs;                ///< local rank -> global waveguide
+    std::vector<std::uint64_t> free;     ///< [block][hop]
+    std::vector<std::uint64_t> summary;  ///< [block / 64][hop]
   };
 
-  /// Pruned search tree over the linear slot order k = waveguide * stride +
-  /// wavelength, one per direction. Each node carries two sound reject
-  /// filters over its subtree:
-  ///   - `gap`: max over slots of the longest free circular hop run (n for
-  ///     empty/absent slots) — a subtree with gap < len has no slot that can
-  ///     host the arc at any position;
-  ///   - `occ`: AND over slots of the 64-bucket occupancy masks
-  ///     (`SlotBits::buckets`) — a bit set for one of the hop buckets the
-  ///     arc fully covers means every slot in the subtree has a live bit
-  ///     inside the arc, so all of them fail.
-  /// Slots whose waveguide has the other direction (and unused capacity)
-  /// carry gap -1 / occ ~0 and can never qualify (`need` is always >= 0).
-  /// The search is two-level: a heap over per-waveguide aggregates prunes
-  /// whole waveguides, then the survivor's per-slot filters are scanned
-  /// flat. Both levels are necessary conditions, so the slots returned —
-  /// and hence every probe and decision — are exactly the single-level
-  /// scan's.
-  struct GapTree {
-    /// Both filters share a 16-byte slot so a scan step touches one cache
-    /// line, not two.
-    struct Node {
-      int gap;            ///< longest free run (max over group; -1: never)
-      std::uint64_t occ;  ///< 64-bucket occupancy mask (AND over group)
-    };
-    int stride_ = 1;           ///< slots per waveguide (the #wl cap)
-    int size_ = 0;             ///< slots in use (waveguides * stride)
-    int wcount_ = 0;           ///< waveguides covered by the heap
-    int cap_ = 0;              ///< power-of-two waveguide capacity
-    /// Per-slot filters, flat in probe order k — a candidate waveguide's
-    /// stride_ slots sit in 4 consecutive cache lines.
-    std::vector<Node> leaf_;
-    /// 2*cap_ heap-ordered nodes over *waveguides* (leaf i = aggregate of
-    /// slots [i*stride_, (i+1)*stride_)). 16x fewer leaves than slots keeps
-    /// the whole heap cache-resident even at n=1024.
-    std::vector<Node> node_;
-
-    void set(int k, int gap, std::uint64_t occ);
-    void append(int gap, std::uint64_t occ);
-    /// First slot index >= from with gap >= need and (occ & full) == 0 —
-    /// the slots a first-fit probe could possibly accept; -1 when none.
-    int next_fit(int from, int need, std::uint64_t full) const;
-
-   private:
-    void refresh_waveguide(int w);
-    /// First waveguide >= from whose aggregate passes both filters.
-    int next_waveguide(int from, int need, std::uint64_t full) const;
-  };
-
-  void add_to_slots(int waveguide, int wavelength, SignalId id, int sign);
-  /// Longest circular run of free hop positions in the slot (n when empty).
-  int max_free_run(const SlotBits& slot) const;
-  /// Appends one waveguide's stride_ empty slots to its direction's gap
-  /// tree and never-qualifying ones to the other direction's.
-  void append_gap_slots(Direction dir);
+  /// Appends the waveguide's #wl empty slots, all hops free, to its
+  /// direction's plane; waveguides are appended in index order.
+  void append_slots(int waveguide);
+  /// Marks the signal's arc occupied (`occupy`) or free in the slot, and
+  /// updates the waveguide's passing counts.
+  void mark(int waveguide, int wavelength, SignalId id, bool occupy);
 
   const ArcTable* arcs_;
   Mapping* mapping_;
   int stride_;  ///< the one max_wavelengths this instance serves
-  /// slots_[w][wl] (grown lazily; an absent slot is all-zero).
-  std::vector<std::vector<SlotBits>> slots_;
+  std::array<Plane, 2> planes_;  ///< [kCw, kCcw]
+  std::vector<int> rank_;  ///< global waveguide -> rank in its plane
   /// passing_[w][pos]: # signals on w whose arc interior covers position pos.
   std::vector<std::vector<int>> passing_;
 
   mutable SearchStats stats_;
-  std::array<GapTree, 2> gap_;  ///< [kCw, kCcw]
 };
 
 }  // namespace xring::mapping

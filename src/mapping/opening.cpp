@@ -97,8 +97,8 @@ bool arcs_overlap(ArcTable::Arc a, ArcTable::Arc b, int n) {
 /// shared by every attempt that moves it.
 class CandidateSearch {
  public:
-  CandidateSearch(OccupancyIndex& index, int max_wavelengths)
-      : index_(index), stride_(max_wavelengths) {}
+  explicit CandidateSearch(OccupancyIndex& index)
+      : index_(index), stride_(index.max_wavelengths()) {}
 
   /// Starts the loop of waveguide `w`, which holds `residents` signals.
   void reset(int w, Direction dir, std::size_t residents) {
@@ -186,19 +186,14 @@ class CandidateSearch {
 
 }  // namespace
 
-OpeningStats create_openings(const ring::Tour& tour,
-                             const netlist::Traffic& traffic, Mapping& mapping,
-                             const MappingOptions& mapping_options,
-                             const OpeningOptions& options,
-                             const ArcTable* shared_arcs) {
+OpeningStats create_openings(const ring::Tour& tour, OccupancyIndex& index,
+                             const OpeningOptions& options) {
   OpeningStats stats;
   if (!options.enable) return stats;
 
-  std::optional<ArcTable> local_arcs;
-  if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
-  const ArcTable& arcs = shared_arcs ? *shared_arcs : *local_arcs;
-  OccupancyIndex index(arcs, mapping, mapping_options.max_wavelengths);
-  CandidateSearch search(index, mapping_options.max_wavelengths);
+  Mapping& mapping = index.mapping();
+  const ArcTable& arcs = index.arcs();
+  CandidateSearch search(index);
 
   long long memoized = 0;
   long long reloc_attempts = 0;
@@ -280,6 +275,7 @@ OpeningStats create_openings(const ring::Tour& tour,
     max_route_wl = std::max(max_route_wl, r.wavelength);
   }
   mapping.wavelengths_used = max_route_wl + 1;
+  const OccupancyIndex::SearchStats ss = index.take_search_stats();
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
     // Every ring waveguide receives exactly one opening.
@@ -288,13 +284,25 @@ OpeningStats create_openings(const ring::Tour& tour,
     reg.counter("mapping.relocated_signals").add(stats.relocated_signals);
     reg.counter("mapping.extra_waveguides").add(stats.extra_waveguides);
     reg.gauge("mapping.wavelengths_used").max(mapping.wavelengths_used);
-    const OccupancyIndex::SearchStats& ss = index.search_stats();
     reg.counter("mapping.fits_probes").add(ss.fits_probes);
     reg.counter("mapping.fits_summary_hits").add(ss.fits_summary_hits);
     reg.counter("mapping.reloc_attempts").add(reloc_attempts);
     reg.counter("mapping.candidates_memoized").add(memoized);
   }
   return stats;
+}
+
+OpeningStats create_openings(const ring::Tour& tour,
+                             const netlist::Traffic& traffic, Mapping& mapping,
+                             const MappingOptions& mapping_options,
+                             const OpeningOptions& options,
+                             const ArcTable* shared_arcs) {
+  if (!options.enable) return {};
+  std::optional<ArcTable> local_arcs;
+  if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
+  OccupancyIndex index(shared_arcs ? *shared_arcs : *local_arcs, mapping,
+                       mapping_options.max_wavelengths);
+  return create_openings(tour, index, options);
 }
 
 }  // namespace xring::mapping

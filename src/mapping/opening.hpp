@@ -29,13 +29,18 @@ struct OpeningStats {
 /// succeeds; every ring waveguide ends up with an opening through which the
 /// PDN reaches the senders without crossing any ring waveguide.
 ///
-/// Runs on the incremental OccupancyIndex (occupancy.hpp): candidate
-/// scoring reads maintained passing counts, and each candidate's relocations
-/// are tried against the unchanged index, from per-signal lists of fitting
-/// slots, and written only when every moving signal fits — a failed
-/// candidate leaves nothing to undo. `shared_arcs` (optional) is the
-/// sweep-shared ArcTable over the same (tour, traffic); results are
-/// bit-identical with or without it.
+/// Runs on the incremental OccupancyIndex (occupancy.hpp) the assignment
+/// filled, over `index.mapping()` and under the index's #wl cap: candidate
+/// scoring reads maintained passing counts, and each candidate's
+/// relocations are tried against the unchanged index, from per-signal lists
+/// of fitting slots, and written only when every moving signal fits — a
+/// failed candidate leaves nothing to undo.
+OpeningStats create_openings(const ring::Tour& tour, OccupancyIndex& index,
+                             const OpeningOptions& options = {});
+
+/// The same phase over a Mapping, on a freshly built index. `shared_arcs`
+/// (optional) is the sweep-shared ArcTable over the same (tour, traffic);
+/// results are bit-identical with or without it.
 OpeningStats create_openings(const ring::Tour& tour,
                              const netlist::Traffic& traffic, Mapping& mapping,
                              const MappingOptions& mapping_options,

@@ -1,6 +1,7 @@
 #include "mapping/wavelength.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -50,9 +51,9 @@ namespace {
 /// waveguide of the direction could not host the signal (i.e. the overflow
 /// is a real wavelength conflict, not the first signal of its direction).
 std::pair<int, int> place_on_ring(const netlist::Traffic& traffic,
-                                  const Mapping& m, OccupancyIndex& index,
-                                  Direction dir, SignalId id,
-                                  int max_wavelengths) {
+                                  OccupancyIndex& index, Direction dir,
+                                  SignalId id) {
+  const Mapping& m = index.mapping();
   const OccupancyIndex::Slot slot =
       index.find_first_fit(dir, id, /*from_waveguide=*/-1);
   if (slot.waveguide >= 0) return {slot.waveguide, slot.wavelength};
@@ -68,7 +69,7 @@ std::pair<int, int> place_on_ring(const netlist::Traffic& traffic,
         {{"signal", std::to_string(id)},
          {"direction", dir == Direction::kCw ? "cw" : "ccw"},
          {"waveguides_tried", std::to_string(candidates)},
-         {"max_wavelengths", std::to_string(max_wavelengths)}});
+         {"max_wavelengths", std::to_string(index.max_wavelengths())}});
   }
   return {index.add_waveguide(dir), 0};
 }
@@ -80,12 +81,12 @@ std::uint64_t pair_key(NodeId src, NodeId dst) {
 
 }  // namespace
 
-Mapping assign_wavelengths(const ring::Tour& tour,
-                           const netlist::Traffic& traffic,
-                           const shortcut::ShortcutPlan& shortcuts,
-                           const MappingOptions& options,
-                           const ArcTable* shared_arcs) {
-  Mapping m;
+void assign_wavelengths(const ring::Tour& tour,
+                        const netlist::Traffic& traffic,
+                        const shortcut::ShortcutPlan& shortcuts,
+                        OccupancyIndex& index) {
+  Mapping& m = index.mapping();
+  assert(m.waveguides.empty() && "assignment starts from no waveguide");
   m.routes.assign(traffic.size(), SignalRoute{});
 
   // --- Shortcut-supported signals -------------------------------------
@@ -187,22 +188,17 @@ Mapping assign_wavelengths(const ring::Tour& tour,
                             std::min(cw_len[y], ccw_len[y]);
                    });
 
-  std::optional<ArcTable> local_arcs;
-  if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
-  const ArcTable& arcs = shared_arcs ? *shared_arcs : *local_arcs;
-  OccupancyIndex index(arcs, m, options.max_wavelengths);
-
   for (const SignalId id : ring_signals) {
     const Direction dir =
         cw_len[id] <= ccw_len[id] ? Direction::kCw : Direction::kCcw;
-    const auto [w, wl] =
-        place_on_ring(traffic, m, index, dir, id, options.max_wavelengths);
+    const auto [w, wl] = place_on_ring(traffic, index, dir, id);
     index.place(id, w, wl);
   }
 
   int max_wl = -1;
   for (const SignalRoute& r : m.routes) max_wl = std::max(max_wl, r.wavelength);
   m.wavelengths_used = max_wl + 1;
+  const OccupancyIndex::SearchStats ss = index.take_search_stats();
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
     // Per-run maxima: a #wl sweep maps its settings concurrently, and a
@@ -218,13 +214,25 @@ Mapping assign_wavelengths(const ring::Tour& tour,
     }
     reg.gauge("mapping.shortcut_routes")
         .max(static_cast<double>(shortcut_routes));
-    const OccupancyIndex::SearchStats& ss = index.search_stats();
     reg.counter("mapping.fits_probes").add(ss.fits_probes);
     reg.counter("mapping.fits_summary_hits").add(ss.fits_summary_hits);
     // Assignment relocates nothing; the key is registered so a run without
     // openings still reports it, as zero.
     reg.counter("mapping.reloc_attempts");
   }
+}
+
+Mapping assign_wavelengths(const ring::Tour& tour,
+                           const netlist::Traffic& traffic,
+                           const shortcut::ShortcutPlan& shortcuts,
+                           const MappingOptions& options,
+                           const ArcTable* shared_arcs) {
+  std::optional<ArcTable> local_arcs;
+  if (shared_arcs == nullptr) local_arcs.emplace(tour, traffic);
+  Mapping m;
+  OccupancyIndex index(shared_arcs ? *shared_arcs : *local_arcs, m,
+                       options.max_wavelengths);
+  assign_wavelengths(tour, traffic, shortcuts, index);
   return m;
 }
 

@@ -75,7 +75,8 @@ struct Mapping {
   int add_waveguide(Direction dir);
 };
 
-class ArcTable;  // occupancy.hpp: precomputed arcs shared across a sweep
+class ArcTable;        // occupancy.hpp: precomputed arcs shared across a sweep
+class OccupancyIndex;  // occupancy.hpp: the incremental slot index
 
 /// The directed arc a ring-routed signal occupies, as tour hop indices.
 /// Clockwise signals cover the cw arc src→dst; counter-clockwise signals
@@ -90,7 +91,15 @@ std::vector<int> occupied_hops(const ring::Tour& tour, NodeId src, NodeId dst,
 /// their shorter direction, opening new waveguides when #wl is exhausted.
 /// Openings are NOT chosen here; see opening.hpp.
 ///
-/// The hot loop runs on the incremental OccupancyIndex (occupancy.hpp).
+/// Writes into `index.mapping()`, which must hold no waveguide yet; the
+/// #wl cap is the index's. The index stays live for the opening phase
+/// (`create_openings(tour, index, ...)`), so both phases share one index.
+void assign_wavelengths(const ring::Tour& tour,
+                        const netlist::Traffic& traffic,
+                        const shortcut::ShortcutPlan& shortcuts,
+                        OccupancyIndex& index);
+
+/// The same assignment into a fresh Mapping, on a local index.
 /// `shared_arcs`, when given, must be an ArcTable built over the same
 /// (tour, traffic) pair — a `#wl` sweep builds it once (see
 /// Synthesizer::make_sweep_cache) instead of once per setting; when null a

@@ -94,27 +94,68 @@ struct HopArc {
   int len = 0;
 };
 
-HopArc hop_arc(const ring::Tour& tour, const netlist::Signal& sig,
-               Direction dir) {
-  const NodeId from = dir == Direction::kCw ? sig.src : sig.dst;
-  const NodeId to = dir == Direction::kCw ? sig.dst : sig.src;
-  return {tour.position(from), tour.hops_cw(from, to)};
-}
-
 /// (to - from) mod n, for positions in [0, n).
 int cw_offset(int from, int to, int n) {
   const int d = to - from;
   return d < 0 ? d + n : d;
 }
 
+HopArc hop_arc(const ring::Tour& tour, const netlist::Signal& sig,
+               Direction dir) {
+  const int from = tour.position(dir == Direction::kCw ? sig.src : sig.dst);
+  const int to = tour.position(dir == Direction::kCw ? sig.dst : sig.src);
+  return {from, cw_offset(from, to, tour.size())};
+}
+
+/// A non-empty arc of one waveguide: its wavelength and hop interval
+/// [start, end), end = start + len (may pass n).
+struct SlotArc {
+  int wavelength;
+  int start;
+  int end;
+};
+
+/// True when two same-wavelength arcs share a hop. Sorted by (wavelength,
+/// start), one wavelength's arcs are pairwise disjoint iff each ends at or
+/// before the next one's start, and the last at or before the first's
+/// start + n (the wrap).
+bool has_arc_overlap(std::vector<SlotArc>& arcs, int n) {
+  std::sort(arcs.begin(), arcs.end(), [](const SlotArc& x, const SlotArc& y) {
+    return x.wavelength != y.wavelength ? x.wavelength < y.wavelength
+                                        : x.start < y.start;
+  });
+  for (std::size_t lo = 0; lo < arcs.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < arcs.size() && arcs[hi].wavelength == arcs[lo].wavelength) {
+      ++hi;
+    }
+    for (std::size_t k = lo; k < hi; ++k) {
+      const int next = k + 1 < hi ? arcs[k + 1].start : arcs[lo].start + n;
+      if (arcs[k].end > next) return true;
+    }
+    lo = hi;
+  }
+  return false;
+}
+
 void check_arcs(const RouterDesign& d, std::vector<Violation>& out) {
   const ring::Tour& tour = d.ring.tour;
   const int n = tour.size();
   if (n == 0) return;
+  std::vector<SlotArc> sorted;
   for (std::size_t w = 0; w < d.mapping.waveguides.size(); ++w) {
     const mapping::RingWaveguide& wg = d.mapping.waveguides[w];
+    sorted.clear();
+    for (const SignalId id : wg.signals) {
+      const HopArc a = hop_arc(tour, d.traffic.signal(id), wg.dir);
+      if (a.len > 0) {
+        sorted.push_back({d.mapping.routes[id].wavelength, a.start,
+                          a.start + a.len});
+      }
+    }
+    if (!has_arc_overlap(sorted, n)) continue;
+    // A flagged waveguide reports every overlapping pair, in pair order.
     std::vector<HopArc> arcs;
-    arcs.reserve(wg.signals.size());
     for (const SignalId id : wg.signals) {
       arcs.push_back(hop_arc(tour, d.traffic.signal(id), wg.dir));
     }

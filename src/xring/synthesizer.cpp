@@ -74,20 +74,24 @@ SynthesisResult Synthesizer::synthesize_from_ring(
                                             options.shortcuts);
   }
 
-  // Step 3: wavelength assignment, then openings — both on the incremental
-  // occupancy index, over the sweep-shared arc table when available.
-  const mapping::ArcTable* arcs = cache ? &cache->arcs : nullptr;
+  // Step 3: wavelength assignment, then openings, both on one incremental
+  // occupancy index over d.mapping (and over the sweep-shared arc table
+  // when available): the opening phase continues on the assignment's index,
+  // which is freed before Step 4.
   {
-    obs::Span span("mapping");
-    d.mapping = mapping::assign_wavelengths(d.ring.tour, d.traffic,
-                                            d.shortcuts, options.mapping,
-                                            arcs);
-  }
-  {
+    std::optional<mapping::ArcTable> local_arcs;
+    std::optional<mapping::OccupancyIndex> index;
+    {
+      obs::Span span("mapping");
+      if (cache == nullptr) local_arcs.emplace(d.ring.tour, d.traffic);
+      index.emplace(cache ? cache->arcs : *local_arcs, d.mapping,
+                    options.mapping.max_wavelengths);
+      mapping::assign_wavelengths(d.ring.tour, d.traffic, d.shortcuts,
+                                  *index);
+    }
     obs::Span span("opening");
     out.opening_stats =
-        mapping::create_openings(d.ring.tour, d.traffic, d.mapping,
-                                 options.mapping, options.openings, arcs);
+        mapping::create_openings(d.ring.tour, *index, options.openings);
   }
 
   // Step 4: PDN.

@@ -3,11 +3,12 @@
 // The brute-force Step-3 predicates, kept verbatim as the differential
 // oracle of the incremental OccupancyIndex in src/mapping: per-probe
 // occupied_hops / interior-node derivation and a rescan of every
-// co-resident signal. Only tests include it; OccupancyIndex::fits and
-// OccupancyIndex::passing_count must agree with these exactly
+// co-resident signal. Only tests include it; OccupancyIndex::find_first_fit
+// and OccupancyIndex::passing_count must agree with these exactly
 // (tests/test_mapping_index.cpp, tests/test_mapping_fastpath.cpp). Do not
 // "optimize" this code.
 
+#include <utility>
 #include <vector>
 
 #include "mapping/wavelength.hpp"
@@ -56,6 +57,23 @@ inline bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
     }
   }
   return true;
+}
+
+/// Every (waveguide, wavelength) slot under the cap that fits the signal on
+/// a waveguide of `dir` other than `from_waveguide`, in probe order
+/// (waveguide ascending, then wavelength).
+inline std::vector<std::pair<int, int>> fit_list(
+    const ring::Tour& tour, const netlist::Traffic& traffic,
+    const Mapping& mapping, Direction dir, SignalId signal,
+    int from_waveguide, int max_wavelengths) {
+  std::vector<std::pair<int, int>> out;
+  for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
+    if (w == from_waveguide || mapping.waveguides[w].dir != dir) continue;
+    for (int wl = 0; wl < max_wavelengths; ++wl) {
+      if (fits(tour, traffic, mapping, w, wl, signal)) out.emplace_back(w, wl);
+    }
+  }
+  return out;
 }
 
 /// Number of signals on waveguide `w` whose arc passes *through* `node`.

@@ -99,7 +99,8 @@ TEST(Evaluate, ReceiverSensitivityShiftsPowerNotSnr) {
   Synthesizer synth(fp);
   SynthesisOptions a;
   a.mapping.max_wavelengths = 8;
-  SynthesisOptions b = a;
+  SynthesisOptions b;
+  b.mapping.max_wavelengths = 8;
   b.params.loss.receiver_sensitivity_dbm += 10.0;  // 10 dB less sensitive
   const auto ra = synth.run(a);
   const auto rb = synth.run(b);

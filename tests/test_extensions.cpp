@@ -18,7 +18,8 @@ TEST(PartialTraffic, PermutationUsesFarFewerResources) {
   Synthesizer synth(fp);
   SynthesisOptions all;
   all.mapping.max_wavelengths = 16;
-  SynthesisOptions perm = all;
+  SynthesisOptions perm;
+  perm.mapping.max_wavelengths = 16;
   perm.traffic = netlist::Traffic::permutation(16, 5);
   const auto ra = synth.run(all);
   const auto rp = synth.run(perm);
@@ -78,7 +79,8 @@ TEST(ResidueFilter, RemovingItCreatesReceiverNoise) {
   Synthesizer synth(fp);
   SynthesisOptions with;
   with.mapping.max_wavelengths = 16;
-  SynthesisOptions without = with;
+  SynthesisOptions without;
+  without.mapping.max_wavelengths = 16;
   without.params.crosstalk.residue_filter = false;
   const auto a = synth.run(with);
   const auto b = synth.run(without);
@@ -93,7 +95,8 @@ TEST(ResidueFilter, FilterCostsThroughLoss) {
   Synthesizer synth(fp);
   SynthesisOptions with;
   with.mapping.max_wavelengths = 16;
-  SynthesisOptions without = with;
+  SynthesisOptions without;
+  without.mapping.max_wavelengths = 16;
   without.params.crosstalk.residue_filter = false;
   const auto a = synth.run(with);
   const auto b = synth.run(without);

@@ -332,8 +332,30 @@ void expect_mappings_identical(const Mapping& a, const Mapping& b) {
             b.ring_waveguides(Direction::kCcw));
 }
 
+/// Every slot find_first_fit returns for the signal, grown from probe
+/// position 0 one fit at a time as the opening search grows a fit list.
+std::vector<std::pair<int, int>> index_fit_list(const OccupancyIndex& index,
+                                                Direction dir, SignalId id,
+                                                int from_waveguide) {
+  std::vector<std::pair<int, int>> out;
+  for (int start = 0;;) {
+    const OccupancyIndex::Slot s =
+        index.find_first_fit(dir, id, from_waveguide, start);
+    if (s.waveguide < 0) return out;
+    out.emplace_back(s.waveguide, s.wavelength);
+    const int next = s.waveguide * index.max_wavelengths() + s.wavelength + 1;
+    if (next <= start) {
+      ADD_FAILURE() << "signal " << id << ": a slot before start " << start;
+      return out;
+    }
+    start = next;
+  }
+}
+
 /// Asserts a freshly built index over `mapping` agrees with the brute-force
-/// predicates on every (waveguide, wavelength, signal) and (waveguide, node).
+/// predicates on every (waveguide, node) and on every signal's whole fit
+/// list in both directions (off its own waveguide, which a search of a
+/// placed signal always excludes).
 void expect_index_agrees(const ring::Tour& tour, const Traffic& traffic,
                          Mapping& mapping, int max_wavelengths) {
   const ArcTable arcs(tour, traffic);
@@ -348,12 +370,18 @@ void expect_index_agrees(const ring::Tour& tour, const Traffic& traffic,
                 ref_signals_passing(tour, traffic, mapping, w, v))
           << "w=" << w << " pos=" << pos;
     }
-    for (const auto& sig : traffic.signals()) {
-      for (int wl = 0; wl < max_wavelengths; ++wl) {
-        EXPECT_EQ(index.fits(w, wl, sig.id),
-                  reference::fits(tour, traffic, mapping, w, wl, sig.id))
-            << "w=" << w << " wl=" << wl << " signal=" << sig.id;
-      }
+  }
+  for (const auto& sig : traffic.signals()) {
+    const SignalRoute& r = mapping.routes[sig.id];
+    const int from = r.kind == RouteKind::kRingCw ||
+                             r.kind == RouteKind::kRingCcw
+                         ? r.waveguide
+                         : -1;
+    for (const Direction dir : {Direction::kCw, Direction::kCcw}) {
+      EXPECT_EQ(index_fit_list(index, dir, sig.id, from),
+                reference::fit_list(tour, traffic, mapping, dir, sig.id, from,
+                                    max_wavelengths))
+          << "signal=" << sig.id;
     }
   }
 }

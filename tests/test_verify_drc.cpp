@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "baseline/oring.hpp"
@@ -100,6 +101,55 @@ TEST(Drc, DetectsArcOverlap) {
     found |= v.rule == Violation::Rule::kArcOverlap;
   }
   EXPECT_TRUE(found);
+}
+
+// Two cw signals moved onto one waveguide at a wavelength no other signal
+// there uses; the arc-overlap messages the DRC reports for that waveguide.
+std::vector<std::string> overlaps_of_pair(int from_a, int to_a, int from_b,
+                                          int to_b) {
+  auto r = synthesize(8);
+  analysis::RouterDesign& d = r.design;
+  const ring::Tour& tour = d.ring.tour;
+  const auto signal_between = [&](int from_pos, int to_pos) {
+    for (const auto& sig : d.traffic.signals()) {
+      if (sig.src == tour.at(from_pos) && sig.dst == tour.at(to_pos)) {
+        return sig.id;
+      }
+    }
+    return SignalId{-1};
+  };
+  const SignalId a = signal_between(from_a, to_a);
+  const SignalId b = signal_between(from_b, to_b);
+  int w = 0;
+  while (d.mapping.waveguides[w].dir != mapping::Direction::kCw) ++w;
+  for (const SignalId id : {a, b}) {
+    mapping::SignalRoute& route = d.mapping.routes[id];
+    if (route.kind == mapping::RouteKind::kRingCw ||
+        route.kind == mapping::RouteKind::kRingCcw) {
+      auto& old = d.mapping.waveguides[route.waveguide].signals;
+      old.erase(std::find(old.begin(), old.end(), id));
+    }
+    route = {mapping::RouteKind::kRingCw, w, 99, -1, -1};
+    d.mapping.waveguides[w].signals.push_back(id);
+  }
+  std::vector<std::string> got;
+  for (const Violation& v : check(d, options_for(8))) {
+    if (v.rule == Violation::Rule::kArcOverlap) got.push_back(v.message);
+  }
+  return got;
+}
+
+TEST(Drc, DetectsArcOverlapAcrossTourWrap) {
+  // Tour positions 7 -> 2 cover hops 7, 0 and 1; 1 -> 3 covers 1 and 2.
+  // Sorted by start, only the wrap test (last arc's end against the first
+  // arc's start + n) sees the shared hop 1.
+  const std::vector<std::string> got = overlaps_of_pair(7, 2, 1, 3);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(got.front().find(" wavelength 99"), std::string::npos)
+      << got.front();
+  // 6 -> 0 covers hops 6 and 7, 0 -> 2 covers 0 and 1: they touch at the
+  // wrap and share no hop.
+  EXPECT_TRUE(overlaps_of_pair(6, 0, 0, 2).empty());
 }
 
 TEST(Drc, DetectsBlockedOpening) {

@@ -70,7 +70,8 @@ TEST(Synthesizer, ShortcutsReduceMeanLossAndDetourLengths) {
   Synthesizer synth(fp);
   SynthesisOptions with;
   with.mapping.max_wavelengths = 32;
-  SynthesisOptions without = with;
+  SynthesisOptions without;
+  without.mapping.max_wavelengths = 32;
   without.shortcuts.enable = false;
   const auto a = synth.run(with);
   const auto b = synth.run(without);
