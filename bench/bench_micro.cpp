@@ -80,15 +80,41 @@ void BM_RingConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_RingConstruction)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
+/// An 8-row grid of n nodes at 2 mm pitch, each moved by up to ±300 µm
+/// per axis by a fixed LCG: irregular enough that Step 1 has a real search.
+netlist::Floorplan jittered_grid(int n) {
+  const int rows = 8, cols = n / 8;
+  unsigned state = 0x9E3779B9u + static_cast<unsigned>(n);
+  const auto jitter = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<geom::Coord>((state >> 8) % 601) - 300;
+  };
+  std::vector<netlist::Node> nodes;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      nodes.push_back({r * cols + c,
+                       {2000 + 2000 * c + jitter(), 2000 + 2000 * r + jitter()},
+                       ""});
+    }
+  }
+  return netlist::Floorplan(std::move(nodes), 2000 * (cols + 2),
+                            2000 * (rows + 2));
+}
+
+/// The all-starts heuristic: the paper's 8/16/32-node rings, then jittered
+/// 8 x 8 and 8 x 12 grids (the sizes of bench/perf's sweep64 and single96).
 void BM_HeuristicTour(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto fp = netlist::Floorplan::standard(n);
+  const auto fp =
+      n <= 32 ? netlist::Floorplan::standard(n) : jittered_grid(n);
   const ring::ConflictOracle oracle(fp);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ring::heuristic_tour(fp, oracle));
   }
 }
-BENCHMARK(BM_HeuristicTour)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HeuristicTour)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WavelengthAssignment(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

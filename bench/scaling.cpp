@@ -230,10 +230,14 @@ int ring_smoke_budgeted(int n, const char* events_file) {
 }
 
 /// Ring-construction MILP scaling table: n = 32..256 (capped by
-/// `max_ring`), solved at pool 1 and at the full pool (the search is
-/// serial, so the two columns time the same work and the answers must
-/// agree exactly). An explicit basis inverse would be O(m^2) memory — ~560 MB
-/// at n=128 — so the sparse LU basis is what makes the table possible; the
+/// `max_ring`), solved at pool 1 and at the full pool. The all-starts
+/// heuristic runs on the pool and the MILP search is serial, so the
+/// speedup column measures the heuristic's share; the two runs must agree
+/// exactly on the tour, the solver's status, nodes and pivots, and the
+/// certified bound. (The build overload used here makes its conflict table
+/// before its clock starts.) An explicit basis inverse would be O(m^2)
+/// memory — ~560 MB at n=128 — so the sparse LU basis is what makes the
+/// table possible; the
 /// separated formulation (root LP = degree rows only, Eq. 2/3 as cuts) is
 /// what carries it past n=128.
 bool ring_scaling_table(int jobs_n, int max_ring) {
@@ -252,10 +256,13 @@ bool ring_scaling_table(int jobs_n, int max_ring) {
     par::set_jobs(jobs_n);
     const RingRun parallel = run_ring_milp(n, 300.0);
     par::set_jobs(0);
-    if (serial.result.geometry.tour.total_length() !=
-            parallel.result.geometry.tour.total_length() ||
+    if (serial.result.geometry.tour.order() !=
+            parallel.result.geometry.tour.order() ||
         serial.result.mip_status != parallel.result.mip_status ||
-        serial.result.bnb_nodes != parallel.result.bnb_nodes) {
+        serial.result.bnb_nodes != parallel.result.bnb_nodes ||
+        serial.pivots != parallel.pivots ||
+        serial.result.lower_bound_um != parallel.result.lower_bound_um ||
+        serial.result.certified_gap != parallel.result.certified_gap) {
       std::fprintf(stderr,
                    "determinism violation at %d nodes: jobs=1 and jobs=%d "
                    "disagree on the ring-construction solve\n", n, jobs_n);
@@ -286,9 +293,12 @@ bool ring_scaling_table(int jobs_n, int max_ring) {
       mem_pts.emplace_back(n, parallel.rss_growth_bytes);
   }
   std::printf("%s", t.to_string().c_str());
-  std::printf("fitted: milp time ~ O(%s), milp RSS growth ~ O(%s)\n\n",
+  std::printf("fitted: milp time ~ O(%s), milp RSS growth ~ O(%s)\n",
               fmt_exponent(fit_exponent(time_pts)).c_str(),
               fmt_exponent(fit_exponent(mem_pts)).c_str());
+  std::printf("ring determinism gate (jobs 1/%d: tour, status, nodes, "
+              "pivots, bound): %s\n\n",
+              jobs_n, identical ? "identical" : "VIOLATION");
   return identical;
 }
 
@@ -511,7 +521,8 @@ bool profile_table(int max_n) {
 /// phase at 1, 2, and 8 pool jobs must produce byte-identical routes,
 /// waveguide signal lists, openings, opening statistics, and probe counters
 /// (`mapping.fits_probes`, `mapping.fits_summary_hits`,
-/// `mapping.reloc_attempts`, which the bench gate compares exactly).
+/// `mapping.reloc_attempts`, which the bench gate compares exactly). Each
+/// run drives both phases on one OccupancyIndex, as the synthesizer does.
 bool mapping_determinism_gate() {
   bool identical = true;
   for (const int n : {48, 96}) {
@@ -535,10 +546,9 @@ bool mapping_determinism_gate() {
       obs::Context ctx;
       {
         obs::ScopedContext scope(ctx);
-        out.m = mapping::assign_wavelengths(ring.geometry.tour, traffic, plan,
-                                            mo, &arcs);
-        out.stats = mapping::create_openings(ring.geometry.tour, traffic,
-                                             out.m, mo, {}, &arcs);
+        mapping::OccupancyIndex index(arcs, out.m, mo.max_wavelengths);
+        mapping::assign_wavelengths(ring.geometry.tour, traffic, plan, index);
+        out.stats = mapping::create_openings(ring.geometry.tour, index);
       }
       out.counters = ctx.registry().counters();
       par::set_jobs(0);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/lshape.hpp"
@@ -46,17 +48,19 @@ class EdgeSpace {
 ///
 /// Two storage strategies behind one interface, chosen by problem size:
 /// up to kDenseNodeLimit nodes the answers are precomputed into a dense
-/// pairs x pairs table (O(1) bit-lookup queries, the historical behavior);
-/// past it the table would be Theta(n^4) bits (~2 GiB at n=512), so queries
-/// recompute `geom::edges_conflict` from the stored node positions on
-/// demand. Both modes return identical answers — the table is just a cache
-/// of the same geometry call — so swapping modes never changes a result.
+/// pairs x pairs bit table (O(1) bit-lookup queries), built on the global
+/// pool; past it the table would be Theta(n^4) bits (~2 GiB at n=512), so
+/// queries recompute `geom::edges_conflict` from the stored node positions
+/// on demand. Both modes return identical answers — the table is just a
+/// cache of the same geometry call — so swapping modes never changes a
+/// result, and the table is the same at every pool size.
 class ConflictOracle {
  public:
-  /// Largest node count that still precomputes the dense table (~0.2 s and
-  /// ~8 MB at n=128). Past it the table grows as Theta(n^4) — ~1 s and
-  /// 42 MB at n=192, ~2 GiB at n=512 — while a solve asks only a sliver of
-  /// it, so larger instances always answer from geometry.
+  /// Largest node count that still precomputes the dense table (8.3 MB at
+  /// n=128, built in ~0.25 s on one thread and ~0.08 s on a 4-job pool).
+  /// Past it the table grows as Theta(n^4) — 42 MB at n=192, ~2 GiB at
+  /// n=512 — while a solve asks only a sliver of it, so larger instances
+  /// always answer from geometry.
   static constexpr int kDenseNodeLimit = 128;
 
   explicit ConflictOracle(const netlist::Floorplan& floorplan);
@@ -67,6 +71,32 @@ class ConflictOracle {
 
   /// Convenience overload on directed edge indices of `space`.
   bool conflict(const EdgeSpace& space, int edge_a, int edge_b) const;
+
+  /// A set of distinct undirected edges, held in the form conflicts_with
+  /// counts against: a bit per node pair in dense mode, the member edges
+  /// with their leg records in on-demand mode. Insert only an edge that is
+  /// not a member and erase only one that is; a degenerate edge {v, v} is
+  /// ignored. Refers to its oracle, which must outlive it.
+  class EdgeSet {
+   public:
+    explicit EdgeSet(const ConflictOracle& oracle);
+
+    void insert(NodeId a, NodeId b);
+    void erase(NodeId a, NodeId b);
+
+   private:
+    friend class ConflictOracle;
+
+    const ConflictOracle* oracle_;
+    std::vector<std::uint64_t> bits_;  // dense mode: bit q = pair q
+    std::vector<std::pair<NodeId, NodeId>> edges_;  // on-demand: (lo, hi)
+    std::vector<geom::EdgeLegs> legs_;              // on-demand: of edges_
+  };
+
+  /// Number of members {u, v} of `set` with conflict(a, b, u, v): the
+  /// popcount of edge {a, b}'s table row against the set's bits in dense
+  /// mode, one geometry test per member in on-demand mode.
+  int conflicts_with(const EdgeSet& set, NodeId a, NodeId b) const;
 
   int nodes() const { return n_; }
   bool dense() const { return dense_; }
@@ -79,8 +109,11 @@ class ConflictOracle {
 
   int n_ = 0;
   int pairs_ = 0;
+  int words_ = 0;  // dense mode: 64-bit words per table row
   bool dense_ = true;
-  std::vector<bool> table_;           // pairs_ x pairs_ symmetric matrix
+  // Dense mode: pairs_ rows of words_ words; bit q % 64 of word q / 64 of
+  // row p is set iff pairs p and q conflict (symmetric, zero diagonal).
+  std::vector<std::uint64_t> table_;
   std::vector<geom::Point> positions_;  // on-demand mode: query inputs
 };
 

@@ -9,6 +9,7 @@
 #include "milp/model.hpp"
 #include "obs/events.hpp"
 #include "obs/obs.hpp"
+#include "par/pool.hpp"
 
 namespace xring::ring {
 
@@ -22,19 +23,35 @@ geom::Coord tour_length(const std::vector<NodeId>& order,
   return total;
 }
 
+namespace {
+
+/// The tour's edges, as the set the oracle counts against.
+ConflictOracle::EdgeSet tour_edges(const std::vector<NodeId>& order,
+                                   const ConflictOracle& oracle) {
+  const int n = static_cast<int>(order.size());
+  ConflictOracle::EdgeSet edges(oracle);
+  for (int k = 0; k < n; ++k) edges.insert(order[k], order[(k + 1) % n]);
+  return edges;
+}
+
+/// Conflicting pairs among the tour's edges: each pair is counted once from
+/// either side, so half the sum of every edge's count against the tour.
+int conflicting_pairs(const std::vector<NodeId>& order,
+                      const ConflictOracle::EdgeSet& edges,
+                      const ConflictOracle& oracle) {
+  const int n = static_cast<int>(order.size());
+  int twice = 0;
+  for (int k = 0; k < n; ++k) {
+    twice += oracle.conflicts_with(edges, order[k], order[(k + 1) % n]);
+  }
+  return twice / 2;
+}
+
+}  // namespace
+
 int tour_conflicts(const std::vector<NodeId>& order,
                    const ConflictOracle& oracle) {
-  const int n = static_cast<int>(order.size());
-  int conflicts = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (oracle.conflict(order[i], order[(i + 1) % n], order[j],
-                          order[(j + 1) % n])) {
-        ++conflicts;
-      }
-    }
-  }
-  return conflicts;
+  return conflicting_pairs(order, tour_edges(order, oracle), oracle);
 }
 
 geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan) {
@@ -61,8 +78,6 @@ geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan) {
 
 namespace {
 
-/// Round cap of or_opt.
-constexpr int kOrOptRounds = 32;
 /// The LNS destroy schedule's seed, the consecutive tour positions each
 /// repair destroys, and the repair attempts per node of the instance.
 constexpr unsigned kLnsSeed = 1;
@@ -117,7 +132,8 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   // so there is no drift and the accept/reject sequence is identical to a
   // full re-evaluation of every candidate.
   geom::Coord length = tour_length(order, floorplan);
-  long long conflicts = tour_conflicts(order, oracle);
+  ConflictOracle::EdgeSet edges = tour_edges(order, oracle);
+  long long conflicts = conflicting_pairs(order, edges, oracle);
 
   for (int round = 0; round < kTwoOptRounds; ++round) {
     bool improved = false;
@@ -135,19 +151,24 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
             floorplan.distance(a, c) + floorplan.distance(b, d) -
             floorplan.distance(a, b) - floorplan.distance(c, d);
         // On a conflict-free tour a move can only add conflicts, so a
-        // non-improving length delta can never win — skip the O(n) conflict
-        // scan entirely (the dominant case once the tour is legal).
+        // non-improving length delta can never win — skip the conflict
+        // counts entirely (the dominant case once the tour is legal).
         if (conflicts == 0 && dl >= 0) continue;
-        long long dc = 0;
-        for (int k = 0; k < n; ++k) {
-          if (k == pi || k == j) continue;
-          const NodeId u = order[k], v = order[(k + 1) % n];
-          dc += oracle.conflict(a, c, u, v) + oracle.conflict(b, d, u, v) -
-                oracle.conflict(a, b, u, v) - oracle.conflict(c, d, u, v);
-        }
-        dc += oracle.conflict(a, c, b, d) - oracle.conflict(a, b, c, d);
+        // Conflicts of edge {x, y} with the tour edges the move keeps: the
+        // whole tour less the two edges it removes.
+        const auto kept = [&](NodeId x, NodeId y) {
+          return oracle.conflicts_with(edges, x, y) -
+                 oracle.conflict(x, y, a, b) - oracle.conflict(x, y, c, d);
+        };
+        const long long dc = kept(a, c) + kept(b, d) - kept(a, b) -
+                             kept(c, d) + oracle.conflict(a, c, b, d) -
+                             oracle.conflict(a, b, c, d);
         if (dl + kConflictPenalty * dc < 0) {
           std::reverse(order.begin() + i, order.begin() + j + 1);
+          edges.erase(a, b);
+          edges.erase(c, d);
+          edges.insert(a, c);
+          edges.insert(b, d);
           length += dl;
           conflicts += dc;
           improved = true;
@@ -163,25 +184,26 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   const int n = static_cast<int>(order.size());
   if (n < 5) return;
   geom::Coord length = tour_length(order, floorplan);
-  long long conflicts = tour_conflicts(order, oracle);
+  ConflictOracle::EdgeSet edges = tour_edges(order, oracle);
+  long long conflicts = conflicting_pairs(order, edges, oracle);
 
   // Relocating order[i..i+len-1] across the tour edge at position j swaps
   // removed edges R = {(a,b),(c,d),(e,f)} for added edges
   // A = {(a,d),(e,head),(tail,f)} with head/tail the segment ends in
-  // insertion order. Conflict delta: O(n) over the kept tour edges plus the
-  // pairs inside R and A (conflicts are undirected, so the segment's
-  // interior edges — unchanged up to direction — drop out).
+  // insertion order. Conflict delta: each edge of R and A counted against
+  // the kept tour edges (the tour less R), plus the pairs inside R and A
+  // (conflicts are undirected, so the segment's interior edges — unchanged
+  // up to direction — drop out).
   const auto conflict_delta = [&](NodeId a, NodeId b, NodeId c, NodeId d,
-                                  NodeId e, NodeId f, NodeId head, NodeId tail,
-                                  int skip1, int skip2, int skip3) {
-    long long dc = 0;
-    for (int k = 0; k < n; ++k) {
-      if (k == skip1 || k == skip2 || k == skip3) continue;
-      const NodeId u = order[k], v = order[(k + 1) % n];
-      dc += oracle.conflict(a, d, u, v) + oracle.conflict(e, head, u, v) +
-            oracle.conflict(tail, f, u, v) - oracle.conflict(a, b, u, v) -
-            oracle.conflict(c, d, u, v) - oracle.conflict(e, f, u, v);
-    }
+                                  NodeId e, NodeId f, NodeId head,
+                                  NodeId tail) {
+    const auto kept = [&](NodeId x, NodeId y) {
+      return oracle.conflicts_with(edges, x, y) -
+             oracle.conflict(x, y, a, b) - oracle.conflict(x, y, c, d) -
+             oracle.conflict(x, y, e, f);
+    };
+    long long dc = kept(a, d) + kept(e, head) + kept(tail, f) - kept(a, b) -
+                   kept(c, d) - kept(e, f);
     dc += oracle.conflict(a, d, e, head) + oracle.conflict(a, d, tail, f) +
           oracle.conflict(e, head, tail, f);
     dc -= oracle.conflict(a, b, c, d) + oracle.conflict(a, b, e, f) +
@@ -220,8 +242,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
                                    floorplan.distance(e, f);
             if (conflicts == 0 && dl >= 0) continue;  // cannot win (cf. two_opt)
             const long long dc =
-                conflict_delta(a, b, c, d, e, f, head, tail, (i + n - 1) % n,
-                               i + len - 1, j);
+                conflict_delta(a, b, c, d, e, f, head, tail);
             if (dl + kConflictPenalty * dc >= 0) continue;
 
             // Apply: cut the segment out, then splice it back in after e.
@@ -231,6 +252,13 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
             order.erase(order.begin() + i, order.begin() + i + len);
             const int at = j >= i + len ? j - len : j;  // e's index post-cut
             order.insert(order.begin() + at + 1, seg.begin(), seg.end());
+            // Erase first: an edge of R can come back in A.
+            edges.erase(a, b);
+            edges.erase(c, d);
+            edges.erase(e, f);
+            edges.insert(a, d);
+            edges.insert(e, head);
+            edges.insert(tail, f);
             length += dl;
             conflicts += dc;
             improved = true;
@@ -247,23 +275,28 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
                                    const ConflictOracle& oracle) {
   const int n = floorplan.size();
+  if (n == 0) return {};
 
-  std::vector<NodeId> best_order;
-  geom::Coord best_cost = std::numeric_limits<geom::Coord>::max();
-
-  // Nearest-neighbour from every start node, each polished by 2-opt; keep
-  // the best. The incremental 2-opt keeps the O(N) restarts affordable well
-  // past the paper's sizes, and they markedly improve the warm start.
-  for (NodeId start = 0; start < n; ++start) {
-    std::vector<NodeId> order = nearest_neighbour_from(floorplan, start);
+  // Nearest-neighbour from every start node, each polished by 2-opt, on the
+  // pool; the starts are independent. The incremental 2-opt keeps the O(N)
+  // restarts affordable well past the paper's sizes, and they markedly
+  // improve the warm start.
+  std::vector<std::vector<NodeId>> orders(n);
+  std::vector<geom::Coord> costs(n);
+  par::parallel_for(par::global_pool(), 0, n, [&](long start) {
+    std::vector<NodeId> order =
+        nearest_neighbour_from(floorplan, static_cast<NodeId>(start));
     two_opt(order, floorplan, oracle);
-    const geom::Coord cost = penalized_cost(order, floorplan, oracle);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_order = std::move(order);
-    }
+    costs[start] = penalized_cost(order, floorplan, oracle);
+    orders[start] = std::move(order);
+  });
+  // Reduce in start order: the lowest cost wins, a tie goes to the lowest
+  // start, so the tour is the same at every pool size.
+  int best = 0;
+  for (int start = 1; start < n; ++start) {
+    if (costs[start] < costs[best]) best = start;
   }
-  return best_order;
+  return std::move(orders[best]);
 }
 
 namespace {
@@ -283,12 +316,11 @@ bool repair_window(std::vector<NodeId>& order,
   for (int t = 0; t < local; ++t) g[t] = order[(s + t) % n];
 
   // The frozen tour edges: every hop outside positions s..s+m.
-  std::vector<std::pair<NodeId, NodeId>> frozen;
-  frozen.reserve(n - m - 1);
+  ConflictOracle::EdgeSet frozen(oracle);
   for (int k = 0; k < n; ++k) {
     const int rel = (k - s + n) % n;
     if (rel <= m) continue;  // hops s..s+m are being re-decided
-    frozen.emplace_back(order[k], order[(k + 1) % n]);
+    frozen.insert(order[k], order[(k + 1) % n]);
   }
 
   // Current (destroyed) segment cost: its length plus every conflict that
@@ -297,9 +329,7 @@ bool repair_window(std::vector<NodeId>& order,
   long long old_conf = 0;
   for (int t = 0; t <= m; ++t) {
     old_len += floorplan.distance(g[t], g[t + 1]);
-    for (const auto& [u, v] : frozen) {
-      old_conf += oracle.conflict(g[t], g[t + 1], u, v);
-    }
+    old_conf += oracle.conflicts_with(frozen, g[t], g[t + 1]);
     for (int t2 = t + 1; t2 <= m; ++t2) {
       old_conf += oracle.conflict(g[t], g[t + 1], g[t2], g[t2 + 1]);
     }
@@ -317,14 +347,7 @@ bool repair_window(std::vector<NodeId>& order,
   for (int e = 0; e < edges.count(); ++e) {
     const auto [u, v] = edges.edge(e);
     if (u == exit || v == 0 || (u == 0 && v == exit)) continue;
-    bool banned = false;
-    for (const auto& [fu, fv] : frozen) {
-      if (oracle.conflict(g[u], g[v], fu, fv)) {
-        banned = true;
-        break;
-      }
-    }
-    if (!banned) {
+    if (oracle.conflicts_with(frozen, g[u], g[v]) == 0) {
       var[e] = model.add_binary(
           static_cast<double>(floorplan.distance(g[u], g[v])));
     }

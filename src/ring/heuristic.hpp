@@ -9,13 +9,17 @@ namespace xring::ring {
 /// Penalty (µm) charged per conflicting edge pair in a tour; large enough
 /// that the 2-opt phase trades length for conflict removal.
 constexpr geom::Coord kConflictPenalty = 1'000'000;
-/// Round cap of two_opt; a round is one pass over every move.
+/// Round caps of two_opt and or_opt; a round is one pass over every move.
 constexpr int kTwoOptRounds = 64;
+constexpr int kOrOptRounds = 32;
 
 /// Conflict-aware nearest-neighbour + 2-opt tour construction (best of all
-/// nearest-neighbour start nodes). Serves two purposes: the warm start that
-/// lets branch & bound prune from node one, and the fallback result when a
-/// caller runs with the MILP disabled (the ablation benches compare both).
+/// nearest-neighbour start nodes, run on the global pool and reduced in
+/// start order: the lowest penalized cost, ties to the lowest start, so the
+/// tour is the same at every pool size). Serves two purposes: the warm
+/// start that lets branch & bound prune from node one, and the fallback
+/// result when a caller runs with the MILP disabled (the ablation benches
+/// compare both).
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
                                    const ConflictOracle& oracle);
 
@@ -23,7 +27,8 @@ std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
 /// Used both inside heuristic_tour and as the post-merge polish of Step 1.
 /// Incremental: each candidate move is scored by its exact integer length
 /// delta in O(1) and (only when that leaves the move competitive) its exact
-/// conflict-count delta in O(n) — replacing the historical full O(n^2)
+/// conflict-count delta from four ConflictOracle::conflicts_with counts
+/// against the tour's edge set — replacing the historical full O(n^2)
 /// re-evaluation per candidate while accepting and rejecting the exact same
 /// move sequence.
 void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
@@ -45,7 +50,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 geom::Coord tour_length(const std::vector<NodeId>& order,
                         const netlist::Floorplan& floorplan);
 
-/// Number of conflicting edge pairs in a tour.
+/// Number of conflicting edge pairs in a tour (distinct nodes).
 int tour_conflicts(const std::vector<NodeId>& order,
                    const ConflictOracle& oracle);
 

@@ -96,10 +96,15 @@ class Synthesizer {
 
   /// Step-1 conflict oracle, built on first use. Up to
   /// `ConflictOracle::kDenseNodeLimit` nodes its all-pairs conflict table
-  /// is Θ(n⁴) predicate evaluations and Θ(n⁴) bits — ~0.2 s and ~8 MB at
-  /// n = 128 — but only ring *construction* reads it. Callers entering through
+  /// is Θ(n⁴) predicate evaluations and Θ(n⁴) bits — 8.3 MB at n = 128,
+  /// built on the global pool in ~0.08 s at 4 jobs (~0.25 s at 1) — but only
+  /// ring *construction* reads it. Callers entering through
   /// `run_with_ring` (prebuilt or fixed rings: sweeps, the scaling
-  /// profile, ablations) never pay for it.
+  /// profile, ablations) never pay for it. A thread that waits on the
+  /// build helps with other pool work, so call this once before running
+  /// `run` of one Synthesizer from several tasks of the global pool (as
+  /// sweep_xring builds its ring first): such a task, run by the building
+  /// thread, would re-enter the once-only initialization.
   const ring::ConflictOracle& oracle() const {
     std::call_once(oracle_once_, [&] { oracle_.emplace(*floorplan_); });
     return *oracle_;

@@ -184,12 +184,27 @@ TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental two_opt versus the historical full-recompute reference
+// Incremental two_opt / or_opt versus full-recompute references
+
+/// Conflicting tour-edge pairs, one conflict() query per pair: the count
+/// the production path takes from ConflictOracle::conflicts_with instead.
+int brute_conflicts(const std::vector<NodeId>& order,
+                    const ring::ConflictOracle& oracle) {
+  const int n = static_cast<int>(order.size());
+  int conflicts = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      conflicts += oracle.conflict(order[i], order[(i + 1) % n], order[j],
+                                   order[(j + 1) % n]);
+    }
+  }
+  return conflicts;
+}
 
 geom::Coord penalized(const std::vector<NodeId>& order, const Floorplan& fp,
                       const ring::ConflictOracle& oracle) {
   return ring::tour_length(order, fp) +
-         ring::kConflictPenalty * ring::tour_conflicts(order, oracle);
+         ring::kConflictPenalty * brute_conflicts(order, oracle);
 }
 
 /// The pre-optimization two_opt, verbatim: full penalized-cost recompute
@@ -217,22 +232,95 @@ void reference_two_opt(std::vector<NodeId>& order, const Floorplan& fp,
   }
 }
 
-TEST(TwoOpt, IncrementalMatchesReferenceMoveForMove) {
-  for (unsigned seed = 1; seed <= 8; ++seed) {
-    const Floorplan fp = random_floorplan(12, seed);
-    const ring::ConflictOracle oracle(fp);
-    std::vector<NodeId> a(fp.size());
-    std::iota(a.begin(), a.end(), 0);
-    // Seeded shuffle so the runs start from varied (bad) tours.
-    Lcg rng(seed + 100);
-    for (std::size_t i = a.size() - 1; i > 0; --i) {
-      std::swap(a[i], a[rng.next() % (i + 1)]);
+/// or_opt by full re-evaluation: the same scan (segment length, segment
+/// start, insertion edge, forward before reversed), each candidate built
+/// as a new tour and scored by its full penalized cost. An accepted splice
+/// ends the insertion scan of its segment, and the scan goes on with the
+/// next segment start of the spliced tour.
+void reference_or_opt(std::vector<NodeId>& order, const Floorplan& fp,
+                      const ring::ConflictOracle& oracle) {
+  const int n = static_cast<int>(order.size());
+  if (n < 5) return;
+  geom::Coord cost = penalized(order, fp, oracle);
+  for (int round = 0; round < ring::kOrOptRounds; ++round) {
+    bool improved = false;
+    for (int len = 1; len <= 3 && len <= n - 4; ++len) {
+      for (int i = 0; i + len <= n; ++i) {
+        bool moved = false;
+        for (int j = 0; j < n && !moved; ++j) {
+          // The insertion edge (order[j], order[j+1]) must survive the cut.
+          if ((j - (i - 1) + n) % n <= len) continue;
+          for (const bool reversed : {false, true}) {
+            if (len == 1 && reversed) continue;
+            std::vector<NodeId> seg(order.begin() + i,
+                                    order.begin() + i + len);
+            if (reversed) std::reverse(seg.begin(), seg.end());
+            std::vector<NodeId> candidate = order;
+            candidate.erase(candidate.begin() + i, candidate.begin() + i + len);
+            const int at = j >= i + len ? j - len : j;
+            candidate.insert(candidate.begin() + at + 1, seg.begin(),
+                             seg.end());
+            const geom::Coord c = penalized(candidate, fp, oracle);
+            if (c < cost) {
+              order = std::move(candidate);
+              cost = c;
+              improved = true;
+              moved = true;
+              break;
+            }
+          }
+        }
+      }
     }
-    std::vector<NodeId> b = a;
-    ring::two_opt(a, fp, oracle);
-    reference_two_opt(b, fp, oracle);
-    EXPECT_EQ(a, b) << "seed " << seed;
+    if (!improved) break;
   }
+}
+
+/// A seeded shuffle of 0..n-1, so the runs start from varied (bad) tours.
+std::vector<NodeId> shuffled_tour(int n, unsigned seed) {
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  Lcg rng(seed);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next() % (i + 1)]);
+  }
+  return order;
+}
+
+/// Holds `improve` to `reference` move for move from shuffled tours: on
+/// the 12-node layouts (two words a conflict-table row) and on 40-node
+/// ones (13 words a row). The start tours carry conflicts, so the conflict
+/// deltas decide moves; enough seeds that a wrong term in a delta flips a
+/// decision somewhere.
+template <class Improve, class Reference>
+void expect_move_for_move(Improve improve, Reference reference,
+                          unsigned seeds_at_12, unsigned seeds_at_40) {
+  int conflicted_starts = 0;
+  for (const int n : {12, 40}) {
+    const unsigned seeds = n == 12 ? seeds_at_12 : seeds_at_40;
+    for (unsigned seed = 1; seed <= seeds; ++seed) {
+      const Floorplan fp = random_floorplan(n, seed);
+      const ring::ConflictOracle oracle(fp);
+      std::vector<NodeId> a = shuffled_tour(n, seed + 100);
+      const int start_conflicts = brute_conflicts(a, oracle);
+      EXPECT_EQ(ring::tour_conflicts(a, oracle), start_conflicts);
+      conflicted_starts += start_conflicts > 0;
+      std::vector<NodeId> b = a;
+      improve(a, fp, oracle);
+      reference(b, fp, oracle);
+      EXPECT_EQ(a, b) << "n " << n << " seed " << seed;
+      EXPECT_EQ(ring::tour_conflicts(a, oracle), brute_conflicts(a, oracle));
+    }
+  }
+  EXPECT_GT(conflicted_starts, 0);
+}
+
+TEST(TwoOpt, IncrementalMatchesReferenceMoveForMove) {
+  expect_move_for_move(ring::two_opt, reference_two_opt, 8, 4);
+}
+
+TEST(OrOpt, IncrementalMatchesReferenceMoveForMove) {
+  expect_move_for_move(ring::or_opt, reference_or_opt, 24, 4);
 }
 
 // ---------------------------------------------------------------------------

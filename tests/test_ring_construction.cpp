@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
 #include <random>
+#include <set>
 
 #include "lshape_reference.hpp"
+#include "par/pool.hpp"
 #include "ring/builder.hpp"
 #include "tsp_reference.hpp"
 
@@ -78,6 +83,175 @@ TEST(ConflictOracle, OnDemandMatchesReference) {
         << a << "," << b << " vs " << c << "," << d;
   }
   EXPECT_GT(conflicts, 0);
+}
+
+/// `n` nodes on distinct cells of a square lattice at 2 mm pitch, each
+/// moved by up to ±300 µm per axis (seeded): irregular, with conflicts.
+netlist::Floorplan scattered(int n, unsigned seed) {
+  std::mt19937 rng(seed);
+  const int side = static_cast<int>(std::ceil(std::sqrt(2.0 * n)));
+  std::vector<int> cells(side * side);
+  std::iota(cells.begin(), cells.end(), 0);
+  std::shuffle(cells.begin(), cells.end(), rng);
+  std::uniform_int_distribution<geom::Coord> jitter(-300, 300);
+  std::vector<netlist::Node> nodes;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back({0,
+                     {2000 + 2000 * (cells[i] % side) + jitter(rng),
+                      2000 + 2000 * (cells[i] / side) + jitter(rng)},
+                     ""});
+  }
+  return netlist::Floorplan(std::move(nodes), 2000 * (side + 2),
+                            2000 * (side + 2));
+}
+
+using NodePair = std::pair<netlist::NodeId, netlist::NodeId>;
+
+/// Every unordered node pair {lo, hi}, lo < hi, in lexicographic order.
+std::vector<NodePair> node_pairs(int n) {
+  std::vector<NodePair> pairs;
+  for (netlist::NodeId i = 0; i < n; ++i) {
+    for (netlist::NodeId j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+/// Every answer of the oracle, both orders of every pair of distinct node
+/// pairs: the upper and the lower half of a dense table.
+std::vector<bool> all_answers(const ConflictOracle& oracle) {
+  const std::vector<NodePair> pairs = node_pairs(oracle.nodes());
+  std::vector<bool> out;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    for (std::size_t q = p + 1; q < pairs.size(); ++q) {
+      const auto [a, b] = pairs[p];
+      const auto [c, d] = pairs[q];
+      out.push_back(oracle.conflict(a, b, c, d));
+      out.push_back(oracle.conflict(d, c, b, a));
+    }
+  }
+  return out;
+}
+
+/// Holds both orders of every pair of distinct node pairs to `want`.
+template <class Want>
+void expect_every_answer(const ConflictOracle& oracle, Want want) {
+  const std::vector<NodePair> pairs = node_pairs(oracle.nodes());
+  long wrong = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    for (std::size_t q = p + 1; q < pairs.size(); ++q) {
+      const auto [a, b] = pairs[p];
+      const auto [c, d] = pairs[q];
+      const bool expected = want(a, b, c, d);
+      const bool upper = oracle.conflict(a, b, c, d);
+      const bool lower = oracle.conflict(c, d, a, b);
+      if (upper != expected || lower != expected) {
+        if (wrong == 0) {
+          ADD_FAILURE() << "n = " << oracle.nodes() << ": " << a << "," << b
+                        << " vs " << c << "," << d << " want " << expected;
+        }
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "n = " << oracle.nodes();
+}
+
+TEST(ConflictOracle, DenseTableMatchesReferenceAcrossWordsAndBlocks) {
+  // 66, 136 and 2 415 node pairs: rows of 2, 3 and 38 words, one to 38
+  // 64-row transpose blocks, partial last words and blocks.
+  for (const int n : {12, 17, 70}) {
+    const netlist::Floorplan fp = scattered(n, static_cast<unsigned>(n));
+    const ConflictOracle oracle(fp);
+    ASSERT_TRUE(oracle.dense());
+    expect_every_answer(oracle, [&](netlist::NodeId a, netlist::NodeId b,
+                                    netlist::NodeId c, netlist::NodeId d) {
+      return a != c && a != d && b != c && b != d &&
+             geom::reference_edges_conflict(fp.position(a), fp.position(b),
+                                            fp.position(c), fp.position(d));
+    });
+  }
+}
+
+TEST(ConflictOracle, DenseTableAtTheLimitMatchesGeometry) {
+  const int n = ConflictOracle::kDenseNodeLimit;
+  const netlist::Floorplan fp = scattered(n, 5);
+  const ConflictOracle oracle(fp);
+  ASSERT_TRUE(oracle.dense());
+  std::vector<std::vector<geom::EdgeLegs>> legs(n);
+  for (netlist::NodeId a = 0; a < n; ++a) {
+    for (netlist::NodeId b = 0; b < n; ++b) {
+      legs[a].emplace_back(fp.position(a), fp.position(b));
+    }
+  }
+  expect_every_answer(oracle, [&](netlist::NodeId a, netlist::NodeId b,
+                                  netlist::NodeId c, netlist::NodeId d) {
+    return geom::edges_conflict(legs[a][b], legs[c][d]);
+  });
+}
+
+TEST(ConflictOracle, TableAndHeuristicTourAreJobCountInvariant) {
+  for (const int n : {17, 70}) {
+    const netlist::Floorplan fp = scattered(n, 11);
+    std::vector<bool> answers_at_1;
+    std::vector<netlist::NodeId> tour_at_1;
+    for (const int jobs : {1, 2, 8}) {
+      par::set_jobs(jobs);
+      const ConflictOracle oracle(fp);
+      const std::vector<bool> answers = all_answers(oracle);
+      const std::vector<netlist::NodeId> tour = heuristic_tour(fp, oracle);
+      if (jobs == 1) {
+        answers_at_1 = answers;
+        tour_at_1 = tour;
+        continue;
+      }
+      EXPECT_TRUE(answers == answers_at_1) << "n = " << n << ", jobs " << jobs;
+      EXPECT_EQ(tour, tour_at_1) << "n = " << n << ", jobs " << jobs;
+    }
+    par::set_jobs(0);
+  }
+}
+
+TEST(ConflictOracle, ConflictsWithMatchesPerEdgeCount) {
+  // Dense at 40 (13 words a row) and 70 (38), on demand at 144.
+  for (const int n : {40, 70, 144}) {
+    const netlist::Floorplan fp = scattered(n, static_cast<unsigned>(n) + 1);
+    const ConflictOracle oracle(fp);
+    ASSERT_EQ(oracle.dense(), n <= ConflictOracle::kDenseNodeLimit);
+    std::mt19937 rng(static_cast<unsigned>(n));
+    std::uniform_int_distribution<netlist::NodeId> node(0, n - 1);
+    for (const int size : {n, 3 * n}) {
+      // A random edge set, inserted in random orientation, then a quarter
+      // of it erased again.
+      ConflictOracle::EdgeSet set(oracle);
+      std::set<NodePair> members;
+      while (static_cast<int>(members.size()) < size) {
+        const netlist::NodeId u = node(rng), v = node(rng);
+        if (u == v || !members.emplace(std::min(u, v), std::max(u, v)).second) {
+          continue;
+        }
+        set.insert(u, v);
+      }
+      for (int k = 0; k < size / 4; ++k) {
+        auto it = members.begin();
+        std::advance(it, node(rng) % members.size());
+        set.erase(it->second, it->first);
+        members.erase(it);
+      }
+      // Queries: every member, then random edges and degenerate ones.
+      std::vector<NodePair> queries(members.begin(), members.end());
+      for (int k = 0; k < 400; ++k) queries.emplace_back(node(rng), node(rng));
+      int conflicts = 0;
+      for (const auto& [a, b] : queries) {
+        int want = 0;
+        for (const auto& [u, v] : members) want += oracle.conflict(a, b, u, v);
+        conflicts += want;
+        ASSERT_EQ(oracle.conflicts_with(set, a, b), want)
+            << "n = " << n << ", set of " << members.size() << ", query "
+            << a << "," << b;
+      }
+      EXPECT_GT(conflicts, 0) << "n = " << n;
+    }
+  }
 }
 
 TEST(Tour, ArcLengthsAndHops) {

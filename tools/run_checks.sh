@@ -46,12 +46,13 @@ echo "bench gate OK"
 
 # ThreadSanitizer pass over the concurrent substrate, in its own build tree
 # (TSan cannot share objects with ASan): the pool unit tests, the MILP
-# search, the full synthesizer (parallel sweep + analysis fan-out), the
-# indexed-analysis differential tests (parallel deposit-replay vs the serial
-# reference), the scoped-context isolation tests (two concurrent syntheses
-# sharing one pool must record disjoint, exact per-context metrics), and the
-# obs suites whose raw threads and phase sampler record through installed
-# contexts. Oversubscribed via XRING_JOBS so races surface even on few-core
+# search, Step 1's pool work (the conflict table's row fill and block
+# transposes, the all-starts heuristic), the full synthesizer (parallel
+# sweep + analysis fan-out), the indexed-analysis differential tests
+# (parallel deposit-replay vs the serial reference), the scoped-context
+# isolation tests (two concurrent syntheses sharing one pool must record
+# disjoint, exact per-context metrics), and the obs suites whose raw
+# threads and phase sampler record through installed contexts. Oversubscribed via XRING_JOBS so races surface even on few-core
 # machines. This is the only TSan suite list; CI runs it through this
 # script.
 echo "== thread sanitizer =="
@@ -62,6 +63,7 @@ cmake --build "$tsan_dir" -j
   XRING_JOBS=8 ./test_par &&
   XRING_JOBS=8 ./test_milp_bnb &&
   XRING_JOBS=8 ./test_milp_scale &&
+  XRING_JOBS=8 ./test_ring_construction &&
   XRING_JOBS=8 ./test_xring_synthesizer &&
   XRING_JOBS=8 ./test_mapping_index &&
   XRING_JOBS=8 ./test_mapping_fastpath &&
