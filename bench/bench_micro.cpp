@@ -24,6 +24,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "obs/export.hpp"
 #include "par/pool.hpp"
+#include "ring/tsp_model.hpp"
 #include "shortcut/shortcut.hpp"
 #include "sim/simulator.hpp"
 #include "xring/synthesizer.hpp"
@@ -70,16 +71,6 @@ BENCHMARK(BM_ConflictOracle)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-void BM_RingConstruction(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto fp = netlist::Floorplan::standard(n);
-  const ring::ConflictOracle oracle(fp);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring::build_ring(fp, oracle, {}));
-  }
-}
-BENCHMARK(BM_RingConstruction)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
 /// An 8-row grid of n nodes at 2 mm pitch, each moved by up to ±300 µm
 /// per axis by a fixed LCG: irregular enough that Step 1 has a real search.
 netlist::Floorplan jittered_grid(int n) {
@@ -100,6 +91,52 @@ netlist::Floorplan jittered_grid(int n) {
   return netlist::Floorplan(std::move(nodes), 2000 * (cols + 2),
                             2000 * (rows + 2));
 }
+
+/// Step 1 with its conflict table prebuilt: the paper's 8/16/32-node rings,
+/// then jittered 8 x 8 and 8 x 12 grids (n = 64/96).
+void BM_RingConstruction(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto fp =
+      n <= 32 ? netlist::Floorplan::standard(n) : jittered_grid(n);
+  const ring::ConflictOracle oracle(fp);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring::build_ring(fp, oracle, {}));
+  }
+}
+BENCHMARK(BM_RingConstruction)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96)
+    ->Unit(benchmark::kMillisecond);
+
+/// A cold solve of the root relaxation Step 1 starts its search from on the
+/// same floorplans: the kLazy TspModel plus the symmetry row oriented by the
+/// heuristic tour. The `pivots` counter gives the time per pivot.
+void BM_RingRootLp(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto fp =
+      n <= 32 ? netlist::Floorplan::standard(n) : jittered_grid(n);
+  const ring::ConflictOracle oracle(fp);
+  ring::TspModel tsp(fp, oracle, ring::ConflictMode::kLazy);
+  tsp.add_symmetry_breaking(ring::heuristic_tour(fp, oracle));
+  const milp::Model& model = tsp.model();
+  lp::Problem p;
+  p.set_maximize(model.maximize());
+  for (int v = 0; v < model.num_variables(); ++v) {
+    p.add_variable(model.lower(v), model.upper(v), model.objective(v));
+  }
+  for (const milp::Constraint& c : model.constraints()) {
+    p.add_constraint(c.terms, c.sense, c.rhs);
+  }
+  int pivots = 0;
+  for (auto _ : state) {
+    const lp::Solution sol = lp::solve(p);
+    pivots = sol.iterations;
+    benchmark::DoNotOptimize(sol);
+  }
+  state.counters["pivots"] = pivots;
+}
+BENCHMARK(BM_RingRootLp)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(96)
+    ->Unit(benchmark::kMillisecond);
 
 /// The all-starts heuristic: the paper's 8/16/32-node rings, then jittered
 /// 8 x 8 and 8 x 12 grids (the sizes of bench/perf's sweep64 and single96).

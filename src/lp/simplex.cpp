@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "lp/basis.hpp"
 #include "obs/events.hpp"
@@ -79,7 +80,7 @@ struct State {
   int first_artificial = 0;
 
   // Per-column data.
-  std::vector<SparseCol> cols;
+  ColumnStore cols;
   std::vector<double> lo, hi;
   std::vector<double> cost;        // active objective
   std::vector<double> real_cost;   // phase-2 objective
@@ -93,7 +94,7 @@ struct State {
   SparseLuBasis rep;               // factorized representation of B
   bool need_phase1 = false;        // an artificial ended up basic in the crash
 
-  std::vector<double> cb;          // scratch: objective of the basic columns
+  std::vector<double> cb;          // cb[i] = cost[basis[i]], kept in step
 };
 
 /// w = B^-1 * A_col, plus the index list of w's nonzeros.
@@ -101,12 +102,23 @@ void ftran(State& s, int col, std::vector<double>& w, std::vector<int>& nz) {
   s.rep.ftran(s.cols[col], w, nz);
 }
 
-/// y^T = c_B^T B^-1 under the active cost vector.
-void btran_cost(State& s, std::vector<double>& y) {
+/// Makes `cost` the active objective and gathers c_B under it. Between
+/// calls each basis change writes its own c_B entry.
+void set_cost(State& s, std::vector<double> cost) {
+  s.cost = std::move(cost);
   s.cb.resize(s.m);
   for (int i = 0; i < s.m; ++i) s.cb[i] = s.cost[s.basis[i]];
-  s.rep.btran(s.cb, y);
 }
+
+/// Column `enter` becomes basic in slot `leave`.
+void set_basic(State& s, int leave, int enter) {
+  s.where[enter] = At::kBasic;
+  s.basis[leave] = enter;
+  s.cb[leave] = s.cost[enter];
+}
+
+/// y^T = c_B^T B^-1 under the active cost vector.
+void btran_cost(State& s, std::vector<double>& y) { s.rep.btran(s.cb, y); }
 
 double reduced_cost(const State& s, const std::vector<double>& y, int col) {
   double d = s.cost[col];
@@ -166,11 +178,14 @@ Status iterate(State& s, int& iterations) {
   cand.reserve(kCandidateListSize);
   int stall = 0;  // iterations since last objective improvement (Bland trigger)
 
-  // Eligibility of a nonbasic column under the current duals: sets the
+  // Only a nonbasic column that is not fixed can enter; pricing skips the
+  // others before computing a reduced cost.
+  auto movable = [&s](int j) {
+    return s.where[j] != At::kBasic && s.lo[j] != s.hi[j];
+  };
+  // Eligibility of a movable column under the current duals: sets the
   // movement direction (+1 from lower, -1 from upper) when improving.
   auto eligible = [&s](int j, double d, int& direction) {
-    if (s.where[j] == At::kBasic) return false;
-    if (s.lo[j] == s.hi[j]) return false;  // fixed, never enters
     if (s.where[j] == At::kLower && d < -kTol) {
       direction = +1;
       return true;
@@ -196,7 +211,7 @@ Status iterate(State& s, int& iterations) {
     if (bland) {
       for (int j = 0; j < s.n; ++j) {
         int dir = 0;
-        if (eligible(j, reduced_cost(s, y, j), dir)) {
+        if (movable(j) && eligible(j, reduced_cost(s, y, j), dir)) {
           enter = j;
           direction = dir;
           break;
@@ -206,6 +221,7 @@ Status iterate(State& s, int& iterations) {
       double best = kTol;
       auto pick_from = [&](const std::vector<int>& js) {
         for (const int j : js) {
+          if (!movable(j)) continue;
           const double d = reduced_cost(s, y, j);
           int dir = 0;
           if (!eligible(j, d, dir)) continue;
@@ -224,6 +240,7 @@ Status iterate(State& s, int& iterations) {
         // candidate list.
         scored.clear();
         for (int j = 0; j < s.n; ++j) {
+          if (!movable(j)) continue;
           const double d = reduced_cost(s, y, j);
           int dir = 0;
           if (eligible(j, d, dir)) scored.emplace_back(std::abs(d), j);
@@ -298,8 +315,7 @@ Status iterate(State& s, int& iterations) {
     const int out = s.basis[leave];
     s.where[out] = leave_to < 0 ? At::kLower : At::kUpper;
     s.value[out] = leave_to < 0 ? s.lo[out] : s.hi[out];
-    s.where[enter] = At::kBasic;
-    s.basis[leave] = enter;
+    set_basic(s, leave, enter);
 
     switch (s.rep.update(leave, w, wnz)) {
       case SparseLuBasis::Update::kOk:
@@ -414,8 +430,7 @@ Status dual_iterate(State& s, int& iterations, int max_dual_pivots,
     }
     s.where[p] = dir > 0 ? At::kLower : At::kUpper;
     s.value[p] = target;
-    s.where[enter] = At::kBasic;
-    s.basis[r] = enter;
+    set_basic(s, r, enter);
 
     switch (s.rep.update(r, w, wnz)) {
       case SparseLuBasis::Update::kOk:
@@ -446,8 +461,15 @@ void build_state(const Problem& p, State& s) {
   s.n_struct = p.num_variables();
   s.b = p.rhs();
 
-  // Structural columns.
-  s.cols = p.columns();
+  // Structural columns, then one slack per inequality row and one
+  // artificial per row, all in one flat store.
+  std::size_t entries = 0;
+  for (const auto& col : p.columns()) entries += col.size();
+  int slacks = 0;
+  for (const Sense sense : p.senses()) slacks += sense == Sense::kEq ? 0 : 1;
+  s.cols.reserve(s.n_struct + slacks + s.m,
+                 entries + static_cast<std::size_t>(slacks + s.m));
+  for (const auto& col : p.columns()) s.cols.add(col);
   for (int j = 0; j < s.n_struct; ++j) {
     s.lo.push_back(p.lower_bound(j));
     s.hi.push_back(p.upper_bound(j));
@@ -460,14 +482,13 @@ void build_state(const Problem& p, State& s) {
   for (int i = 0; i < s.m; ++i) {
     const Sense sense = p.senses()[i];
     if (sense == Sense::kEq) continue;
-    slack_col[i] = static_cast<int>(s.cols.size());
-    s.cols.push_back({{i, sense == Sense::kLe ? 1.0 : -1.0}});
+    slack_col[i] = s.cols.add_singleton(i, sense == Sense::kLe ? 1.0 : -1.0);
     s.lo.push_back(0.0);
     s.hi.push_back(kInfinity);
     s.real_cost.push_back(0.0);
   }
 
-  s.first_artificial = static_cast<int>(s.cols.size());
+  s.first_artificial = s.cols.size();
   s.n = s.first_artificial + s.m;
 
   s.where.assign(s.n, At::kLower);
@@ -511,11 +532,10 @@ void build_state(const Problem& p, State& s) {
       s.basis[i] = sl;
       s.where[sl] = At::kBasic;
       s.value[sl] = slack_value;
-      s.cols.push_back({{i, 1.0}});
+      s.cols.add_singleton(i, 1.0);
       s.hi[art] = 0.0;  // never enters
     } else {
-      const double sign = residual[i] >= 0.0 ? 1.0 : -1.0;
-      s.cols.push_back({{i, sign}});
+      s.cols.add_singleton(i, residual[i] >= 0.0 ? 1.0 : -1.0);
       s.basis[i] = art;
       s.where[art] = At::kBasic;
       s.value[art] = std::abs(residual[i]);
@@ -597,8 +617,9 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
 
   if (s.need_phase1) {
     // Phase 1: minimize the sum of artificials.
-    s.cost.assign(s.n, 0.0);
-    for (int i = 0; i < s.m; ++i) s.cost[s.first_artificial + i] = 1.0;
+    std::vector<double> phase1(s.n, 0.0);
+    for (int i = 0; i < s.m; ++i) phase1[s.first_artificial + i] = 1.0;
+    set_cost(s, std::move(phase1));
     Status st = iterate(s, out.iterations);
     if (st == Status::kIterationLimit) {
       out.status = st;
@@ -615,7 +636,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
 
   // Phase 2: fix artificials at zero and optimize the real objective.
   fix_artificials(s);
-  s.cost = s.real_cost;
+  set_cost(s, s.real_cost);
   recompute_basics(s);
   Status st = iterate(s, out.iterations);
   collect_stats(s, out);
@@ -695,7 +716,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
     s.basis[i] = col;
     s.where[col] = At::kBasic;
   }
-  s.cost = s.real_cost;
+  set_cost(s, s.real_cost);
 
   if (!s.rep.factorize(s.cols, s.basis)) return false;
   recompute_basics(s);

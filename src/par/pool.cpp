@@ -1,5 +1,10 @@
 #include "par/pool.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +37,39 @@ int env_jobs() {
   return static_cast<int>(std::min(v, 512L));
 }
 
+/// The CPUs the workers are bound to, worker w to entry w mod size: the
+/// calling thread's allowed CPUs other than the one it runs on, then that
+/// one. Empty (workers float) with fewer than two allowed CPUs or off Linux.
+std::vector<int> worker_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2) {
+    return cpus;
+  }
+  const int here = sched_getcpu();
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed) && c != here) cpus.push_back(c);
+  }
+  if (here >= 0 && CPU_ISSET(here, &allowed)) cpus.push_back(here);
+#endif
+  return cpus;
+}
+
+/// Binds the calling thread to one CPU.
+void bind_to(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+#else
+  (void)cpu;
+#endif
+}
+
 }  // namespace
 
 int hardware_jobs() {
@@ -50,8 +88,14 @@ ThreadPool::ThreadPool(int jobs) : jobs_(resolve_jobs(jobs)) {
   queues_.reserve(static_cast<std::size_t>(jobs_));
   for (int q = 0; q < jobs_; ++q) queues_.push_back(std::make_unique<Queue>());
   threads_.reserve(static_cast<std::size_t>(jobs_ - 1));
+  const std::vector<int> cpus = jobs_ > 1 ? worker_cpus() : std::vector<int>{};
   for (int w = 0; w < jobs_ - 1; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(static_cast<std::size_t>(w)); });
+    const int cpu =
+        cpus.empty() ? -1 : cpus[static_cast<std::size_t>(w) % cpus.size()];
+    threads_.emplace_back([this, w, cpu] {
+      if (cpu >= 0) bind_to(cpu);
+      worker_loop(static_cast<std::size_t>(w));
+    });
   }
 }
 

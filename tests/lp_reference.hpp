@@ -12,6 +12,9 @@
 //    status, complementary slackness, consistency d = c - A'y, and strong
 //    duality c'x = b'y + d'x. It needs no second solve, so it also covers
 //    LPs too large for the tableau.
+//  * DenseLu — Gaussian elimination with partial pivoting of a dense square
+//    matrix, solving A x = b and A^T y = c; the reference for the sparse
+//    basis factorization's ftran and btran.
 //
 // Header-only and test-only; it includes nothing from src/. Do not
 // "optimize" this code.
@@ -327,5 +330,81 @@ inline std::vector<std::string> kkt_violations(
   }
   return out;
 }
+
+/// A = P^T L U of a dense n x n matrix by Gaussian elimination with partial
+/// pivoting (row-major input, a[i * n + j] = A_ij).
+class DenseLu {
+ public:
+  DenseLu(std::vector<double> a, int n) : n_(n), lu_(std::move(a)), perm_(n) {
+    for (int i = 0; i < n; ++i) perm_[i] = i;
+    for (int k = 0; k < n; ++k) {
+      int p = k;
+      for (int i = k + 1; i < n; ++i) {
+        if (std::abs(at(i, k)) > std::abs(at(p, k))) p = i;
+      }
+      if (at(p, k) == 0.0) {
+        singular_ = true;
+        return;
+      }
+      if (p != k) {
+        for (int j = 0; j < n; ++j) std::swap(at(p, j), at(k, j));
+        std::swap(perm_[p], perm_[k]);
+      }
+      for (int i = k + 1; i < n; ++i) {
+        const double f = at(i, k) / at(k, k);
+        at(i, k) = f;
+        if (f == 0.0) continue;  // nothing to eliminate (most rows of a basis)
+        for (int j = k + 1; j < n; ++j) at(i, j) -= f * at(k, j);
+      }
+    }
+  }
+
+  bool singular() const { return singular_; }
+
+  /// x with A x = b.
+  std::vector<double> solve(const std::vector<double>& b) const {
+    std::vector<double> x(n_);
+    for (int i = 0; i < n_; ++i) {
+      double t = b[perm_[i]];
+      for (int j = 0; j < i; ++j) t -= at(i, j) * x[j];
+      x[i] = t;
+    }
+    for (int i = n_ - 1; i >= 0; --i) {
+      double t = x[i];
+      for (int j = i + 1; j < n_; ++j) t -= at(i, j) * x[j];
+      x[i] = t / at(i, i);
+    }
+    return x;
+  }
+
+  /// y with A^T y = c.
+  std::vector<double> solve_transposed(const std::vector<double>& c) const {
+    std::vector<double> z(n_);
+    for (int i = 0; i < n_; ++i) {  // U^T z = c
+      double t = c[i];
+      for (int j = 0; j < i; ++j) t -= at(j, i) * z[j];
+      z[i] = t / at(i, i);
+    }
+    for (int i = n_ - 1; i >= 0; --i) {  // L^T w = z
+      double t = z[i];
+      for (int j = i + 1; j < n_; ++j) t -= at(j, i) * z[j];
+      z[i] = t;
+    }
+    std::vector<double> y(n_);
+    for (int i = 0; i < n_; ++i) y[perm_[i]] = z[i];
+    return y;
+  }
+
+ private:
+  double& at(int i, int j) { return lu_[static_cast<std::size_t>(i) * n_ + j]; }
+  double at(int i, int j) const {
+    return lu_[static_cast<std::size_t>(i) * n_ + j];
+  }
+
+  int n_;
+  std::vector<double> lu_;
+  std::vector<int> perm_;  // row i of L U is row perm_[i] of A
+  bool singular_ = false;
+};
 
 }  // namespace xring::lp_reference

@@ -5,15 +5,19 @@
 // I-III and the warm starts included — must carry a KKT certificate in its
 // duals and reduced costs. Also pins the dual-simplex warm-start path: a
 // warm solve after a bound change or lazy-row growth must reproduce the
-// cold answer with dual pivots.
+// cold answer with dual pivots. Below the simplex, the basis factorization's
+// ftran and btran are held to a dense Gaussian solve across eta updates and
+// refactorizations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "lp/basis.hpp"
 #include "lp/simplex.hpp"
 #include "lp_reference.hpp"
 #include "netlist/floorplan.hpp"
@@ -207,6 +211,135 @@ TEST(SparseVsDense, AssignmentModels) {
     }
     EXPECT_EQ(expect_matches_reference(p, "assignment n=" + std::to_string(n)),
               Status::kOptimal);
+  }
+}
+
+/// `got` matches the dense reference `want` to 1e-9 relative to want's
+/// largest entry.
+void expect_close(const std::vector<double>& got,
+                  const std::vector<double>& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  double scale = 1.0;
+  for (const double v : want) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::abs(got[i] - want[i]) > 1e-9 * scale) {
+      ADD_FAILURE() << label << ": entry " << i << " is " << got[i]
+                    << ", dense solve " << want[i];
+      return;
+    }
+  }
+}
+
+TEST(SparseLuBasis, SolvesMatchDenseGaussianAcrossUpdates) {
+  // Bases shaped like the ring LP's: 85-95% of the slots hold a +-1 slack
+  // singleton, the rest columns of 2-4 nonzeros. 70 basis changes go
+  // through update(), so each trial crosses the 64-eta refactorization
+  // request. After every change ftran, ftran_dense and btran must match a
+  // dense Gaussian solve of the test's own copy of B, and ftran's nonzero
+  // list must be ascending and name exactly the nonzero entries.
+  constexpr int kChanges = 70;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int m = 50 + 50 * trial;
+    const std::string tag = "m=" + std::to_string(m);
+    Lcg rng(0x5eed0000ULL + static_cast<std::uint64_t>(trial));
+    auto value = [&rng] {
+      const double v = rng.real(0.5, 2.0);
+      return rng.uniform(0, 1) == 0 ? v : -v;
+    };
+
+    // Columns 0..m-1 are the rows' slacks; column m + i has a dominant
+    // entry in row i and 1-3 more in distinct random rows.
+    ColumnStore cols;
+    for (int i = 0; i < m; ++i) {
+      cols.add_singleton(i, rng.uniform(0, 1) == 0 ? 1.0 : -1.0);
+    }
+    for (int i = 0; i < m; ++i) {
+      SparseCol col{{i, 4.0 * value()}};
+      const int size = rng.uniform(2, 4);
+      while (static_cast<int>(col.size()) < size) {
+        const int r = rng.uniform(0, m - 1);
+        bool seen = false;
+        for (const auto& entry : col) seen = seen || entry.first == r;
+        if (!seen) col.emplace_back(r, value());
+      }
+      cols.add(col);
+    }
+
+    // Slot i holds row i's slack or, for 5-15% of the slots, column m + i.
+    std::vector<int> basis(m), order(m);
+    for (int i = 0; i < m; ++i) basis[i] = order[i] = i;
+    for (int i = m - 1; i > 0; --i) std::swap(order[i], order[rng.uniform(0, i)]);
+    const int structural = m * rng.uniform(5, 15) / 100;
+    for (int k = 0; k < structural; ++k) basis[order[k]] = m + order[k];
+    std::vector<char> is_basic(cols.size(), 0);
+    for (const int j : basis) is_basic[j] = 1;
+
+    SparseLuBasis lu(m);
+    ASSERT_TRUE(lu.factorize(cols, basis)) << tag;
+    int refactorizations = 0;
+    std::vector<double> w, x, y;
+    std::vector<int> nz;
+    for (int change = 0; change <= kChanges; ++change) {
+      const std::string label = tag + " change " + std::to_string(change);
+      std::vector<double> dense(static_cast<std::size_t>(m) * m, 0.0);
+      for (int i = 0; i < m; ++i) {
+        for (const auto& [r, v] : cols[basis[i]]) {
+          dense[static_cast<std::size_t>(r) * m + i] = v;
+        }
+      }
+      const lp_reference::DenseLu ref(std::move(dense), m);
+      ASSERT_FALSE(ref.singular()) << label;
+
+      // ftran of a random pool column and of a slack.
+      for (const int j : {rng.uniform(0, cols.size() - 1), rng.uniform(0, m - 1)}) {
+        std::vector<double> a(m, 0.0);
+        for (const auto& [r, v] : cols[j]) a[r] = v;
+        lu.ftran(cols[j], w, nz);
+        expect_close(w, ref.solve(a), label + " ftran");
+        std::vector<int> exact;
+        for (int i = 0; i < m; ++i) {
+          if (w[i] != 0.0) exact.push_back(i);
+        }
+        EXPECT_EQ(nz, exact) << label << ": ftran's nonzero list";
+      }
+      // ftran_dense of a dense right-hand side.
+      std::vector<double> b(m);
+      for (double& v : b) v = value();
+      lu.ftran_dense(b, x);
+      expect_close(x, ref.solve(b), label + " ftran_dense");
+      // btran of a sparse cost vector (c_B) and of a unit vector (the dual
+      // simplex's pivot row).
+      std::vector<double> cb(m, 0.0);
+      for (double& v : cb) {
+        if (rng.uniform(0, 9) == 0) v = value();
+      }
+      lu.btran(cb, y);
+      expect_close(y, ref.solve_transposed(cb), label + " btran");
+      std::vector<double> unit(m, 0.0);
+      unit[rng.uniform(0, m - 1)] = 1.0;
+      lu.btran(unit, y);
+      expect_close(y, ref.solve_transposed(unit), label + " btran unit");
+      if (HasFailure() || change == kChanges) break;
+
+      // A nonbasic column enters in the slot of its largest ftran entry.
+      int enter = rng.uniform(0, cols.size() - 1);
+      while (is_basic[enter] != 0) enter = (enter + 1) % cols.size();
+      lu.ftran(cols[enter], w, nz);
+      int leave = nz.front();
+      for (const int i : nz) {
+        if (std::abs(w[i]) > std::abs(w[leave])) leave = i;
+      }
+      const SparseLuBasis::Update u = lu.update(leave, w, nz);
+      ASSERT_NE(u, SparseLuBasis::Update::kSingular) << label;
+      is_basic[basis[leave]] = 0;
+      is_basic[enter] = 1;
+      basis[leave] = enter;
+      if (u == SparseLuBasis::Update::kRefactorize) {
+        ASSERT_TRUE(lu.factorize(cols, basis)) << label;
+        ++refactorizations;
+      }
+    }
+    EXPECT_GE(refactorizations, 1) << tag;
   }
 }
 
